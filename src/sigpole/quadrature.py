@@ -5,9 +5,13 @@ Four routes are provided and cross-checked against each other:
 - ``l_direct_mc``: sorted-uniform Monte Carlo on the increasing simplex;
 - ``l_pullback_mc``: rejection sampling of the blown-up domain, averaging the
   pulled-back integrand (a working check of the change of variables);
-- ``l_adaptive``: deterministic nested quadrature after the iterated
-  substitution that moves all integrand singularities to cube faces, with
-  double-exponential nodes and level doubling until the tolerance is met;
+- ``l_adaptive`` (2k <= 6): translation invariance and homogeneity of
+  degree k(2H - 2) integrate the two outer gaps out exactly, so
+  L = J / ((2kH - 1) 2kH) with J a (2k - 2)-dimensional integral over the
+  inner points of [0, 1]; J is evaluated by deterministic nested quadrature
+  after the iterated substitution that moves all integrand singularities to
+  cube faces, with double-exponential nodes and level doubling until the
+  tolerance is met;
 - ``l_closed_form``: the beta-integral closed form, available whenever the
   interval image consists of pairwise disjoint intervals.
 
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _accel
-from .blowup import BlowupChart
+from .blowup import EXACT_R_MAX_DIM, BlowupChart
 from .errors import DomainError, NumericError, SizeError
 from .pairings import PairPartition, Word, enumerate_refining, format_pairs
 
@@ -53,6 +57,7 @@ DEFAULT_SEED = int.from_bytes(b"FBM0", "big")
 STOCHASTIC_METHODS = frozenset({"direct-mc", "pullback-mc"})
 DETERMINISTIC_METHODS = frozenset({"adaptive", "closed-form", "wick-grid"})
 _MC_BATCH = 1 << 18
+_GRID_CHUNK = 1 << 19  # grid nodes per slab, and at least one last-axis slice
 
 
 @dataclass(frozen=True)
@@ -220,10 +225,11 @@ def l_pullback_mc(
     """
     _require_convergent(h)
     n = partition.size
-    if n > 6:
-        raise SizeError("pullback route limited to 2k <= 6")
+    if n > EXACT_R_MAX_DIM:
+        # the limit of flag-range probing, checked before any probing
+        raise SizeError(f"pullback route limited to 2k <= {EXACT_R_MAX_DIM}")
     chart = chart if chart is not None else BlowupChart(n)
-    lo, hi = chart.flag_ranges()  # NumericError beyond the probing limit
+    lo, hi = chart.flag_ranges()
     xi_lo, xi_hi = np.log(lo), np.log(hi)
     widths = xi_hi - xi_lo
     qranks = np.array([float(chart.q(j)) for j in range(1, n + 1)])
@@ -384,57 +390,55 @@ def _de_nodes(m: int, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return logt, logtc, logw
 
 
-def _simplex_level_sum(partition: PairPartition, h: float, m: int) -> float:
-    """One tensor level of the nested rule for the pair-partition integral.
+def _reduced_level_sum(partition: PairPartition, h: float, m: int) -> float:
+    """One tensor level of the nested rule for the reduced integral J.
 
-    The substitution s_i = u_i * s_{i+1} (s beyond the last coordinate is 1)
-    maps the cube onto the increasing simplex with Jacobian prod of the
-    trailing coordinates; every pair factor becomes
-    s_max * (1 - prod of u over [min, max)), evaluated in log space.
+    The points 0 = r_0 < r_1 < ... < r_{2k-2} < r_{2k-1} = 1 are pinned at
+    both ends.  The substitution r_i = u_i * r_{i+1} maps the cube of the
+    2k - 2 inner variables onto them with Jacobian r_2 * ... * r_{2k-1}; a
+    pair (1, b) becomes r_{b-1}, any other pair (a, b) becomes
+    r_{b-1} * (1 - prod of u over [a-1, b-2]).  Since r_i is the product of
+    u_i .. u_{2k-2}, every factor except a gap over two or more variables is
+    a power of one u_j or of 1 - u_j; those fold into one log-weight vector
+    per variable, and only the multi-variable gaps are evaluated on the grid,
+    in log space.
     """
-    n = partition.size
+    d = partition.size - 2
+    expo = 2 * h - 2
     logu, logtc, logw = _de_nodes(m, _de_span(h))
+    pairs = partition.pairs
+    axis_logs = []
+    for j in range(1, d + 1):
+        # u_j is a factor of r_i for i <= j: of the Jacobian terms r_2 .. r_j
+        # and of every r_{b-1} with b - 1 <= j; the pair (j+1, j+2) adds the
+        # one-variable gap 1 - u_j
+        power = j - 1 + expo * sum(1 for _, b in pairs if b - 1 <= j)
+        gap = partition.partner(j + 1) == j + 2
+        axis_logs.append(logw + power * logu + expo * gap * logtc)
+    spans = [range(a - 1, b - 1) for a, b in pairs if a > 1 and b - a > 1]
+    step = max(1, _GRID_CHUNK // m ** (d - 1))
     total = 0.0
-    # slice over the last coordinate's node to bound memory
-    grid_shape = (m,) * (n - 1)
-    axes = list(range(n - 1))  # axes for u_1 .. u_{n-1}
-    logu_b = [logu.reshape([-1 if a == ax else 1 for a in axes]) for ax in axes]
-    logtc_b = [logtc.reshape([-1 if a == ax else 1 for a in axes]) for ax in axes]
-    logw_b = [logw.reshape([-1 if a == ax else 1 for a in axes]) for ax in axes]
-    for last in range(m):
-        # logs[i] = log s_{i+1}: sums of log u_j for j > i (u_n is the slice node)
-        logs = [np.zeros(grid_shape) for _ in range(n)]
-        logs[n - 1] = np.broadcast_to(logu[last], grid_shape).copy()
-        for i in range(n - 2, -1, -1):
-            logs[i] = logs[i + 1] + logu_b[i]
-        acc = np.zeros(grid_shape)
-        for a, b in partition.pairs:
-            # log(1 - prod(u_j for a <= j < b)); the spanned axes a-1 .. b-2
-            # never include the slice variable
-            span_axes = list(range(a - 1, b - 1))
-            if len(span_axes) == 1:
-                log_gap = np.broadcast_to(logtc_b[span_axes[0]], grid_shape)
-            else:
-                lp = np.zeros(grid_shape)
-                for ax in span_axes:
-                    lp = lp + logu_b[ax]
-                # where the log-product underflows to -0, the complement is
-                # the sum of the node complements to leading order
-                direct = np.log(-np.expm1(np.minimum(lp, -1e-300)))
-                tiny = lp > -1e-12
-                if tiny.any():
-                    alt = np.full(grid_shape, -np.inf)
-                    for ax in span_axes:
-                        alt = np.logaddexp(alt, np.broadcast_to(logtc_b[ax], grid_shape))
-                    direct = np.where(tiny, alt, direct)
-                log_gap = direct
-            acc += (2 * h - 2) * (logs[b - 1] + log_gap)
-        # Jacobian: product of s_2 .. s_n
-        for i in range(1, n):
-            acc += logs[i]
-        for ax in axes:
-            acc += logw_b[ax]
-        acc += logw[last]
+    # slabs over the last variable u_d bound memory; axis j - 1 holds u_j
+    for start in range(0, m, step):
+        sl = slice(start, start + step)
+
+        def on_axis(vec: np.ndarray, j: int) -> np.ndarray:
+            v = vec[sl] if j == d else vec
+            return v.reshape([-1 if ax == j - 1 else 1 for ax in range(d)])
+
+        acc = sum(on_axis(v, j) for j, v in enumerate(axis_logs, start=1))
+        for span in spans:
+            lp = sum(on_axis(logu, j) for j in span)
+            # where the log-product underflows to -0, the complement is the
+            # sum of the node complements to leading order
+            log_gap = np.log(-np.expm1(np.minimum(lp, -1e-300)))
+            tiny = lp > -1e-12
+            if tiny.any():
+                alt = on_axis(logtc, span[0])
+                for j in span[1:]:
+                    alt = np.logaddexp(alt, on_axis(logtc, j))
+                log_gap = np.where(tiny, alt, log_gap)
+            acc = acc + expo * log_gap
         total += float(np.exp(acc).sum())
     return total
 
@@ -443,27 +447,46 @@ def l_adaptive(
     partition: PairPartition,
     h: float,
     tol: float = 1e-8,
-    max_level: int = 5,
+    max_level: int = 6,
 ) -> EvalResult:
-    """Deterministic evaluation for 2k <= 4, to absolute/relative tol.
+    """Deterministic evaluation for 2k <= 6, to absolute/relative tol.
 
-    Node counts double per level; the error estimate is the change between
-    consecutive levels.  Raises with the best estimate attached when the
-    budget is exhausted before the tolerance is met.
+    The integrand is translation invariant and homogeneous of degree
+    k(2H - 2), so the two outer gaps integrate out exactly:
+    L = J / ((2kH - 1) 2kH), with J the integral over the 2k - 2 inner
+    points of [0, 1] (J = 1 for k = 1).  Node counts of the nested rule for
+    J double per level; the error estimate is the change of L between
+    consecutive levels, and ``extra["level_values"]`` records L at every
+    level.  Raises with the best estimate attached when the budget is
+    exhausted before the tolerance is met.
     """
     _require_convergent(h)
-    if partition.size > 4:
-        raise SizeError("adaptive route limited to 2k <= 4")
-    levels = [17, 33, 65, 129, 257, 513][:max_level]
-    if partition.size > 2:
-        levels = [17, 33, 65, 129][:max_level]
-    prev = None
+    n = partition.size
+    if n > 6:
+        raise SizeError("adaptive route limited to 2k <= 6")
+    k = n // 2
+    scale = 1.0 / ((2 * k * h - 1) * 2 * k * h)
+    if n == 2:
+        return EvalResult(
+            value=scale,
+            method="adaptive",
+            tol=2 * math.ulp(scale),  # two roundings in the prefactor
+            cells=1,
+            h=h,
+            partition=format_pairs(partition),
+            extra={"levels": [], "level_values": []},
+        )
+    # per-axis node counts: 2-D grids up to 513, 4-D grids up to 129
+    levels = [17, 33, 65, 129, 257, 513] if n == 4 else [17, 33, 65, 129]
+    levels = levels[:max_level]
+    values: list[float] = []
     cells = 0
     for m in levels:
-        cur = _simplex_level_sum(partition, h, m)
-        cells += m ** partition.size
-        if prev is not None:
-            err = abs(cur - prev)
+        cur = scale * _reduced_level_sum(partition, h, m)
+        cells += m ** (n - 2)
+        values.append(cur)
+        if len(values) > 1:
+            err = abs(cur - values[-2])
             if err <= max(tol, tol * abs(cur)):
                 return EvalResult(
                     value=cur,
@@ -472,12 +495,11 @@ def l_adaptive(
                     cells=cells,
                     h=h,
                     partition=format_pairs(partition),
-                    extra={"levels": levels[: levels.index(m) + 1]},
+                    extra={"levels": levels[: len(values)], "level_values": values},
                 )
-        prev = cur
     raise NumericError(
         "quadrature tolerance not reached within the level budget",
-        best=prev,
+        best=values[-1] if values else None,
         tol=tol,
         levels=levels,
     )
@@ -552,9 +574,8 @@ def _open_close_pattern(partition: PairPartition) -> list[tuple[str, int]]:
 
 
 def _exclusive_prefix(arr: np.ndarray) -> np.ndarray:
-    out = np.cumsum(arr, axis=-1)
-    out = np.roll(out, 1, axis=-1)
-    out[..., 0] = 0.0
+    out = np.zeros_like(arr)
+    np.cumsum(arr[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -597,7 +618,6 @@ def wick_grid_oracle(
     word: Word,
     h: float,
     m: int = 64,
-    richardson: bool = True,
 ) -> EvalResult:
     """Deterministic grid approximation of the mean iterated integral.
 
@@ -625,15 +645,6 @@ def wick_grid_oracle(
         return sum(_increasing_pair_sum(p, cov) for p in refining)
 
     v1 = level(m)
-    if not richardson:
-        return EvalResult(
-            value=v1,
-            method="wick-grid",
-            tol=float("nan"),
-            cells=m,
-            h=h,
-            extra={"refining_partitions": len(refining)},
-        )
     v2 = level(2 * m)
     theta = 2.0 ** (1 - 2 * h)
     value = (v2 - theta * v1) / (1 - theta) if theta != 1 else v2

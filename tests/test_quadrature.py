@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -64,11 +65,46 @@ def test_adaptive_matches_beta_ratio_k2():
         assert abs(r.value - exact) <= 1e-6 * exact
 
 
+def k2_exact(partition: PairPartition, h: float) -> float:
+    """The k=2 closed forms: L = J / ((4H - 1) 4H), with alpha = 2H - 2 and
+    J = G(a+1)^2 / G(2a+3) (adjacent), 1 / ((a+1)(a+2)) (nested) or
+    (1 / (a+1)) (1 / (a+1) - B(a+2, a+1)) (crossing)."""
+    a = 2 * h - 2
+    lg = math.lgamma
+    if partition == ADJ2:
+        j = math.exp(2 * lg(a + 1) - lg(2 * a + 3))
+    elif partition == NEST2:
+        j = 1 / ((a + 1) * (a + 2))
+    else:
+        beta = math.exp(lg(a + 2) + lg(a + 1) - lg(2 * a + 3))
+        j = (1 / (a + 1)) * (1 / (a + 1) - beta)
+    return j / ((4 * h - 1) * 4 * h)
+
+
+@pytest.mark.parametrize("h", [0.501, 0.51])
+def test_adaptive_k2_near_half(h):
+    # the node span widens as H approaches 1/2, keeping all three k=2
+    # matchings convergent within the level budget
+    for p in (ADJ2, CROSS2, NEST2):
+        r = l_adaptive(p, h, tol=1e-6)
+        assert r.value == pytest.approx(k2_exact(p, h), rel=1e-6), p
+
+
+def test_adaptive_level_trace():
+    for p in (ADJ2, CROSS2, NEST2):
+        r = l_adaptive(p, 0.8, tol=1e-6)
+        values = r.extra["level_values"]
+        assert len(values) == len(r.extra["levels"]) >= 2
+        assert abs(values[-1] - values[-2]) == r.tol
+        assert values[-1] == r.value
+        assert r.value == pytest.approx(k2_exact(p, 0.8), rel=1e-9)
+
+
 def test_adaptive_guards():
     with pytest.raises(DomainError):
         l_adaptive(PAIR, 0.5)
     with pytest.raises(SizeError):
-        l_adaptive(PairPartition([(1, 2), (3, 4), (5, 6)]), 0.8)
+        l_adaptive(PairPartition([(1, 2), (3, 4), (5, 6), (7, 8)]), 0.8)
     with pytest.raises(NumericError) as err:
         l_adaptive(ADJ2, 0.75, tol=1e-12, max_level=2)
     assert "best" in err.value.diagnostics
@@ -159,8 +195,8 @@ def test_pullback_k2_against_closed_form():
 def test_pullback_guards():
     with pytest.raises(SizeError):
         l_pullback_mc(PairPartition([(i, i + 4) for i in (1, 2, 3, 4)]), 0.8)
-    with pytest.raises(NumericError):
-        # bounding construction beyond the float probing limit
+    with pytest.raises(SizeError):
+        # beyond the float probing limit, refused before any probing
         l_pullback_mc(PairPartition([(1, 2), (3, 4), (5, 6)]), 0.8, samples=100)
 
 
@@ -270,9 +306,10 @@ def test_oracle_rank_one_limit():
     # counting increasing tuples, and the extrapolated value matches the
     # closed-form moment over the factorial
     m = 32
-    r = wick_grid_oracle(Word([1, 1, 1, 1]), 1.0, m=m, richardson=False)
+    r = wick_grid_oracle(Word([1, 1, 1, 1]), 1.0, m=m)
     expected = 3 * math.comb(m, 4) / m**4
-    assert r.value == pytest.approx(expected, rel=1e-12)
+    assert r.extra["grid_values"][0] == pytest.approx(expected, rel=1e-12)
+    json.dumps(r.to_json_dict(), allow_nan=False)
 
 
 def test_eval_result_validation():

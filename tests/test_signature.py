@@ -55,6 +55,10 @@ def test_fourth_moment_constant_across_h():
     for h in (0.7, 0.85):
         r = mean_iterated_integral(Word([1, 1, 1, 1]), h, tol=1e-8)
         assert r.value == pytest.approx(1 / 8, rel=1e-7)
+    # 2k = 6: the sixth moment over 6!, summed over all 15 matchings
+    r = mean_iterated_integral(Word([1] * 6), 0.9, tol=1e-6)
+    assert r.extra["refining_partitions"] == 15
+    assert r.value == pytest.approx(1 / 48, rel=1e-6)
 
 
 def test_vanishing_word():
