@@ -545,15 +545,6 @@ class BlowupChart:
         f = self.f_batch(ys) if f is None else f
         return (f > 0).all(axis=1)
 
-    def omega_prime_mask(self, ys: np.ndarray) -> np.ndarray:
-        f = self.f_batch(ys)
-        ok = (f > 0).all(axis=1)
-        out = np.zeros(len(ys), dtype=bool)
-        if ok.any():
-            sums = self.F_batch(ys[ok], f[ok]).sum(axis=1)
-            out[ok] = sums < 1
-        return out
-
     def gram_batch(self, f: np.ndarray) -> np.ndarray:
         """(N, 2^n - 1) form values -> (N, n, n) matrices A."""
         inv = 1.0 / f
@@ -573,9 +564,6 @@ class BlowupChart:
     def jacobian_batch(self, ys: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         f = self.f_batch(ys) if f is None else f
         return self.F_batch(ys, f)[:, :, None] * self.gram_batch(f)
-
-    def r_interior_batch(self, f: np.ndarray) -> np.ndarray:
-        return np.linalg.det(self.gram_batch(f)) * f.prod(axis=1)
 
     def p_s_batch(self, s: Iterable[int], f: np.ndarray) -> np.ndarray:
         si = self.index_of(s)

@@ -341,9 +341,5 @@ def cmd_verify(suite, quick, output) -> None:
         sys.exit(EXIT_VERIFY_FAILED)
 
 
-def entrypoint() -> None:  # kept for symmetry with module execution
-    main()
-
-
 if __name__ == "__main__":
     main()

@@ -29,7 +29,6 @@ __all__ = [
     "PairPartition",
     "PositionSet",
     "interval_of_pair",
-    "interval_set",
     "refines",
     "enumerate_refining",
     "all_pair_partitions",
@@ -218,13 +217,15 @@ class PositionSet:
         if any(p < 1 for p in mem):
             raise InvalidPairError("positions must be >= 1")
         object.__setattr__(self, "members", mem)
-        runs: list[Interval] = []
+        runs: list[list[int]] = []
         for p in sorted(mem):
-            if runs and p == runs[-1].hi + 1:
-                runs[-1] = Interval(runs[-1].lo, p)
+            if runs and p == runs[-1][1] + 1:
+                runs[-1][1] = p
             else:
-                runs.append(Interval(p, p))
-        object.__setattr__(self, "maximal_intervals", tuple(runs))
+                runs.append([p, p])
+        object.__setattr__(
+            self, "maximal_intervals", tuple(Interval(lo, hi) for lo, hi in runs)
+        )
 
     def __setattr__(self, *a):
         raise AttributeError("PositionSet is immutable")
@@ -262,11 +263,6 @@ def interval_of_pair(a: int, b: int, size: int | None = None) -> Interval:
     if a < 1 or b < 1 or (size is not None and max(a, b) > size):
         raise InvalidPairError(f"pair {{{a},{b}}} out of range")
     return Interval(min(a, b) + 1, max(a, b))
-
-
-def interval_set(partition: PairPartition) -> tuple[Interval, ...]:
-    """Multiset image of the interval map over all pairs (size exactly k)."""
-    return partition.interval_image
 
 
 def refines(partition: PairPartition, word: Word) -> bool:

@@ -5,9 +5,18 @@ enters this module.  A candidate pole of the continuation attached to a pair
 partition P is a rational of the form 1 - (|S| + l) / (2 [S|P]) with l >= 0,
 for a position set S with positive bracket count.  No claim is made that the
 candidates are actual poles.
+
+One enumerator finds the realized pairs (|S|, 2[S|P]) at every size: a
+dynamic program over families of pairwise nonadjacent intervals.  Such
+families are in bijection with position sets through the maximal interval
+decomposition, and [S|P] adds over it, so the work stays polynomial in 2k.
+Each realized pair is witnessed by its least position set in the bitmask
+order (position p is bit p-1), so witnesses do not depend on how the sets
+were enumerated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -18,9 +27,7 @@ from .pairings import (
     PairPartition,
     PositionSet,
     Word,
-    augmentation,
     bracket_count,
-    deficiency,
     enumerate_refining,
     format_position_set,
 )
@@ -36,10 +43,6 @@ __all__ = [
     "hyperplane_candidates",
 ]
 
-# Exhaustive subset scan up to this many positions; the interval-family walk
-# takes over beyond (identical result, avoids the 2^(2k) blowup).
-EXHAUSTIVE_LIMIT = 16
-
 
 @dataclass(frozen=True, order=True)
 class RationalProgression:
@@ -51,6 +54,11 @@ class RationalProgression:
     def __post_init__(self) -> None:
         if self.step <= 0:
             raise DomainError(f"progression step must be positive, got {self.step}")
+        # pole sets hash every progression several times; Fraction hashing is slow
+        object.__setattr__(self, "_hash", hash((self.offset, self.step)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, x) -> bool:
         return self.index_of(x) is not None
@@ -63,8 +71,14 @@ class RationalProgression:
         return None
 
     def is_subset_of(self, other: RationalProgression) -> bool:
-        ratio = self.step / other.step
-        return ratio.denominator == 1 and self.offset in other
+        """step / other.step and (other.offset - offset) / other.step are
+        nonnegative integers; tested on numerators and denominators."""
+        s, t = self.step, other.step
+        if (s.numerator * t.denominator) % (s.denominator * t.numerator):
+            return False
+        a, b = self.offset, other.offset
+        num = (b.numerator * a.denominator - a.numerator * b.denominator) * t.denominator
+        return num >= 0 and num % (a.denominator * b.denominator * t.numerator) == 0
 
     def as_record(self) -> dict[str, str]:
         return {"offset": str(self.offset), "step": str(self.step)}
@@ -92,18 +106,30 @@ class PoleSet:
         progressions: Iterable[RationalProgression],
         witnesses: Mapping[RationalProgression, PositionSet] | None = None,
     ):
-        witnesses = dict(witnesses or {})
-        distinct = sorted(set(progressions), key=lambda pr: (-pr.offset, pr.step))
-        for pr in distinct:
-            if pr.offset > Fraction(1, 2):
-                raise DomainError(f"candidate offset {pr.offset} exceeds 1/2")
+        witnesses = witnesses or {}
+        distinct = set(progressions)
+        # over common denominators every comparison in the sorts is of integers
+        lo = math.lcm(*(pr.offset.denominator for pr in distinct))
+        ls = math.lcm(*(pr.step.denominator for pr in distinct))
+        key = {
+            pr: (
+                -pr.offset.numerator * (lo // pr.offset.denominator),
+                pr.step.numerator * (ls // pr.step.denominator),
+            )
+            for pr in distinct
+        }
+        distinct = sorted(distinct, key=key.__getitem__)
+        if distinct and distinct[0].offset > Fraction(1, 2):
+            raise DomainError(f"candidate offset {distinct[0].offset} exceeds 1/2")
         kept: list[RationalProgression] = []
         # finest steps first so any potential absorber is already kept
-        for pr in sorted(distinct, key=lambda pr: (pr.step, -pr.offset)):
+        for pr in sorted(distinct, key=lambda pr: key[pr][::-1]):
             if not any(pr.is_subset_of(a) for a in kept):
                 kept.append(pr)
-        kept.sort(key=lambda pr: (-pr.offset, pr.step))
-        object.__setattr__(self, "progressions", tuple(kept))
+        kept_set = set(kept)
+        object.__setattr__(
+            self, "progressions", tuple(pr for pr in distinct if pr in kept_set)
+        )
         object.__setattr__(
             self,
             "contributions",
@@ -140,12 +166,13 @@ class PoleSet:
     def max_offset(self) -> Fraction | None:
         return self.progressions[0].offset if self.progressions else None
 
-    def union(self, other: PoleSet) -> PoleSet:
-        return PoleSet(
-            [pr for pr, _ in self.contributions]
-            + [pr for pr, _ in other.contributions],
-            {**other.witnesses, **self.witnesses},
-        )
+    def union(self, *others: PoleSet) -> PoleSet:
+        """One merge of this set with the others; the earliest witness wins."""
+        parts = (self, *others)
+        witnesses: dict[RationalProgression, PositionSet] = {}
+        for ps in reversed(parts):
+            witnesses.update(ps.witnesses)
+        return PoleSet([pr for ps in parts for pr, _ in ps.contributions], witnesses)
 
     def as_records(self) -> list[dict[str, str]]:
         return [pr.as_record() for pr in self.progressions]
@@ -176,64 +203,39 @@ def progression_of_set(
     )
 
 
-def _interval_weights(partition: PairPartition) -> dict[tuple[int, int], int]:
-    """2[I|P] = |Aug(I)| - |Def(I)| for every subinterval [a, b] of [1, 2k]."""
-    n = partition.size
-    out = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            iv = Interval(a, b)
-            out[(a, b)] = len(augmentation(iv, partition)) - len(
-                deficiency(iv, partition)
-            )
-    return out
+def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
+    """(|S|, 2[S|P]) -> least witness bitmask, over sets with [S|P] > 0.
 
-
-def _realized_exhaustive(partition: PairPartition) -> dict[tuple[int, int], int]:
-    """(|S|, 2[S|P]) -> witness bitmask, scanning all subsets."""
-    n = partition.size
-    ivmasks = []
-    for iv in partition.interval_image:
-        m = 0
-        for p in iv.members():
-            m |= 1 << (p - 1)
-        ivmasks.append(m)
-    realized: dict[tuple[int, int], int] = {}
-    for mask in range(1, 1 << n):
-        c = sum(1 for m in ivmasks if mask & m == m)
-        if c == 0:
-            continue
-        key = (mask.bit_count(), 2 * c)
-        if key not in realized:
-            realized[key] = mask
-    return realized
-
-
-def _realized_by_intervals(partition: PairPartition) -> dict[tuple[int, int], int]:
-    """Same realized pairs, walking families of pairwise nonadjacent intervals.
-
-    Nonadjacent interval families are in bijection with subsets via the
-    maximal interval decomposition, so the realized (|S|, 2[S|P]) pairs agree
-    with the exhaustive scan while the work stays polynomial in 2k.
+    reach[p] maps (size, weight) to the least mask over families of pairwise
+    nonadjacent intervals inside [p, n], the empty family included.  A family
+    either skips p or starts with an interval [p, b] followed by a family
+    inside [b+2, n]; the interval's bits lie below the tail's, so the least
+    mask of such a family is the interval's mask plus the least tail mask.
     """
     n = partition.size
-    w = _interval_weights(partition)
-    # reach[p]: (size, weight) -> witness mask, over families inside [p, n]
-    reach: list[dict[tuple[int, int], int]] = [dict() for _ in range(n + 3)]
-    empty_mask = 0
+    # weight[a][b] = 2[[a, b]|P] = 2 * #{pair intervals inside [a, b]}
+    weight = [[0] * (n + 1) for _ in range(n + 1)]
+    for iv in partition.interval_image:
+        weight[iv.lo][iv.hi] += 2
+    for a in range(n - 1, 0, -1):
+        row, inner = weight[a], weight[a + 1]
+        for b in range(a + 1, n + 1):
+            row[b] += row[b - 1] + inner[b] - inner[b - 1]
+    empty = {(0, 0): 0}
+    reach = [empty] * (n + 3)
     for p in range(n, 0, -1):
         here = dict(reach[p + 1])
         for b in range(p, n + 1):
-            ivsize = b - p + 1
-            ivweight = w[(p, b)]
-            ivmask = ((1 << ivsize) - 1) << (p - 1)
-            tail = reach[b + 2] if b + 2 <= n else {}
-            for (s2, c2), m2 in list(tail.items()) + [((0, 0), empty_mask)]:
-                key = (ivsize + s2, ivweight + c2)
-                if key not in here:
-                    here[key] = ivmask | m2
+            size, w = b - p + 1, weight[p][b]
+            ivmask = ((1 << size) - 1) << (p - 1)
+            for (s2, c2), m2 in reach[b + 2].items():
+                key = (size + s2, w + c2)
+                mask = ivmask | m2
+                old = here.get(key)
+                if old is None or mask < old:
+                    here[key] = mask
         reach[p] = here
-    return {k: m for k, m in reach[1].items() if k[1] > 0 and k[0] > 0}
+    return {key: mask for key, mask in reach[1].items() if key[1] > 0}
 
 
 def _mask_to_set(mask: int) -> PositionSet:
@@ -241,26 +243,24 @@ def _mask_to_set(mask: int) -> PositionSet:
 
 
 def candidate_poles(partition: PairPartition) -> PoleSet:
-    """Union of progressions 1 - (|S|+l)/(2[S|P]) over sets with [S|P] > 0."""
-    if partition.size <= EXHAUSTIVE_LIMIT:
-        realized = _realized_exhaustive(partition)
-    else:
-        realized = _realized_by_intervals(partition)
+    """Union of progressions 1 - (|S|+l)/(2[S|P]) over sets with [S|P] > 0.
+
+    Each progression is witnessed by the least position set producing it in
+    the bitmask order (position p is bit p-1); distinct progressions come
+    from distinct pairs (|S|, 2[S|P]).
+    """
     progressions = []
     witnesses = {}
-    for (size, c2), mask in sorted(realized.items()):
-        pr = RationalProgression(Fraction(1) - Fraction(size, c2), Fraction(1, c2))
+    for (size, c2), mask in _realized(partition).items():
+        pr = RationalProgression(Fraction(c2 - size, c2), Fraction(1, c2))
         progressions.append(pr)
-        witnesses.setdefault(pr, _mask_to_set(mask))
+        witnesses[pr] = _mask_to_set(mask)
     return PoleSet(progressions, witnesses)
 
 
 def candidate_poles_for_word(word: Word) -> PoleSet:
     """Union of candidate_poles over all pair partitions refining the word."""
-    out = PoleSet([])
-    for p in enumerate_refining(word):
-        out = out.union(candidate_poles(p))
-    return out
+    return PoleSet([]).union(*(candidate_poles(p) for p in enumerate_refining(word)))
 
 
 def is_candidate(

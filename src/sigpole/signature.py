@@ -25,7 +25,7 @@ from typing import Callable
 
 from .errors import DomainError
 from .pairings import Word, enumerate_refining, format_word
-from .poles import candidate_poles, candidate_poles_for_word
+from .poles import PoleSet, candidate_poles
 from .quadrature import EvalResult, evaluator_by_name
 
 __all__ = [
@@ -207,23 +207,25 @@ def _all_words(k: int, d: int):
 
 
 def candidate_pole_report(word: Word) -> dict:
-    """Candidate pole locations for a word with per-partition breakdowns."""
+    """Candidate pole locations for a word with per-partition breakdowns.
+
+    Each refining partition's pole set is computed once; the union merges
+    them in one pass, the earliest partition's witness winning.
+    """
     refining = enumerate_refining(word)
-    union = candidate_poles_for_word(word)
-    per_partition = []
-    for p in refining:
-        ps = candidate_poles(p)
-        per_partition.append(
-            {
-                "partition": p,
-                "pole_set": ps,
-                "contributions": ps.contribution_records(),
-            }
-        )
+    pole_sets = [candidate_poles(p) for p in refining]
+    per_partition = [
+        {
+            "partition": p,
+            "pole_set": ps,
+            "contributions": ps.contribution_records(),
+        }
+        for p, ps in zip(refining, pole_sets)
+    ]
     return {
         "word": format_word(word),
         "refining_count": len(refining),
-        "union": union,
+        "union": PoleSet([]).union(*pole_sets),
         "per_partition": per_partition,
         "note": None if refining else "no refining pair partitions",
     }

@@ -40,10 +40,14 @@ from .signature import mean_iterated_integral
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
+# The 18-position bracketing of the five worked diagrams, the golden table
+# that the tests import: (set S, 2[S|P], offset, step) per diagram.
 DIAGRAM_PARTITION = parse_pairs("1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16")
 DIAGRAM_ROWS = [
     ("2-8,10-11,13-17", 16, Fraction(1, 8), Fraction(1, 16)),
     ("3-4,6-11,13-14,17-18", 4, Fraction(-2), Fraction(1, 4)),
+    # third diagram: the bold-box set (the printed interval list in the
+    # caption disagrees with its own |S|=11; the box diagram is consistent)
     ("1-3,5-6,8-9,12,14,16,18", 6, Fraction(-5, 6), Fraction(1, 6)),
     ("4-6,14,16", 8, Fraction(3, 8), Fraction(1, 8)),
     ("2-7,10-11,13-17", 14, Fraction(1, 14), Fraction(1, 14)),

@@ -27,15 +27,7 @@ from sigpole.pairings import (
 from sigpole.poles import candidate_poles, progression_of_set
 from sigpole.quadrature import l_adaptive, l_direct_mc, wick_grid_oracle
 from sigpole.signature import mean_iterated_integral
-
-DIAGRAM_PARTITION = parse_pairs("1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16")
-DIAGRAM_ROWS = [
-    ("2-8,10-11,13-17", 16, F(1, 8), F(1, 16)),
-    ("3-4,6-11,13-14,17-18", 4, F(-2), F(1, 4)),
-    ("1-3,5-6,8-9,12,14,16,18", 6, F(-5, 6), F(1, 6)),
-    ("4-6,14,16", 8, F(3, 8), F(1, 8)),
-    ("2-7,10-11,13-17", 14, F(1, 14), F(1, 14)),
-]
+from sigpole.verify import DIAGRAM_PARTITION, DIAGRAM_ROWS
 
 
 def report(num: int, ok: bool, text: str) -> None:

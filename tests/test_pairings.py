@@ -24,15 +24,12 @@ from sigpole.pairings import (
     format_position_set,
     format_word,
     interval_of_pair,
-    interval_set,
     parse_pairs,
     parse_position_set,
     parse_word,
     refines,
 )
-
-# 18-position bracketing used in the five worked diagrams
-DIAGRAM_PARTITION = parse_pairs("1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16")
+from sigpole.verify import DIAGRAM_PARTITION, DIAGRAM_ROWS
 
 # ten-letter word of the four worked refinement diagrams
 TEN_LETTER_WORD = parse_word("6,3,1,3,6,6,1,5,6,5")
@@ -58,13 +55,13 @@ def test_interval_of_pair_errors():
 
 def test_interval_set_worked_examples():
     p1 = PairPartition([(4, 6), (5, 2), (1, 3)])
-    assert set(interval_set(p1)) == {Interval(5, 6), Interval(3, 5), Interval(2, 3)}
+    assert set(p1.interval_image) == {Interval(5, 6), Interval(3, 5), Interval(2, 3)}
     p2 = PairPartition([(1, 6), (2, 5), (3, 4)])
-    assert set(interval_set(p2)) == {Interval(2, 6), Interval(3, 5), Interval(4, 4)}
+    assert set(p2.interval_image) == {Interval(2, 6), Interval(3, 5), Interval(4, 4)}
     p3 = PairPartition([(1, 4), (2, 5), (3, 6)])
-    assert set(interval_set(p3)) == {Interval(2, 4), Interval(3, 5), Interval(4, 6)}
+    assert set(p3.interval_image) == {Interval(2, 4), Interval(3, 5), Interval(4, 6)}
     for p in (p1, p2, p3):
-        assert len(interval_set(p)) == p.k
+        assert len(p.interval_image) == p.k
 
 
 def test_refines_worked_diagrams():
@@ -117,18 +114,10 @@ def test_refines_matches_level_set_membership():
 # Bracket counts against the five worked diagrams (expected 2[S|P] values
 # read off the annotated identities |S| + aug - def = 16, 4, 6, 8, 14).
 
-DIAGRAM_ROWS = [
-    ("2-8,10-11,13-17", 16),
-    ("3-4,6-11,13-14,17-18", 4),
-    # third diagram: the bold-box set (the printed interval list in the
-    # caption disagrees with its own |S|=11; the box diagram is consistent)
-    ("1-3,5-6,8-9,12,14,16,18", 6),
-    ("4-6,14,16", 8),
-    ("2-7,10-11,13-17", 14),
-]
+DIAGRAM_DOUBLES = [(spec, dbl) for spec, dbl, _offset, _step in DIAGRAM_ROWS]
 
 
-@pytest.mark.parametrize("spec,expected_double", DIAGRAM_ROWS)
+@pytest.mark.parametrize("spec,expected_double", DIAGRAM_DOUBLES)
 def test_diagram_bracket_counts(spec, expected_double):
     s = parse_position_set(spec)
     assert 2 * bracket_count(s, DIAGRAM_PARTITION) == expected_double
@@ -207,7 +196,7 @@ def test_identity_randomized_larger(data):
 @settings(deadline=None)
 def test_interval_image_shape(k):
     for p in all_pair_partitions(2 * k)[:20]:
-        image = interval_set(p)
+        image = p.interval_image
         assert len(image) == k
         assert all(2 <= iv.lo <= iv.hi <= 2 * k for iv in image)
 

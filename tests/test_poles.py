@@ -4,39 +4,34 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigpole import poles, signature
 from sigpole.errors import DomainError
 from sigpole.pairings import (
     PairPartition,
     PositionSet,
     Word,
     all_pair_partitions,
-    parse_pairs,
+    bracket_count,
+    enumerate_refining,
     parse_position_set,
 )
 from sigpole.poles import (
-    EXHAUSTIVE_LIMIT,
     PoleSet,
     RationalProgression,
-    _realized_by_intervals,
-    _realized_exhaustive,
     candidate_poles,
     candidate_poles_for_word,
     hyperplane_candidates,
     is_candidate,
     progression_of_set,
 )
-
-DIAGRAM_PARTITION = parse_pairs("1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16")
+from sigpole.signature import candidate_pole_report
+from sigpole.verify import DIAGRAM_PARTITION, DIAGRAM_ROWS
 
 # (set spec, offset, step) for the five worked diagrams
-DIAGRAM_PROGRESSIONS = [
-    ("2-8,10-11,13-17", F(1, 8), F(1, 16)),
-    ("3-4,6-11,13-14,17-18", F(-2), F(1, 4)),
-    ("1-3,5-6,8-9,12,14,16,18", F(-5, 6), F(1, 6)),
-    ("4-6,14,16", F(3, 8), F(1, 8)),
-    ("2-7,10-11,13-17", F(1, 14), F(1, 14)),
-]
+DIAGRAM_PROGRESSIONS = [(spec, offset, step) for spec, _dbl, offset, step in DIAGRAM_ROWS]
 
 
 def adjacent_partition(k: int) -> PairPartition:
@@ -137,15 +132,64 @@ def test_diagram_poleset_contains_all_contributions():
             assert a is b or not a.is_subset_of(b)
 
 
-def test_interval_walk_matches_exhaustive():
-    for p in all_pair_partitions(6) + [adjacent_partition(4)]:
-        assert _realized_by_intervals(p).keys() == _realized_exhaustive(p).keys()
+def subset_scan(partition: PairPartition) -> dict[tuple[int, int], int]:
+    """(|S|, 2[S|P]) -> least bitmask, by brute force over all 2^(2k) sets."""
+    ivmasks = [
+        sum(1 << (p - 1) for p in iv.members()) for iv in partition.interval_image
+    ]
+    least: dict[tuple[int, int], int] = {}
+    for mask in range(1, 1 << partition.size):
+        c = sum(1 for m in ivmasks if mask & m == m)
+        if c:
+            least.setdefault((mask.bit_count(), 2 * c), mask)
+    return least
 
 
-def test_large_partition_uses_interval_walk():
-    assert DIAGRAM_PARTITION.size > EXHAUSTIVE_LIMIT
+matchings = st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.permutations(range(1, 2 * k + 1))
+).map(lambda perm: PairPartition(zip(perm[::2], perm[1::2])))
+
+
+@given(matchings)
+@settings(max_examples=60, deadline=None)
+def test_enumerator_matches_subset_scan(partition):
+    least = subset_scan(partition)
+    ps = candidate_poles(partition)
+    found = {}
+    for pr, witness in ps.contributions:
+        size, c2 = len(witness), 2 * bracket_count(witness, partition)
+        assert pr == RationalProgression(F(c2 - size, c2), F(1, c2))
+        found[(size, c2)] = sum(1 << (p - 1) for p in witness)
+    # same realized keys, and every witness is the least set for its key
+    assert found == least
+
+
+def test_large_partition_witnesses():
     ps = candidate_poles(DIAGRAM_PARTITION)
     assert len(ps.contributions) > 5
+    for pr, witness in ps.contributions:
+        assert progression_of_set(DIAGRAM_PARTITION, witness) == pr
+
+
+def test_report_computes_each_matching_once(monkeypatch):
+    calls = []
+    real = poles.candidate_poles
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (poles, signature):
+        monkeypatch.setattr(module, "candidate_poles", counted)
+    word = Word([1, 1, 1, 1, 2, 2])
+    report = candidate_pole_report(word)
+    refining = enumerate_refining(word)
+    assert len(refining) == 3
+    assert calls == list(refining)
+    assert [row["pole_set"] for row in report["per_partition"]] == [
+        real(p) for p in refining
+    ]
+    assert report["union"] == candidate_poles_for_word(word)
 
 
 def test_candidate_poles_for_word():
@@ -213,10 +257,18 @@ def test_gamma_closed_form_pole_containment(k):
 def test_poleset_merge_determinism_and_union():
     a = candidate_poles(adjacent_partition(2))
     b = candidate_poles(PairPartition([(1, 3), (2, 4)]))
+    c = candidate_poles(PairPartition([(1, 4), (2, 3)]))
     u = a.union(b)
     assert u == b.union(a)
     for pr in list(a.progressions) + list(b.progressions):
         assert any(pr.offset - pr.step * l in u for l in (0,)), pr
+    # one merge of many equals successive merges, earliest witness first
+    many, folded = a.union(b, c), a.union(b).union(c)
+    assert many == folded
+    assert many.contributions == folded.contributions
+    for pr, witness in many.contributions:
+        first = next(ps for ps in (a, b, c) if pr in ps.witnesses)
+        assert witness == first.witnesses[pr]
 
 
 def test_no_floats_in_records():
