@@ -326,11 +326,6 @@ class BlowupChart:
     def omega_contains(self, y: Sequence) -> bool:
         return all(v > 0 for v in self.f_all(y))
 
-    def omega_prime_contains(self, y: Sequence) -> bool:
-        if not self.omega_contains(y):
-            return False
-        return sum(self.F_eval(y)) < 1
-
     def F_eval(self, y: Sequence) -> list:
         """F_i(y) = product of f_S(y) over subsets containing i."""
         f = self.f_all(y)
@@ -888,23 +883,6 @@ class BlowupChart:
         lo, hi = ff.min(axis=0) / pad, ff.max(axis=0) * pad
         self._flag_range_cache[key] = (lo, hi)
         return lo, hi
-
-    def bounding_box(
-        self, probes: int = 1024, seed: int = 202, pad: float = 1e-3
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical axis-aligned coordinate bounds of the pulled-back simplex.
-
-        Pushes simplex samples through the inverse map and pads the hull.
-        Note that rejection sampling uses the flag-coordinate ranges instead:
-        the coordinate box is exponentially thin along the top form.
-        """
-        rng = np.random.default_rng(np.random.SeedSequence([seed, self.n]))
-        e = rng.standard_exponential((probes, self.n + 1))
-        xs = e[:, : self.n] / e.sum(axis=1, keepdims=True)
-        ys = self._inverse_float_best(xs, flow_steps=16)
-        lo, hi = ys.min(axis=0), ys.max(axis=0)
-        width = np.maximum(hi - lo, 1e-6)
-        return lo - pad * width, hi + pad * width
 
 
 def _positive_power(base, expo):

@@ -18,12 +18,11 @@ import sys
 import click
 
 from . import __version__
-from ._accel import backend_name
 from .blowup import BlowupChart, GapFunction
 from .errors import DomainError, NumericError, ParseError, SizeError
 from .pairings import format_position_set, parse_pairs, parse_position_set, parse_word
 from .poles import candidate_poles, progression_of_set
-from .quadrature import DEFAULT_SEED, evaluator_by_name
+from .quadrature import DEFAULT_SEED, STOCHASTIC_METHODS, evaluator_by_name
 from .signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -59,8 +58,32 @@ def _emit(payload: dict, output: str) -> None:
         raise click.UsageError(f"unsupported output format {output!r}")
 
 
-def _config(**kw) -> dict:
-    return {"backend": backend_name(), **kw}
+def _evaluator_kwargs(
+    method: str, samples: int, seed: int, tol: float, workers: int
+) -> dict:
+    if method in STOCHASTIC_METHODS:
+        return {"samples": samples, "seed": seed, "workers": workers}
+    if method == "adaptive":
+        return {"tol": tol}
+    return {}
+
+
+def _compute(fn, *args, **kwargs):
+    """fn(*args, **kwargs), exiting with EXIT_DOMAIN on a domain, size or
+    numeric error."""
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        click.echo(f"error: {exc}; outside convergent region; use poles", err=True)
+        sys.exit(EXIT_DOMAIN)
+    except (SizeError, NumericError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_DOMAIN)
+
+
+def _provenance(results) -> str:
+    stochastic = any(r.stderr is not None for r in results)
+    return "stochastic" if stochastic else "deterministic"
 
 
 def _parse_gap(qspec: str, n: int) -> GapFunction | None:
@@ -105,7 +128,7 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
                 s = parse_position_set(set_spec)
                 pr = progression_of_set(partition, s)
                 payload = {
-                    "config": _config(pairs=pairs_spec, set=set_spec),
+                    "config": {"pairs": pairs_spec, "set": set_spec},
                     "set": format_position_set(s),
                     "set_size": len(s),
                     "progression": None if pr is None else pr.as_record(),
@@ -115,7 +138,7 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
                 return
             ps = candidate_poles(partition)
             payload = {
-                "config": _config(pairs=pairs_spec),
+                "config": {"pairs": pairs_spec},
                 "progressions": ps.as_records(),
                 "contributions": ps.contribution_records(),
                 "max_offset": None if ps.max_offset is None else str(ps.max_offset),
@@ -126,10 +149,10 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
         word = parse_word(word_spec)
         report = candidate_pole_report(word)
         payload = {
-            "config": _config(word=word_spec),
+            "config": {"word": word_spec},
             "refining_partitions": report["refining_count"],
             "progressions": report["union"].as_records(),
-            "contributions": report["union"].contribution_records(),
+            "contributions": report["contributions"],
             "note": report["note"],
             "provenance": "exact-rational",
         }
@@ -163,12 +186,7 @@ def cmd_eval(
     except ParseError as exc:
         raise click.UsageError(str(exc))
     seed = _default_seed() if seed is None else seed
-    fn = evaluator_by_name(method)
-    kwargs: dict = {}
-    if method in ("direct-mc", "pullback-mc"):
-        kwargs = {"samples": samples, "seed": seed, "workers": workers}
-    elif method == "adaptive":
-        kwargs = {"tol": tol}
+    kwargs = _evaluator_kwargs(method, samples, seed, tol, workers)
     chart_info = None
     if method == "pullback-mc":
         gap = _parse_gap(qspec, partition.size)
@@ -179,21 +197,14 @@ def cmd_eval(
             sys.exit(EXIT_DOMAIN)
         kwargs["chart"] = chart
         chart_info = chart.descriptor()
-    try:
-        result = fn(partition, hurst, **kwargs)
-    except DomainError as exc:
-        click.echo(f"error: {exc}; outside convergent region; use poles", err=True)
-        sys.exit(EXIT_DOMAIN)
-    except (SizeError, NumericError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+    result = _compute(evaluator_by_name(method), partition, hurst, **kwargs)
     payload = {
-        "config": _config(
-            pairs=pairs_spec, H=hurst, method=method, samples=samples,
-            seed=seed, tol=tol, workers=workers, q=qspec,
-        ),
+        "config": {
+            "pairs": pairs_spec, "H": hurst, "method": method, "samples": samples,
+            "seed": seed, "tol": tol, "workers": workers, "q": qspec,
+        },
         "result": result.to_json_dict(),
-        "provenance": "stochastic" if result.stderr is not None else "deterministic",
+        "provenance": _provenance([result]),
     }
     if chart_info is not None:
         payload["chart"] = chart_info
@@ -229,27 +240,16 @@ def cmd_mean_sig(
     except ParseError as exc:
         raise click.UsageError(str(exc))
     seed = _default_seed() if seed is None else seed
-    kwargs: dict = {}
-    if method in ("direct-mc", "pullback-mc"):
-        kwargs = {"samples": samples, "seed": seed, "workers": workers}
-    elif method == "adaptive":
-        kwargs = {"tol": tol}
-    try:
-        result = mean_iterated_integral(word, hurst, mode, method, **kwargs)
-    except DomainError as exc:
-        click.echo(f"error: {exc}; outside convergent region; use poles", err=True)
-        sys.exit(EXIT_DOMAIN)
-    except (SizeError, NumericError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+    kwargs = _evaluator_kwargs(method, samples, seed, tol, workers)
+    result = _compute(mean_iterated_integral, word, hurst, mode, method, **kwargs)
     payload = {
-        "config": _config(
-            word=word_spec, H=hurst, mode=mode, method=method,
-            samples=samples, seed=seed, tol=tol, workers=workers,
-        ),
+        "config": {
+            "word": word_spec, "H": hurst, "mode": mode, "method": method,
+            "samples": samples, "seed": seed, "tol": tol, "workers": workers,
+        },
         "result": result.to_json_dict(),
         "mode": mode,
-        "provenance": "stochastic" if result.stderr is not None else "deterministic",
+        "provenance": _provenance([result]),
     }
     _emit(payload, output)
 
@@ -282,30 +282,18 @@ def cmd_gamma_table(
 ) -> None:
     """Coefficient table over all words of length 2k on d letters."""
     seed = _default_seed() if seed is None else seed
-    kwargs: dict = {}
-    if method == "direct-mc":
-        kwargs = {"samples": samples, "seed": seed, "workers": workers}
-    elif method == "adaptive":
-        kwargs = {"tol": tol}
-    try:
-        table = gamma_table(order, alphabet, hurst, mode, method, **kwargs)
-    except DomainError as exc:
-        click.echo(f"error: {exc}; outside convergent region; use poles", err=True)
-        sys.exit(EXIT_DOMAIN)
-    except (SizeError, NumericError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+    kwargs = _evaluator_kwargs(method, samples, seed, tol, workers)
+    table = _compute(gamma_table, order, alphabet, hurst, mode, method, **kwargs)
     if output == "csv":
         click.echo(table.to_csv(), nl=False)
         return
-    stochastic = any(r.stderr is not None for r in table.entries.values())
     payload = {
-        "config": _config(
-            k=order, d=alphabet, H=hurst, mode=mode, method=method,
-            samples=samples, seed=seed, tol=tol, workers=workers,
-        ),
+        "config": {
+            "k": order, "d": alphabet, "H": hurst, "mode": mode, "method": method,
+            "samples": samples, "seed": seed, "tol": tol, "workers": workers,
+        },
         "table": table.to_json_dict(),
-        "provenance": "stochastic" if stochastic else "deterministic",
+        "provenance": _provenance(table.entries.values()),
     }
     _emit(payload, "json")
 
@@ -324,7 +312,7 @@ def cmd_verify(suite, quick, output) -> None:
     failed = [r for r in results if not r.ok]
     if output == "json":
         payload = {
-            "config": _config(suite=suite, quick=quick),
+            "config": {"suite": suite, "quick": quick},
             "checks": [
                 {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
                 for r in results

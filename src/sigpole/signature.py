@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError
-from .pairings import Word, enumerate_refining, format_word
+from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import PoleSet, candidate_poles
 from .quadrature import EvalResult, evaluator_by_name
 
@@ -64,6 +66,10 @@ def _resolve_evaluator(evaluator) -> Callable[..., EvalResult]:
     return evaluator_by_name(evaluator)
 
 
+def _matching_seed(seed: int, i: int) -> int:
+    return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
+
+
 def mean_iterated_integral(
     word: Word,
     h: float,
@@ -75,6 +81,9 @@ def mean_iterated_integral(
 
     A word with no refining pair partition gives exactly zero.  Stochastic
     evaluator errors combine in quadrature; deterministic tolerances add.
+    Given a ``seed``, the i-th matching in ``enumerate_refining`` order runs
+    on its own seed, drawn from ``SeedSequence(seed, spawn_key=(i,))``, so
+    that the estimates are independent; the result reports the given seed.
     """
     if mode not in NORMALIZATION_MODES:
         raise DomainError(f"unknown normalization mode {mode!r}")
@@ -94,12 +103,19 @@ def mean_iterated_integral(
             extra={**base_extra, "exact_zero": True},
         )
     fn = _resolve_evaluator(evaluator)
-    parts = [fn(p, h, **evaluator_kwargs) for p in refining]
+    seed = evaluator_kwargs.get("seed")
+    if seed is None:
+        parts = [fn(p, h, **evaluator_kwargs) for p in refining]
+        seed = parts[0].seed
+    else:
+        parts = [
+            fn(p, h, **{**evaluator_kwargs, "seed": _matching_seed(seed, i)})
+            for i, p in enumerate(refining)
+        ]
     value = pref * sum(r.value for r in parts)
     method = parts[0].method
     stderr = tol = None
     samples = cells = None
-    seed = parts[0].seed
     if parts[0].stderr is not None:
         stderr = abs(pref) * math.sqrt(sum(r.stderr**2 for r in parts))
         samples = sum(r.samples for r in parts)
@@ -211,6 +227,8 @@ def candidate_pole_report(word: Word) -> dict:
 
     Each refining partition's pole set is computed once; the union merges
     them in one pass, the earliest partition's witness winning.
+    ``contributions`` lists the union's contributions, each with the
+    ``pairs`` of the partition its witness set was computed on.
     """
     refining = enumerate_refining(word)
     pole_sets = [candidate_poles(p) for p in refining]
@@ -222,10 +240,18 @@ def candidate_pole_report(word: Word) -> dict:
         }
         for p, ps in zip(refining, pole_sets)
     ]
+    union = PoleSet([]).union(*pole_sets)
+    first: dict = {}
+    for row in per_partition:
+        pairs = format_pairs(row["partition"])
+        for (pr, _w), rec in zip(row["pole_set"].contributions, row["contributions"]):
+            if pr not in first:
+                first[pr] = {**rec, "pairs": pairs}
     return {
         "word": format_word(word),
         "refining_count": len(refining),
-        "union": PoleSet([]).union(*pole_sets),
+        "union": union,
+        "contributions": [first[pr] for pr, _w in union.contributions],
         "per_partition": per_partition,
         "note": None if refining else "no refining pair partitions",
     }

@@ -27,7 +27,12 @@ from sigpole.pairings import (
 from sigpole.poles import candidate_poles, progression_of_set
 from sigpole.quadrature import l_adaptive, l_direct_mc, wick_grid_oracle
 from sigpole.signature import mean_iterated_integral
-from sigpole.verify import DIAGRAM_PARTITION, DIAGRAM_ROWS
+from sigpole.verify import (
+    DIAGRAM_PARTITION,
+    DIAGRAM_ROWS,
+    REFINEMENT_DIAGRAMS,
+    TEN_LETTER_WORD,
+)
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -62,16 +67,9 @@ def test_criterion_1_diagram_reproduction():
 
 def test_criterion_2_refinement_diagrams():
     t0 = time.perf_counter()
-    word = Word([6, 3, 1, 3, 6, 6, 1, 5, 6, 5])
-    p1 = parse_pairs("1-2,3-4,5-6,7-8,9-10")
-    p2 = parse_pairs("1-6,2-4,3-7,5-9,8-10")
-    p3 = parse_pairs("1-9,2-4,3-7,5-6,8-10")
-    p4 = parse_pairs("1-9,2-7,3-4,5-6,8-10")
-    ok = (
-        refines(p2, word) is True
-        and refines(p3, word) is True
-        and refines(p1, word) is False
-        and refines(p4, word) is False
+    ok = len(REFINEMENT_DIAGRAMS) == 4 and all(
+        refines(parse_pairs(spec), TEN_LETTER_WORD) is expect
+        for spec, expect in REFINEMENT_DIAGRAMS.items()
     )
     elapsed = time.perf_counter() - t0
     report(2, ok and elapsed < 1.0, f"four bracketings, {elapsed:.3f}s")

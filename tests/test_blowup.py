@@ -309,19 +309,6 @@ def test_flag_ranges_guard_beyond_probing_limit():
         BlowupChart(5).flag_ranges(probes=64)
 
 
-def test_bounding_box_roughly_covers_preimages():
-    # the box is an empirical hull: fresh preimages stay within a few
-    # percent of its width
-    chart = BlowupChart(2)
-    lo, hi = chart.bounding_box(probes=1024)
-    assert (lo < hi).all()
-    width = hi - lo
-    e = np.random.default_rng(2).standard_exponential((50, 3))
-    xs = e[:, :2] / e.sum(axis=1, keepdims=True)
-    ys = chart.F_inverse_batch(xs, tol=1e-8)
-    assert (ys >= lo - 0.05 * width).all() and (ys <= hi + 0.05 * width).all()
-
-
 def test_chart_descriptor():
     chart = BlowupChart(3)
     assert chart.descriptor() == {"n": 3, "q": [1, 3, 9, 27]}

@@ -5,9 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+import jsonschema
+import pytest
+
+from sigpole.pairings import parse_pairs, parse_position_set
+from sigpole.poles import progression_of_set
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args: str, env_extra: dict | None = None):
@@ -32,7 +40,18 @@ def test_poles_pair_golden():
     contributed = {(r["offset"], r["step"]) for r in payload["contributions"]}
     assert contributed == {("1/2", "1/2"), ("0", "1/2")}
     assert payload["version"]
-    assert payload["config"]["backend"] in ("cython", "numpy")
+    assert "backend" not in payload["config"]
+
+
+@pytest.mark.parametrize("word", ["1,1,1,1", "1,2,1,2,1,2,1,2"])
+def test_poles_word_witness_matchings(word):
+    out = run_cli("poles", "--word", word)
+    assert out.returncode == 0
+    contributions = json.loads(out.stdout)["contributions"]
+    assert contributions
+    for rec in contributions:
+        pr = progression_of_set(parse_pairs(rec["pairs"]), parse_position_set(rec["set"]))
+        assert (pr.offset, pr.step) == (Fraction(rec["offset"]), Fraction(rec["step"]))
 
 
 def test_poles_word_no_refinement():
@@ -191,3 +210,74 @@ def test_verify_single_suite():
 def test_verify_unknown_suite_exit_2():
     out = run_cli("verify", "nonsense")
     assert out.returncode == 2
+
+
+def _latest_schemas() -> dict:
+    """One validator per schema name, from the highest version in docs/schemas."""
+    latest: dict = {}
+    for path in (ROOT / "docs" / "schemas").glob("*.v*.json"):
+        base, _, version = path.stem.rpartition(".v")
+        if int(version) > latest.get(base, (0, None))[0]:
+            latest[base] = (int(version), path)
+    out = {}
+    for base, (_, path) in latest.items():
+        schema = json.loads(path.read_text())
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        out[base] = cls(schema)
+    return out
+
+
+DIAGRAM_PAIRS = "1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16"
+PAYLOAD_COMMANDS = {
+    "poles-pairs": ("poles", "--pairs", "1-6,2-4,3-7,5-9,8-10"),
+    "poles-word": ("poles", "--word", "1,2,1,2,1,2,1,2"),
+    "poles-set": ("poles", "--pairs", DIAGRAM_PAIRS, "--set", "2-8,10-11,13-17"),
+    "eval-adaptive": ("eval", "--pairs", "1-3,2-4", "--H", "0.8"),
+    "eval-direct-mc": ("eval", "--pairs", "1-3,2-4", "--H", "0.8",
+                       "--method", "direct-mc", "--samples", "20000"),
+    "eval-pullback-mc": ("eval", "--pairs", "1-2", "--H", "0.8",
+                         "--method", "pullback-mc", "--samples", "20000"),
+    "eval-closed-form": ("eval", "--pairs", "1-2,3-4", "--H", "0.8",
+                         "--method", "closed-form"),
+    "mean-sig": ("mean-sig", "--word", "1,1,2,2", "--H", "0.8"),
+    "gamma-table": ("gamma-table", "--k", "1", "--d", "2", "--H", "0.8",
+                    "--method", "direct-mc", "--samples", "20000"),
+    "verify": ("verify", "poles", "--quick"),
+}
+
+
+@pytest.mark.parametrize("args", PAYLOAD_COMMANDS.values(), ids=PAYLOAD_COMMANDS)
+def test_payload_validates_against_latest_schemas(args):
+    schemas = _latest_schemas()
+    out = run_cli(*args)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    checks = [("cli-envelope", payload)]
+    if "progressions" in payload:
+        checks.append(("polereport", payload))
+    if "result" in payload:
+        checks.append(("evalresult", payload["result"]))
+    if "chart" in payload:
+        checks.append(("chart", payload["chart"]))
+    if "table" in payload:
+        checks.append(("gammatable", payload["table"]))
+        for entry in payload["table"]["entries"]:
+            checks.append(("evalresult", {k: v for k, v in entry.items() if k != "word"}))
+    for name, instance in checks:
+        schemas[name].validate(instance)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, sigpole.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

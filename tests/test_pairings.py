@@ -29,10 +29,12 @@ from sigpole.pairings import (
     parse_word,
     refines,
 )
-from sigpole.verify import DIAGRAM_PARTITION, DIAGRAM_ROWS
-
-# ten-letter word of the four worked refinement diagrams
-TEN_LETTER_WORD = parse_word("6,3,1,3,6,6,1,5,6,5")
+from sigpole.verify import (
+    DIAGRAM_PARTITION,
+    DIAGRAM_ROWS,
+    REFINEMENT_DIAGRAMS,
+    TEN_LETTER_WORD,
+)
 
 
 def test_interval_of_pair_examples():
@@ -65,14 +67,8 @@ def test_interval_set_worked_examples():
 
 
 def test_refines_worked_diagrams():
-    p1 = PairPartition([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
-    p2 = PairPartition([(1, 6), (2, 4), (3, 7), (5, 9), (8, 10)])
-    p3 = PairPartition([(1, 9), (2, 4), (3, 7), (5, 6), (8, 10)])
-    p4 = PairPartition([(1, 9), (2, 7), (3, 4), (5, 6), (8, 10)])
-    assert refines(p2, TEN_LETTER_WORD) is True
-    assert refines(p3, TEN_LETTER_WORD) is True
-    assert refines(p1, TEN_LETTER_WORD) is False
-    assert refines(p4, TEN_LETTER_WORD) is False
+    for spec, expect in REFINEMENT_DIAGRAMS.items():
+        assert refines(parse_pairs(spec), TEN_LETTER_WORD) is expect
 
 
 def test_refines_constant_word_and_dimension_error():

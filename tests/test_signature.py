@@ -9,7 +9,7 @@ import pytest
 
 from sigpole.errors import DomainError
 from sigpole.pairings import Word, parse_word
-from sigpole.quadrature import wick_grid_oracle
+from sigpole.quadrature import l_direct_mc, wick_grid_oracle
 from sigpole.signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -74,6 +74,26 @@ def test_error_combination_stochastic():
     )
     assert r.method == "direct-mc"
     assert r.stderr is not None and r.samples == 60_000
+    assert r.seed == 5
+
+
+def test_per_matching_seeds():
+    def seeds_handed_out(**kwargs):
+        seeds = []
+
+        def evaluator(p, h, **kw):
+            seeds.append(kw.get("seed"))
+            return l_direct_mc(p, h, samples=1_000, seed=kw.get("seed", 1))
+
+        r = mean_iterated_integral(Word([1] * 6), 0.8, evaluator=evaluator, **kwargs)
+        return r, seeds
+
+    r, first = seeds_handed_out(seed=11)
+    assert r.seed == 11
+    assert len(first) == 15 and len(set(first)) == 15
+    assert seeds_handed_out(seed=11)[1] == first
+    # without a seed the evaluator kwargs pass through unchanged
+    assert seeds_handed_out()[1] == [None] * 15
 
 
 def test_prefactor_scaling_near_half():
@@ -157,6 +177,10 @@ def test_candidate_pole_report_structure():
     assert rep0["note"] == "no refining pair partitions"
     rep4 = candidate_pole_report(parse_word("1,1,1,1"))
     assert rep4["refining_count"] == 3
+    # the union's witnesses, each named with the matching it came from
+    named = [dict(c) for c in rep4["contributions"]]
+    assert {c.pop("pairs") for c in named} <= {"1-2,3-4", "1-3,2-4", "1-4,2-3"}
+    assert named == rep4["union"].contribution_records()
 
 
 def test_oracle_agreement_all_small_words():
