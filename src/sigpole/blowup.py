@@ -551,15 +551,6 @@ class BlowupChart:
                 a[:, j, i] = a[:, i, j]
         return a
 
-    def det_jacobian_batch(self, ys: np.ndarray) -> np.ndarray:
-        f = self.f_batch(ys)
-        det_a = np.linalg.det(self.gram_batch(f))
-        return det_a * (f**self.sizes[None, :]).prod(axis=1)
-
-    def jacobian_batch(self, ys: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
-        f = self.f_batch(ys) if f is None else f
-        return self.F_batch(ys, f)[:, :, None] * self.gram_batch(f)
-
     def p_s_batch(self, s: Iterable[int], f: np.ndarray) -> np.ndarray:
         si = self.index_of(s)
         total = np.zeros(f.shape[0])
@@ -711,9 +702,6 @@ class BlowupChart:
         if not self.omega_mask(ys).all():
             raise NumericError("inverse left the admissible region")
         return ys
-
-    def F_inverse(self, x: Sequence, tol: float = 1e-10) -> tuple[float, ...]:
-        return tuple(self.F_inverse_batch(np.asarray(x, dtype=float), tol))
 
     def _inverse_float_best(self, xs: np.ndarray, flow_steps: int = 64) -> np.ndarray:
         """Best float64 preimages without a tolerance guarantee.

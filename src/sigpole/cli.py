@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .blowup import BlowupChart, GapFunction
-from .errors import DomainError, NumericError, ParseError, SizeError
+from .errors import DimensionError, DomainError, NumericError, ParseError, SizeError
 from .pairings import format_position_set, parse_pairs, parse_position_set, parse_word
 from .poles import candidate_poles, progression_of_set
 from .quadrature import DEFAULT_SEED, STOCHASTIC_METHODS, evaluator_by_name
@@ -50,7 +50,12 @@ def _default_seed() -> int:
 def _emit(payload: dict, output: str) -> None:
     payload = {"version": __version__, **payload}
     if output == "json":
-        click.echo(json.dumps(payload, sort_keys=True))
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError:  # NaN or an infinity somewhere in the payload
+            click.echo("error: result is not a finite number", err=True)
+            sys.exit(EXIT_DOMAIN)
+        click.echo(text)
     elif output == "text":
         for key, value in payload.items():
             click.echo(f"{key}: {value}")
@@ -121,6 +126,8 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
     """
     if (pairs_spec is None) == (word_spec is None):
         raise click.UsageError("give exactly one of --pairs or --word")
+    if set_spec is not None and pairs_spec is None:
+        raise click.UsageError("--set needs --pairs")
     try:
         if pairs_spec is not None:
             partition = parse_pairs(pairs_spec)
@@ -157,7 +164,7 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
             "provenance": "exact-rational",
         }
         _emit(payload, output)
-    except ParseError as exc:
+    except (ParseError, DimensionError) as exc:
         raise click.UsageError(str(exc))
 
 

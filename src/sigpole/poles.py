@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, SizeError
+from .errors import DimensionError, DomainError, SizeError
 from .pairings import (
     Interval,
     PairPartition,
@@ -194,7 +194,14 @@ class PoleSet:
 def progression_of_set(
     partition: PairPartition, s: PositionSet
 ) -> RationalProgression | None:
-    """The progression contributed by one position set; None if [S|P] = 0."""
+    """The progression contributed by one position set; None if [S|P] = 0.
+
+    Raises DimensionError when the set reaches past the partition's size.
+    """
+    if s.maximal_intervals and s.maximal_intervals[-1].hi > partition.size:
+        raise DimensionError(
+            f"set {format_position_set(s)} leaves the positions 1..{partition.size}"
+        )
     c = bracket_count(s, partition)
     if c == 0:
         return None

@@ -63,7 +63,8 @@ class EvalResult:
     """A numeric value with method tag and its uncertainty bookkeeping.
 
     Stochastic methods carry ``stderr``, ``samples`` and ``seed``;
-    deterministic methods carry ``tol`` and ``cells``.
+    deterministic methods carry ``tol`` and ``cells``.  A value or stderr
+    that is not finite raises NumericError.
     """
 
     value: float | complex
@@ -86,6 +87,14 @@ class EvalResult:
                 raise DomainError(f"{self.method} results need a tolerance")
         else:
             raise DomainError(f"unknown method {self.method!r}")
+        if not np.isfinite(self.value) or (
+            self.stderr is not None and not math.isfinite(self.stderr)
+        ):
+            raise NumericError(
+                f"{self.method} gave a non-finite result",
+                value=self.value,
+                stderr=self.stderr,
+            )
 
     def to_json_dict(self) -> dict:
         out: dict = {"value": _json_value(self.value), "method": self.method}
@@ -163,9 +172,17 @@ def _pair_power_product(
 
 
 def _require_convergent(h: float) -> None:
-    if not h > 0.5:
+    if not (h > 0.5 and math.isfinite(h)):
         raise DomainError(
-            f"H={h} outside the absolutely convergent region (need H > 1/2)"
+            f"H={h} outside the absolutely convergent region (need finite H > 1/2)"
+        )
+
+
+def _require_counts(samples: int, workers: int) -> None:
+    """Both Monte Carlo routes need at least one sample and one worker."""
+    if samples < 1 or workers < 1:
+        raise SizeError(
+            f"need samples >= 1 and workers >= 1, got {samples} and {workers}"
         )
 
 
@@ -185,6 +202,7 @@ def l_direct_mc(
     quartile-based robust error accompanies the plain standard error.
     """
     _require_convergent(h)
+    _require_counts(samples, workers)
     n = partition.size
     a_idx = np.array([a - 1 for a, _ in partition.pairs])
     b_idx = np.array([b - 1 for _, b in partition.pairs])
@@ -236,6 +254,7 @@ def l_pullback_mc(
     below the coordinate scale keep full relative accuracy.
     """
     _require_convergent(h)
+    _require_counts(samples, workers)
     n = partition.size
     if n > EXACT_R_MAX_DIM:
         # the limit of flag-range probing, checked before any probing

@@ -1,8 +1,9 @@
 """Self-check suites runnable from the command line.
 
-Each suite replays the golden vectors and cross-identities of one module at
-desk scale and reports one pass/fail line per check.  ``quick`` trims sizes
-so the full run stays within an interactive budget.
+Each suite replays the golden vectors and cross-identities of one module
+and reports one pass/fail line per check.  The full mode is the release
+gate: its sizes, seeds and tolerances are the ones the acceptance tests in
+``tests/test_acceptance.py`` run.  ``quick`` trims sizes for a fast pass.
 """
 from __future__ import annotations
 
@@ -108,13 +109,14 @@ def _check_bracket_identity(quick: bool):
 
 
 def _check_additivity(quick: bool):
-    size = 6 if quick else 8
-    for p in all_pair_partitions(size):
-        for s in _all_subsets(size):
-            parts = [PositionSet(iv.members()) for iv in s.maximal_intervals]
-            if bracket_count(s, p) != sum(bracket_count(t, p) for t in parts):
-                return False, f"additivity fails: {p!r}, {s!r}"
-    return True, f"exhaustive at 2k={size}"
+    sizes = (6,) if quick else (2, 4, 6, 8)
+    for size in sizes:
+        for p in all_pair_partitions(size):
+            for s in _all_subsets(size):
+                parts = [PositionSet(iv.members()) for iv in s.maximal_intervals]
+                if bracket_count(s, p) != sum(bracket_count(t, p) for t in parts):
+                    return False, f"additivity fails: {p!r}, {s!r}"
+    return True, f"exhaustive at 2k in {sizes}"
 
 
 def _check_refining_count(quick: bool):
@@ -169,15 +171,16 @@ def _check_max_offset(quick: bool):
 
 
 def _check_gamma_ratio_poles(quick: bool):
+    terms = 30 if quick else 40
     for k in (1, 2, 3):
         p = PairPartition([(2 * l - 1, 2 * l) for l in range(1, k + 1)])
         ps = candidate_poles(p)
-        for m in range(30):
+        for m in range(terms):
             h0 = Fraction(1 - m, 2)
             order = k - (1 if k * (1 - m) + 1 <= 0 else 0)
             if order > 0 and h0 not in ps:
                 return False, f"ratio pole {h0} missing at k={k}"
-    return True, "adjacent partitions k <= 3"
+    return True, f"adjacent partitions k <= 3, m < {terms}"
 
 
 # -- blowup -----------------------------------------------------------------
@@ -211,7 +214,7 @@ def _check_jacobian_identity(quick: bool):
     for n in (2, 3, 4):
         chart = BlowupChart(n)
         base = chart.q(n) / n + 1.0
-        pts = base + rng.random((20 if quick else 60, n)) * 5.0
+        pts = base + rng.random((20 if quick else 100, n)) * 5.0
         det_direct = np.array([chart.det_jacobian(list(p)) for p in pts])
         fvals = chart.f_batch(pts)
         sizes = chart.sizes
@@ -220,7 +223,7 @@ def _check_jacobian_identity(quick: bool):
         rel = np.abs(det_direct - prod_part * r_exact) / np.abs(det_direct)
         if rel.max() > 1e-9:
             return False, f"det identity off by {rel.max():.2e} at n={n}"
-    return True, "det dF = prod f^(|S|-1) * R, n in 2..4"
+    return True, f"det dF = prod f^(|S|-1) * R, {len(pts)} points per n in 2..4"
 
 
 def _check_non_nested_sign(quick: bool):
@@ -252,28 +255,31 @@ def _check_non_nested_sign(quick: bool):
 
 
 def _check_round_trip(quick: bool):
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(808)
+    count, exact_count = (50, 5) if quick else (500, 500)
     for n in (1, 2, 3):
         chart = BlowupChart(n)
-        xs = rng.random((50 if quick else 200, n)) * 0.98 + 0.01
+        xs = rng.random((count, n)) * 0.999 + 5e-4
         ys = chart.F_inverse_batch(xs, tol=1e-9)
         err = np.abs(chart.F_batch(ys) - xs).max()
         if err > 1e-8 or not chart.omega_mask(ys).all():
             return False, f"float round trip fails at n={n}: {err:.2e}"
+    # binary64 coordinates cannot express the region at n=4 finely enough,
+    # so the round trip there runs through the exact rational polish
     chart = BlowupChart(4)
-    xs = rng.random((5 if quick else 25, 4)) * 0.98 + 0.01
+    xs = rng.random((exact_count, 4)) * 0.999 + 5e-4
     for y, x in zip(chart.F_inverse_exact_batch(xs, tol=Fraction(1, 10**9)), xs):
         res = max(abs(Fraction(float(v)) - fv) for v, fv in zip(x, chart.F_eval(y)))
         if res > Fraction(1, 10**8) or not chart.omega_contains(y):
             return False, f"exact round trip fails: residual {float(res):.2e}"
-    return True, "float n <= 3, exact rational n = 4"
+    return True, f"{count} float targets per n <= 3, {exact_count} exact rational at n = 4"
 
 
 def _check_pullback_identity(quick: bool):
     rng = np.random.default_rng(23)
-    for n in (2, 3):
+    counts = ((2, 30), (3, 30)) if quick else ((1, 334), (2, 333), (3, 333))
+    for n, count in counts:
         chart = BlowupChart(n)
-        count = 30 if quick else 120
         e = rng.standard_exponential((count, n + 1))
         xs = e[:, :n] / e.sum(axis=1, keepdims=True)
         ys = chart.F_inverse_batch(xs, tol=1e-10)
@@ -291,7 +297,7 @@ def _check_pullback_identity(quick: bool):
                 rhs *= complex(sum(fvec[i - 1] for i in s)) ** v
             if abs(lhs - rhs) > 1e-9 * abs(rhs):
                 return False, f"pullback identity off at n={n}"
-    return True, "complex exponents, n = 2, 3"
+    return True, f"complex exponents, (n, points) in {counts}"
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -325,10 +331,10 @@ def _check_dirichlet_consistency(quick: bool):
         cf = l_closed_form(p, h)
         if abs(cf.value - exact) > 1e-10 * exact:
             return False, f"closed form wrong at H={h}"
-        mc = l_direct_mc(p, h, samples=10**5 if quick else 10**6, seed=2024)
-        if abs(mc.value - exact) > 3 * mc.stderr + 1e-12:
+        mc = l_direct_mc(p, h, samples=10**5 if quick else 10**6, seed=20_240_808)
+        if abs(mc.value - exact) > 3 * mc.stderr:
             return False, f"direct MC outside 3 sigma at H={h}"
-    return True, f"H in {hs}"
+    return True, f"H in {hs}, adaptive 1e-6, direct MC 3 sigma"
 
 
 def _check_pullback_consistency(quick: bool):
@@ -379,15 +385,19 @@ def _check_mean_k1(quick: bool):
 
 def _check_normalization(quick: bool):
     w = Word([1, 1, 1, 1])
-    r405 = mean_iterated_integral(w, 1.0, mode="eq405-consistent")
-    r406 = mean_iterated_integral(w, 1.0, mode="paper-406")
+    r405 = mean_iterated_integral(w, 1.0, mode="eq405-consistent", tol=1e-9)
+    r406 = mean_iterated_integral(w, 1.0, mode="paper-406", tol=1e-9)
     oracle = wick_grid_oracle(w, 1.0, m=32 if quick else 64)
+    if abs(r405.extra["partition_sum"] - 3 / 24) > 1e-8:
+        return False, f"partition sum {r405.extra['partition_sum']}"
     if abs(r405.value - 0.125) > 1e-8:
         return False, f"default mode value {r405.value}"
     if abs(r406.value - 0.0625) > 1e-8:
         return False, f"printed-form mode value {r406.value}"
-    if abs(oracle.value - r405.value) > 1e-3:
-        return False, f"oracle {oracle.value} disagrees with default mode"
+    if "normalization_note" not in r406.extra:
+        return False, "printed-form mode does not flag the k! discrepancy"
+    if abs(oracle.value - 0.125) > 1e-3:
+        return False, f"oracle {oracle.value} disagrees with the 1/8 default mode"
     return True, "Gaussian moment selects the default mode"
 
 

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
 
+from sigpole import cli, verify
 from sigpole.pairings import parse_pairs, parse_position_set
 from sigpole.poles import progression_of_set
 
@@ -100,6 +102,15 @@ def test_poles_parse_error_exit_2():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--pairs", "1-2,3-4", "--set", "3-9"),  # positions past 2k
+    ("--word", "1,1", "--set", "1"),  # --set applies to one partition only
+])
+def test_poles_bad_set_usage_error(args):
+    out = CliRunner().invoke(cli.main, ["poles", *args])
+    assert out.exit_code == 2, out.output
+
+
 def test_eval_adaptive_pair():
     out = run_cli("eval", "--pairs", "1-2", "--H", "0.75", "--method", "adaptive")
     assert out.returncode == 0
@@ -130,6 +141,27 @@ def test_eval_domain_error_exit_3():
     out = run_cli("eval", "--pairs", "1-2", "--H", "0.4", "--method", "adaptive")
     assert out.returncode == 3
     assert "outside convergent region" in out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "--pairs", "1-2", "--H", "inf"),
+    ("eval", "--pairs", "1-2", "--H", "inf", "--method", "direct-mc"),
+    ("eval", "--pairs", "1-2", "--H", "inf", "--method", "closed-form"),
+    ("mean-sig", "--word", "1,1,2,2", "--H", "inf", "--method", "closed-form"),
+    ("eval", "--pairs", "1-2", "--H", "1e308", "--method", "closed-form"),
+])
+def test_non_finite_result_exit_3(args):
+    out = CliRunner().invoke(cli.main, list(args))
+    assert out.exit_code == 3, out.output
+
+
+@pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
+@pytest.mark.parametrize("count", [("--samples", "0"), ("--workers", "0"),
+                                   ("--workers", "-1")])
+def test_mc_counts_below_one_exit_3(method, count):
+    args = ["eval", "--pairs", "1-2", "--H", "0.8", "--method", method, *count]
+    out = CliRunner().invoke(cli.main, args)
+    assert out.exit_code == 3, out.output
 
 
 def test_mean_sig_pair_word():
@@ -212,6 +244,24 @@ def test_verify_unknown_suite_exit_2():
     assert out.returncode == 2
 
 
+def test_verify_failure_path(monkeypatch):
+    def wrong(quick):
+        return False, "wrong value"
+
+    def crashes(quick):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(
+        verify, "SUITES", {"demo": [("wrong", wrong), ("crashes", crashes)]}
+    )
+    results = verify.run_suite("demo")
+    assert [(r.name, r.ok) for r in results] == [("wrong", False), ("crashes", False)]
+    assert results[1].detail == "raised ZeroDivisionError: boom"
+    out = CliRunner().invoke(cli.main, ["verify", "demo"])
+    assert out.exit_code == cli.EXIT_VERIFY_FAILED
+    assert json.loads(out.output)["failed"] == 2
+
+
 def _latest_schemas() -> dict:
     """One validator per schema name, from the highest version in docs/schemas."""
     latest: dict = {}
@@ -256,6 +306,10 @@ def test_payload_validates_against_latest_schemas(args):
     checks = [("cli-envelope", payload)]
     if "progressions" in payload:
         checks.append(("polereport", payload))
+    if "set" in payload:
+        checks.append(("polesetreport", payload))
+    if "checks" in payload:
+        checks.append(("verifyreport", payload))
     if "result" in payload:
         checks.append(("evalresult", payload["result"]))
     if "chart" in payload:

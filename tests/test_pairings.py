@@ -165,14 +165,6 @@ def test_identity_exhaustive_small(size):
             assert bracket_count(s, p) == bracket_count_via_aug_def(s, p)
 
 
-def test_additivity_over_nonadjacent_components():
-    # [S|P] is additive over the maximal interval decomposition
-    for p in all_pair_partitions(6):
-        for s in exhaustive_sets(6):
-            parts = [PositionSet(iv.members()) for iv in s.maximal_intervals]
-            assert bracket_count(s, p) == sum(bracket_count(t, p) for t in parts)
-
-
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_identity_randomized_larger(data):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigpole import poles, signature
-from sigpole.errors import DomainError
+from sigpole.errors import DimensionError, DomainError
 from sigpole.pairings import (
     PairPartition,
     PositionSet,
@@ -65,6 +65,11 @@ def test_diagram_contributed_progressions(spec, offset, step):
 
 def test_progression_of_set_zero_bracket():
     assert progression_of_set(DIAGRAM_PARTITION, PositionSet([1])) is None
+
+
+def test_progression_of_set_rejects_positions_past_size():
+    with pytest.raises(DimensionError):
+        progression_of_set(adjacent_partition(2), parse_position_set("3-9"))
 
 
 def test_k1_candidate_poles():
