@@ -679,14 +679,8 @@ class BlowupChart:
             return self.F_inverse_batch(xs[None, :], tol, flow_steps, polish_budget)[0]
         if (xs <= 0).any():
             raise DomainError("targets must lie in the open positive orthant")
-        ys = np.full((len(xs), self.n), self.interior_seed())
-        log0 = self._log_F_batch(self.f_batch(ys))
+        ys = self._inverse_float_best(xs, flow_steps, stage_tol=1e-8)
         logx = np.log(xs)
-        stage_tol = np.full(len(xs), 1e-8)
-        for step in range(1, flow_steps + 1):
-            s = step / flow_steps
-            stage = (1 - s) * log0 + s * logx
-            ys, _err = self._newton_toward(ys, stage, stage_tol, max_iter=30)
         # a log-residual of eps forces the componentwise relative error of F
         # under roughly 2 eps, hence the absolute residual under the cap
         scale = np.maximum(np.abs(xs).max(axis=1), 1.0)
@@ -703,8 +697,12 @@ class BlowupChart:
             raise NumericError("inverse left the admissible region")
         return ys
 
-    def _inverse_float_best(self, xs: np.ndarray, flow_steps: int = 64) -> np.ndarray:
-        """Best float64 preimages without a tolerance guarantee.
+    def _inverse_float_best(
+        self, xs: np.ndarray, flow_steps: int = 64, stage_tol: float = 1e-9
+    ) -> np.ndarray:
+        """Best float64 preimages without a tolerance guarantee: the
+        homotopy of ``F_inverse_batch`` without its final polish, correcting
+        each stage to the log-residual ``stage_tol``.
 
         Near the top-rank boundary the form values drop below the coordinate
         quantization of binary64 points, so the float path saturates; the
@@ -714,10 +712,10 @@ class BlowupChart:
         ys = np.full((len(xs), self.n), self.interior_seed())
         log0 = self._log_F_batch(self.f_batch(ys))
         logx = np.log(xs)
-        stage_tol = np.full(len(xs), 1e-9)
+        tols = np.full(len(xs), stage_tol)
         for step in range(1, flow_steps + 1):
             s = step / flow_steps
-            ys, _ = self._newton_toward(ys, (1 - s) * log0 + s * logx, stage_tol, 30)
+            ys, _ = self._newton_toward(ys, (1 - s) * log0 + s * logx, tols, 30)
         return ys
 
     def F_inverse_exact_batch(

@@ -78,10 +78,7 @@ def _compute(fn, *args, **kwargs):
     numeric error."""
     try:
         return fn(*args, **kwargs)
-    except DomainError as exc:
-        click.echo(f"error: {exc}; outside convergent region; use poles", err=True)
-        sys.exit(EXIT_DOMAIN)
-    except (SizeError, NumericError) as exc:
+    except (DomainError, SizeError, NumericError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN)
 

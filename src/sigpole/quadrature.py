@@ -5,15 +5,10 @@ Four routes are provided and cross-checked against each other:
 - ``l_direct_mc``: sorted-uniform Monte Carlo on the increasing simplex;
 - ``l_pullback_mc``: rejection sampling of the blown-up domain, averaging the
   pulled-back integrand (a working check of the change of variables);
-- ``l_adaptive`` (2k <= 6): translation invariance and homogeneity of
-  degree k(2H - 2) integrate the two outer gaps out exactly, so
-  L = J / ((2kH - 1) 2kH) with J a (2k - 2)-dimensional integral over the
-  inner points of [0, 1]; J is evaluated by deterministic nested quadrature
-  after the iterated substitution that moves all integrand singularities to
-  cube faces, with double-exponential nodes and level doubling until the
-  tolerance is met;
-- ``l_closed_form``: the beta-integral closed form, available whenever the
-  interval image consists of pairwise disjoint intervals.
+- ``l_closed_form``: the exact gamma product of a non-crossing P, from the
+  factorization over the nesting forest of P's crossing components;
+- ``l_adaptive``: that product times nested double-exponential quadrature
+  of each crossing component of up to 3 pairs, with level doubling.
 
 ``wick_grid_oracle`` is the independent deterministic oracle for mean
 iterated integrals: a Riemann sum over strictly increasing grid indices of
@@ -26,6 +21,7 @@ so results are reproducible for a fixed (seed, workers) pair.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -45,7 +41,6 @@ __all__ = [
     "l_pullback_mc",
     "l_adaptive",
     "l_closed_form",
-    "dirichlet_closed_form",
     "wick_grid_oracle",
 ]
 
@@ -174,7 +169,8 @@ def _pair_power_product(
 def _require_convergent(h: float) -> None:
     if not (h > 0.5 and math.isfinite(h)):
         raise DomainError(
-            f"H={h} outside the absolutely convergent region (need finite H > 1/2)"
+            f"H={h} is outside convergent region (need finite H > 1/2); "
+            "use poles for the continuation"
         )
 
 
@@ -390,13 +386,13 @@ def l_pullback_mc(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic nested quadrature
+# Deterministic routes: nested quadrature and the nesting-forest factorization
 
-def _de_span(h: float) -> float:
+def _de_span(worst: float) -> float:
     """Node range wide enough that the truncated tail of the worst endpoint
-    singularity (exponent 2H - 2) sits below 1e-13.  Grows like
-    asinh(1/(2H-1)) as H approaches 1/2 from above."""
-    expo = max(2 * h - 1, 1e-4)
+    singularity (exponent ``worst``, 2H - 2 for the pair factors) sits below
+    1e-13.  Grows like asinh(1/(2H-1)) as H approaches 1/2 from above."""
+    expo = max(worst + 1, 1e-4)
     return float(np.arcsinh(150.0 / (np.pi * expo)))
 
 
@@ -421,32 +417,30 @@ def _de_nodes(m: int, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return logt, logtc, logw
 
 
-def _reduced_level_sum(partition: PairPartition, h: float, m: int) -> float:
-    """One tensor level of the nested rule for the reduced integral J.
+def _reduced_level_sum(factors: Sequence[tuple[int, int, float]], m: int) -> float:
+    """One tensor level of the nested rule for a reduced integral J: the
+    product of (s_b - s_a)^e over the factors (a, b, e) on positions 1..n,
+    with s_1 = 0 and s_n = 1 pinned.
 
-    The points 0 = r_0 < r_1 < ... < r_{2k-2} < r_{2k-1} = 1 are pinned at
-    both ends.  The substitution r_i = u_i * r_{i+1} maps the cube of the
-    2k - 2 inner variables onto them with Jacobian r_2 * ... * r_{2k-1}; a
-    pair (1, b) becomes r_{b-1}, any other pair (a, b) becomes
-    r_{b-1} * (1 - prod of u over [a-1, b-2]).  Since r_i is the product of
-    u_i .. u_{2k-2}, every factor except a gap over two or more variables is
-    a power of one u_j or of 1 - u_j; those fold into one log-weight vector
-    per variable, and only the multi-variable gaps are evaluated on the grid,
-    in log space.
+    With r_i = s_{i+1}, the substitution r_i = u_i * r_{i+1} maps the cube
+    of the n - 2 inner variables onto them with Jacobian r_2 ... r_{n-1}; a
+    factor (1, b) becomes r_{b-1}, any other r_{b-1} (1 - prod of u over
+    [a-1, b-2]).  As r_i = u_i ... u_{n-2}, all but the gaps over two or
+    more variables are powers of one u_j or 1 - u_j and fold into one
+    log-weight vector per variable; only those gaps are evaluated on the
+    grid, in log space.
     """
-    d = partition.size - 2
-    expo = 2 * h - 2
-    logu, logtc, logw = _de_nodes(m, _de_span(h))
-    pairs = partition.pairs
+    d = max(b for _, b, _ in factors) - 2
+    logu, logtc, logw = _de_nodes(m, _de_span(min(e for *_, e in factors)))
     axis_logs = []
     for j in range(1, d + 1):
         # u_j is a factor of r_i for i <= j: of the Jacobian terms r_2 .. r_j
-        # and of every r_{b-1} with b - 1 <= j; the pair (j+1, j+2) adds the
-        # one-variable gap 1 - u_j
-        power = j - 1 + expo * sum(1 for _, b in pairs if b - 1 <= j)
-        gap = partition.partner(j + 1) == j + 2
-        axis_logs.append(logw + power * logu + expo * gap * logtc)
-    spans = [range(a - 1, b - 1) for a, b in pairs if a > 1 and b - a > 1]
+        # and of every r_{b-1} with b - 1 <= j; a factor on (j+1, j+2) adds
+        # the one-variable gap 1 - u_j
+        power = j - 1 + sum(e for _, b, e in factors if b - 1 <= j)
+        gap = sum(e for a, b, e in factors if (a, b) == (j + 1, j + 2))
+        axis_logs.append(logw + power * logu + gap * logtc)
+    spans = [(range(a - 1, b - 1), e) for a, b, e in factors if a > 1 and b - a > 1]
     step = max(1, _GRID_CHUNK // m ** (d - 1))
     total = 0.0
     # slabs over the last variable u_d bound memory; axis j - 1 holds u_j
@@ -458,7 +452,7 @@ def _reduced_level_sum(partition: PairPartition, h: float, m: int) -> float:
             return v.reshape([-1 if ax == j - 1 else 1 for ax in range(d)])
 
         acc = sum(on_axis(v, j) for j, v in enumerate(axis_logs, start=1))
-        for span in spans:
+        for span, e in spans:
             lp = sum(on_axis(logu, j) for j in span)
             # where the log-product underflows to -0, the complement is the
             # sum of the node complements to leading order
@@ -469,135 +463,140 @@ def _reduced_level_sum(partition: PairPartition, h: float, m: int) -> float:
                 for j in span[1:]:
                     alt = np.logaddexp(alt, on_axis(logtc, j))
                 log_gap = np.where(tiny, alt, log_gap)
-            acc = acc + expo * log_gap
+            acc = acc + e * log_gap
         total += float(np.exp(acc).sum())
     return total
 
 
-def l_adaptive(
-    partition: PairPartition,
-    h: float,
-    tol: float = 1e-8,
-    max_level: int = 6,
+def _factorize(partition: PairPartition):
+    """Split P into crossing-connected components, each nested in a gap
+    between consecutive positions of another or in the root gap [0, 1].
+
+    A gap whose children have span exponents beta_i integrates to
+    prod Gamma(beta_i + 1) / Gamma(e + 1), e = sum(beta_i + 2); a component
+    with q positions, p pairs and gap exponents e_j has span exponent
+    q - 2 + p alpha + sum e_j, all stored as (c, p) for c + p alpha with
+    alpha = 2H - 2.  Returns the factor tree, the gamma arguments of the
+    numerator and denominator, and per component of two or more pairs its
+    label, pair count and the (a, b, exponent) factors of J_C on its local
+    positions 1..q, a filled gap j adding the factor (j, j + 1, e_j).
+    """
+    comp = {pair: (pair,) for pair in partition.pairs}
+    for p, q in itertools.combinations(partition.pairs, 2):
+        if p[0] < q[0] < p[1] < q[1] and comp[p] != comp[q]:
+            merged = tuple(sorted(comp[p] + comp[q]))
+            comp.update(dict.fromkeys(merged, merged))
+    at = {x: ps for ps in comp.values() for pair in ps for x in pair}
+    numer, denom, crossing = [], [], []
+
+    def gap(lo: int, hi: int) -> tuple[list[dict], tuple[int, int]]:
+        """The nodes strictly between positions lo and hi, and the gap exponent."""
+        nodes, x = [], lo + 1
+        while x < hi:
+            nodes.append(component(at[x]))
+            x = max(b for _, b in at[x]) + 1
+        betas = [node["exponent"] for node in nodes]
+        e = (sum(c + 2 for c, _ in betas), sum(p for _, p in betas))
+        if nodes:
+            numer.extend((c + 1, p) for c, p in betas)
+            denom.append((e[0] + 1, e[1]))
+        return nodes, e
+
+    def component(ps: tuple[tuple[int, int], ...]) -> dict:
+        pos = sorted(x for pair in ps for x in pair)
+        gaps = [gap(a, b) for a, b in zip(pos, pos[1:])]
+        label = ",".join(f"{a}-{b}" for a, b in ps)
+        if len(ps) > 1:
+            local = {x: i for i, x in enumerate(pos, start=1)}
+            factors = [(local[a], local[b], (0, 1)) for a, b in ps]
+            factors += [(j, j + 1, e) for j, (kids, e) in enumerate(gaps, 1) if kids]
+            crossing.append((label, len(ps), factors))
+        c = len(pos) - 2 + sum(e[0] for _, e in gaps)
+        p = len(ps) + sum(e[1] for _, e in gaps)
+        return {"pairs": label, "exponent": [c, p], "gaps": [kids for kids, _ in gaps]}
+
+    tree, _ = gap(0, partition.size + 1)
+    return tree, numer, denom, crossing
+
+
+def _factored(
+    partition: PairPartition, h: float, method: str, tol: float, max_level: int
 ) -> EvalResult:
-    """Deterministic evaluation for 2k <= 6, to absolute/relative tol.
-
-    The integrand is translation invariant and homogeneous of degree
-    k(2H - 2), so the two outer gaps integrate out exactly:
-    L = J / ((2kH - 1) 2kH), with J the integral over the 2k - 2 inner
-    points of [0, 1] (J = 1 for k = 1).  Node counts of the nested rule for
-    J double per level; the error estimate is the change of L between
-    consecutive levels, and ``extra["level_values"]`` records L at every
-    level.  Raises with the best estimate attached when the budget is
-    exhausted before the tolerance is met.
-    """
+    """The gamma product of ``_factorize`` times the J_C of its crossing
+    components, level by level (see ``l_adaptive``)."""
     _require_convergent(h)
-    n = partition.size
-    if n > 6:
-        raise SizeError("adaptive route limited to 2k <= 6")
-    k = n // 2
-    scale = 1.0 / ((2 * k * h - 1) * 2 * k * h)
-    if n == 2:
-        return EvalResult(
-            value=scale,
-            method="adaptive",
-            tol=2 * math.ulp(scale),  # two roundings in the prefactor
-            cells=1,
-            h=h,
-            partition=format_pairs(partition),
-            extra={"levels": [], "level_values": []},
+    tree, numer, denom, crossing = _factorize(partition)
+    labels = "; ".join(label for label, _, _ in crossing)
+    if crossing and method == "closed-form":
+        raise DomainError(f"no closed form for crossing pairs {labels}")
+    if any(count > 3 for _, count, _ in crossing):
+        raise SizeError(
+            "adaptive route limited to crossing components of at most 3 pairs "
+            f"(grids of at most 4 dimensions); crossing pairs {labels}"
         )
-    # per-axis node counts: 2-D grids up to 513, 4-D grids up to 129
-    levels = [17, 33, 65, 129, 257, 513] if n == 4 else [17, 33, 65, 129]
-    levels = levels[:max_level]
-    values: list[float] = []
-    cells = 0
-    for m in levels:
-        cur = scale * _reduced_level_sum(partition, h, m)
-        cells += m ** (n - 2)
-        values.append(cur)
+    # c + p alpha computed as (c - p) + p (2H - 1) sums nonnegative terms, to a
+    # few ulps; err carries that through lgamma and adds lgamma's and exp's
+    g = 2 * h - 1
+    args = [(s, (c - p) + p * g) for s, a in ((1, numer), (-1, denom)) for c, p in a]
+    try:
+        logs = [(s, x, math.lgamma(x)) for s, x in args]
+        exact = math.exp(sum(s * lg for s, _, lg in logs))
+    except OverflowError:
+        raise NumericError(f"gamma product out of float range at H={h}") from None
+    slack = sum(2 + abs(lg) + x * abs(math.log(x)) for _, x, lg in logs)
+    err = 8 * math.ulp(1.0) * slack * exact
+    grids = [[(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f] for *_, f in crossing]
+    wide = any(count == 3 for _, count, _ in crossing)  # 4-D grids: up to 129
+    levels = [17, 33, 65, 129, 257, 513][: min(max_level, 4 if wide else 6)]
+    values, cells, done = [], 0, not grids
+    for m in levels if grids else []:
+        values.append(exact * math.prod(_reduced_level_sum(f, m) for f in grids))
+        cells += sum(m ** (max(b for _, b, _ in f) - 2) for f in grids)
         if len(values) > 1:
-            err = abs(cur - values[-2])
-            if err <= max(tol, tol * abs(cur)):
-                return EvalResult(
-                    value=cur,
-                    method="adaptive",
-                    tol=err,
-                    cells=cells,
-                    h=h,
-                    partition=format_pairs(partition),
-                    extra={"levels": levels[: len(values)], "level_values": values},
-                )
-    raise NumericError(
-        "quadrature tolerance not reached within the level budget",
-        best=values[-1] if values else None,
-        tol=tol,
-        levels=levels,
-    )
+            err = abs(values[-1] - values[-2])
+            done = err <= max(tol, tol * abs(values[-1]))
+            if done:
+                break
+    if not done:
+        raise NumericError("quadrature tolerance not reached within the level budget",
+                           best=values[-1] if values else None, tol=tol, levels=levels)
+    extra = {"factor_tree": tree}
+    if method == "adaptive":
+        extra.update(levels=levels[: len(values)], level_values=values)
+    return EvalResult(value=values[-1] if values else exact, method=method, tol=err,
+                      cells=cells, h=h, partition=format_pairs(partition), extra=extra)
 
 
-def dirichlet_closed_form(lams: Sequence[float]) -> float:
-    """The simplex moment integral: prod gamma(lam+1) / gamma(n + sum + 1).
-
-    Exponents sit on single coordinates of the solid simplex; each must have
-    real part above -1.
+def l_adaptive(
+    partition: PairPartition, h: float, tol: float = 1e-8, max_level: int = 6
+) -> EvalResult:
+    """Deterministic evaluation to absolute/relative tol: the exact gamma
+    product of ``_factorize`` times the reduced integral J_C of each
+    crossing component C of two or three pairs (none for a non-crossing P,
+    which gives the float of ``l_closed_form``).  The J_C run a nested rule
+    on grids of at most 4 dimensions, node counts doubling per level; the
+    error estimate is the change of L between levels, and
+    ``extra["level_values"]`` records L at each.  Larger crossing components
+    raise SizeError; an exhausted level budget raises with the best value.
     """
-    lams = [float(v) for v in lams]
-    if any(v <= -1 for v in lams):
-        raise DomainError(f"every exponent must exceed -1, got {lams}")
-    n = len(lams)
-    return math.exp(
-        sum(math.lgamma(v + 1) for v in lams) - math.lgamma(n + sum(lams) + 1)
-    )
+    return _factored(partition, h, "adaptive", tol, max_level)
 
 
 def l_closed_form(partition: PairPartition, h: float) -> EvalResult:
-    """Closed form when the interval image is pairwise disjoint.
-
-    Grouping coordinates by the intervals reduces the integral to the beta
-    form: prod over groups of gamma(lam_g + m_g) / (m_g - 1)! over the gamma
-    of the full parameter sum plus one.  The all-adjacent partition gives
-    gamma(2H-1)^k / gamma(2kH + 1).
-    """
-    _require_convergent(h)
-    n = partition.size
-    image = partition.interval_image
-    covered: set[int] = set()
-    for iv in image:
-        if covered & set(iv.members()):
-            raise DomainError(
-                "closed form needs pairwise disjoint interval image, got "
-                f"{[str(i) for i in image]}"
-            )
-        covered |= set(iv.members())
-    groups = [(2 * h - 2, len(iv)) for iv in image]
-    groups += [(0.0, 1) for p in range(1, n + 1) if p not in covered]
-    log_num = 0.0
-    for lam, mg in groups:
-        log_num += math.lgamma(lam + mg) - math.lgamma(mg)
-    total = sum(lam + mg for lam, mg in groups)
-    value = math.exp(log_num - math.lgamma(total + 1))
-    return EvalResult(
-        value=value,
-        method="closed-form",
-        tol=1e-14,
-        cells=1,
-        h=h,
-        partition=format_pairs(partition),
-        extra={"groups": [[lam, mg] for lam, mg in groups]},
-    )
+    """The exact gamma product of ``_factorize`` for a non-crossing matching,
+    gamma(2H-1)^k / gamma(2kH + 1) for the all-adjacent one; raises
+    DomainError naming the crossing pairs of any other matching."""
+    return _factored(partition, h, "closed-form", 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
 # Wick grid oracle
 
 def _open_close_pattern(partition: PairPartition) -> list[tuple[str, int]]:
-    opens: dict[int, int] = {}
     pattern: list[tuple[str, int]] = []
     for p in range(1, partition.size + 1):
         q = partition.partner(p)
         if q > p:
-            opens[p] = len(opens)
             pattern.append(("open", p))
         else:
             pattern.append(("close", q))

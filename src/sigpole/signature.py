@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import PoleSet, candidate_poles
 from .quadrature import EvalResult, evaluator_by_name
@@ -90,6 +90,8 @@ def mean_iterated_integral(
     refining = enumerate_refining(word)
     k = word.k
     pref = prefactor(mode, k, h)
+    if not math.isfinite(pref):
+        raise NumericError(f"prefactor is not finite at H={h}", prefactor=pref)
     base_extra = {"mode": mode, "prefactor": pref, "refining_partitions": len(refining)}
     if k >= 2:
         base_extra["normalization_note"] = MODE_NOTE

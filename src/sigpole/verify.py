@@ -30,6 +30,7 @@ from .pairings import (
 )
 from .poles import candidate_poles, hyperplane_candidates, progression_of_set
 from .quadrature import (
+    _factorize,
     l_adaptive,
     l_closed_form,
     l_direct_mc,
@@ -170,17 +171,46 @@ def _check_max_offset(quick: bool):
     return True, f"all partitions at 2k={size}"
 
 
+def _non_crossing(p: PairPartition) -> bool:
+    """Pairs close in the reverse order of opening; a cheap filter ahead of
+    factorizing, since most of the 10,395 matchings at 2k = 12 cross."""
+    opened: list[int] = []
+    for x in range(1, p.size + 1):
+        if p.partner(x) > x:
+            opened.append(x)
+        elif opened.pop() != p.partner(x):
+            return False
+    return True
+
+
 def _check_gamma_ratio_poles(quick: bool):
-    terms = 30 if quick else 40
-    for k in (1, 2, 3):
-        p = PairPartition([(2 * l - 1, 2 * l) for l in range(1, k + 1)])
-        ps = candidate_poles(p)
-        for m in range(terms):
-            h0 = Fraction(1 - m, 2)
-            order = k - (1 if k * (1 - m) + 1 <= 0 else 0)
-            if order > 0 and h0 not in ps:
-                return False, f"ratio pole {h0} missing at k={k}"
-    return True, f"adjacent partitions k <= 3, m < {terms}"
+    # a gamma argument c + b (2H - 2) is a non-positive integer -n at
+    # H0 = (2b - c - n) / (2b); the pole order there counts numerator
+    # arguments at non-positive integers minus denominator ones.  With
+    # H0 = t / d for a common denominator d, the argument is
+    # (c d + b (2t - 2d)) / d, so integer arithmetic decides it.
+    lowest, top = (-29, 8) if quick else (-39, 12)  # lowest: twice the lowest H0
+    checked = 0
+    for size in range(2, top + 1, 2):
+        for p in filter(_non_crossing, all_pair_partitions(size)):
+            _tree, numer, denom, _crossing = _factorize(p)
+            checked += 1
+            ps = candidate_poles(p)
+            d = 2 * math.lcm(*(b for _c, b in numer))
+            points = {
+                (2 * b - c - n) * (d // (2 * b))
+                for c, b in numer
+                for n in range(2 * b - c - b * lowest + 1)
+            }
+            for t in points:
+                order = 0
+                for sign, args in ((1, numer), (-1, denom)):
+                    for c, b in args:
+                        x = c * d + b * (2 * t - 2 * d)
+                        order += sign * (x <= 0 and x % d == 0)
+                if order > 0 and Fraction(t, d) not in ps:
+                    return False, f"gamma pole {Fraction(t, d)} missing for {p!r}"
+    return True, f"{checked} non-crossing partitions, 2k <= {top}, H >= {lowest}/2"
 
 
 # -- blowup -----------------------------------------------------------------

@@ -30,7 +30,7 @@ CRITERIA = {
         ("blowup.boundary-positivity", "blowup.witness-flags"), None),
     8: ("diffeomorphism round trip, exact at n=4", ("blowup.round-trip",), 60.0),
     9: ("oracle picks the 1/8 mode", ("signature.normalization",), 120.0),
-    10: ("exact gamma-ratio pole membership k <= 3",
+    10: ("exact gamma-product pole membership, non-crossing 2k <= 12",
          ("poles.ratio-pole-containment",), 5.0),
 }
 CHECKS = {

@@ -143,12 +143,41 @@ def test_eval_domain_error_exit_3():
     assert "outside convergent region" in out.stderr
 
 
+def test_eval_closed_form_declines_crossing():
+    args = ["eval", "--pairs", "1-3,2-4", "--H", "0.8", "--method", "closed-form"]
+    out = CliRunner().invoke(cli.main, args)
+    assert out.exit_code == 3
+    assert "crossing pairs 1-3,2-4" in out.output
+    assert "convergent" not in out.output
+
+
+@pytest.mark.parametrize("pairs, h, method", [
+    ("1-2,3-6,4-5", "0.55", "adaptive"),
+    ("1-4,2-3", "0.8", "closed-form"),
+])
+def test_eval_nested_matching_is_exact(pairs, h, method):
+    out = CliRunner().invoke(cli.main, ["eval", "--pairs", pairs, "--H", h, "--method", method])
+    assert out.exit_code == 0, out.output
+    result = json.loads(out.output)["result"]
+    assert result["value"] > 0 and result["cells"] == 0
+    assert result["extra"]["factor_tree"]
+
+
+def test_eval_wide_crossing_component_exit_3():
+    out = CliRunner().invoke(cli.main, ["eval", "--pairs", "1-5,2-6,3-7,4-8", "--H", "0.8"])
+    assert out.exit_code == 3
+    assert "at most 3 pairs" in out.output
+
+
 @pytest.mark.parametrize("args", [
     ("eval", "--pairs", "1-2", "--H", "inf"),
     ("eval", "--pairs", "1-2", "--H", "inf", "--method", "direct-mc"),
     ("eval", "--pairs", "1-2", "--H", "inf", "--method", "closed-form"),
     ("mean-sig", "--word", "1,1,2,2", "--H", "inf", "--method", "closed-form"),
     ("eval", "--pairs", "1-2", "--H", "1e308", "--method", "closed-form"),
+    ("eval", "--pairs", "1-2,3-4", "--H", "1e306", "--method", "closed-form"),
+    ("mean-sig", "--word", "1,1,1,2", "--H", "inf", "--output", "text"),
+    ("mean-sig", "--word", "1,1,1,2", "--H", "1e308"),
 ])
 def test_non_finite_result_exit_3(args):
     out = CliRunner().invoke(cli.main, list(args))

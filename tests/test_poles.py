@@ -236,29 +236,6 @@ def test_specialization_consistency(size):
         assert fam.specialize_diagonal() == candidate_poles(p)
 
 
-def gamma_ratio_poles(k: int, terms: int = 40) -> list[F]:
-    """Exact poles of gamma(2H-1)^k / gamma(2kH+1) in H (order bookkeeping).
-
-    The numerator contributes order k at H=(1-m)/2 for integer m >= 0; the
-    reciprocal denominator has a simple zero there when k(1-m)+1 <= 0.
-    """
-    out = []
-    for m in range(terms):
-        h = F(1 - m, 2)
-        order = k - (1 if k * (1 - m) + 1 <= 0 else 0)
-        if order > 0:
-            out.append(h)
-    return out
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_gamma_closed_form_pole_containment(k):
-    p = adjacent_partition(k)
-    ps = candidate_poles(p)
-    for h in gamma_ratio_poles(k):
-        assert h in ps, f"gamma ratio pole {h} missing for k={k}"
-
-
 def test_poleset_merge_determinism_and_union():
     a = candidate_poles(adjacent_partition(2))
     b = candidate_poles(PairPartition([(1, 3), (2, 4)]))

@@ -10,13 +10,12 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from sigpole.errors import DomainError, NumericError, SizeError
-from sigpole.pairings import PairPartition, Word, all_pair_partitions
+from sigpole.pairings import PairPartition, Word, all_pair_partitions, parse_pairs
 from sigpole.quadrature import (
     DEFAULT_SEED,
     EvalResult,
     FbmCovariance,
     _increasing_pair_sum,
-    dirichlet_closed_form,
     l_adaptive,
     l_closed_form,
     l_direct_mc,
@@ -81,40 +80,69 @@ def k2_exact(partition: PairPartition, h: float) -> float:
     return j / ((4 * h - 1) * 4 * h)
 
 
+def is_crossing(partition: PairPartition) -> bool:
+    return any(
+        a < c < b < d
+        for (a, b), (c, d) in itertools.permutations(partition.pairs, 2)
+    )
+
+
 @pytest.mark.parametrize("h", [0.501, 0.51])
 def test_adaptive_k2_near_half(h):
-    # the node span widens as H approaches 1/2, keeping all three k=2
-    # matchings convergent within the level budget
+    # the node span widens as H approaches 1/2, keeping the crossing k=2
+    # matching convergent within the level budget; the other two are exact
     for p in (ADJ2, CROSS2, NEST2):
         r = l_adaptive(p, h, tol=1e-6)
         assert r.value == pytest.approx(k2_exact(p, h), rel=1e-6), p
+        assert bool(r.extra["levels"]) == is_crossing(p), p
+
+
+REDUCIBLE6 = (
+    PairPartition([(1, 3), (2, 4), (5, 6)]),
+    PairPartition([(1, 2), (3, 5), (4, 6)]),
+)
 
 
 def test_adaptive_level_trace():
-    for p in (ADJ2, CROSS2, NEST2):
+    for p in (CROSS2,) + REDUCIBLE6 + (PairPartition([(1, 5), (2, 3), (4, 6)]),):
         r = l_adaptive(p, 0.8, tol=1e-6)
         values = r.extra["level_values"]
         assert len(values) == len(r.extra["levels"]) >= 2
         assert abs(values[-1] - values[-2]) == r.tol
         assert values[-1] == r.value
-        assert r.value == pytest.approx(k2_exact(p, 0.8), rel=1e-9)
+    assert l_adaptive(CROSS2, 0.8, tol=1e-6).value == pytest.approx(
+        k2_exact(CROSS2, 0.8), rel=1e-9
+    )
+    for p in (PAIR, ADJ2, NEST2, PairPartition([(1, 6), (2, 3), (4, 5)])):
+        r = l_adaptive(p, 0.8, tol=1e-6)
+        assert r.extra["levels"] == r.extra["level_values"] == [] and r.cells == 0
+        if p.k == 2:
+            assert r.value == pytest.approx(k2_exact(p, 0.8), rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.7, 0.8, 0.9])
+def test_adaptive_reducible_crossing(h):
+    # a crossing k=2 component next to, or nested beside, a single pair: the
+    # crossing J of k2_exact times the root Dirichlet ratio
+    # G(2a+3) G(a+1) / G(3a+7), a = 2H - 2
+    a = 2 * h - 2
+    j = k2_exact(CROSS2, h) * (4 * h - 1) * 4 * h
+    lg = math.lgamma
+    exact = j * math.exp(lg(2 * a + 3) + lg(a + 1) - lg(3 * a + 7))
+    for p in REDUCIBLE6:
+        r = l_adaptive(p, h, tol=1e-12)
+        assert r.value == pytest.approx(exact, rel=1e-10), p
+        assert r.extra["levels"]
 
 
 def test_adaptive_guards():
     with pytest.raises(DomainError):
         l_adaptive(PAIR, 0.5)
     with pytest.raises(SizeError):
-        l_adaptive(PairPartition([(1, 2), (3, 4), (5, 6), (7, 8)]), 0.8)
+        l_adaptive(PairPartition([(1, 5), (2, 6), (3, 7), (4, 8)]), 0.8)
     with pytest.raises(NumericError) as err:
-        l_adaptive(ADJ2, 0.75, tol=1e-12, max_level=2)
+        l_adaptive(CROSS2, 0.75, tol=1e-12, max_level=2)
     assert "best" in err.value.diagnostics
-
-
-def test_dirichlet_closed_form_values():
-    assert dirichlet_closed_form([0.0, 0.0]) == pytest.approx(0.5)
-    assert dirichlet_closed_form([1.5]) == pytest.approx(1 / 2.5)
-    with pytest.raises(DomainError):
-        dirichlet_closed_form([-1.0, 0.0])
 
 
 def test_closed_form_adjacent():
@@ -127,21 +155,62 @@ def test_closed_form_adjacent():
             assert r.method == "closed-form"
 
 
-def test_disjoint_interval_image_forces_adjacent_pairs():
-    # a non-adjacent pair's interval always meets the interval of the pair
-    # of its inner neighbour, so disjoint images occur exactly for the
-    # all-adjacent matching; the closed form declines everything else
-    for size in (4, 6):
+def test_closed_form_declines_exactly_crossing():
+    for size in (2, 4, 6):
         for p in all_pair_partitions(size):
-            members = [set(iv.members()) for iv in p.interval_image]
-            disjoint = all(
-                not (a & b) for a, b in itertools.combinations(members, 2)
-            )
-            adjacent = all(b - a == 1 for a, b in p.pairs)
-            assert disjoint == adjacent
-            if not disjoint:
-                with pytest.raises(DomainError):
+            if is_crossing(p):
+                with pytest.raises(DomainError, match="crossing pairs"):
                     l_closed_form(p, 0.8)
+            else:
+                assert l_closed_form(p, 0.8).value > 0
+
+
+def nested_gamma_exact(partition: PairPartition, h: float):
+    """50-digit value of a non-crossing L(P; H): each gap whose top-level
+    pairs have exponents beta_i gives prod G(beta_i + 1) /
+    G(sum(beta_i + 1) + m + 1), and a pair [a, b] has the exponent
+    (2H - 2) * #(pairs within [a, b]) + (b - a - 1)."""
+    import mpmath
+
+    def beta(a, b):
+        inside = sum(1 for c, d in partition.pairs if a <= c and d <= b)
+        return (2 * mpmath.mpf(h) - 2) * inside + (b - a - 1)
+
+    def gap(lo, hi):
+        kids, x = [], lo + 1
+        while x < hi:
+            kids.append((x, partition.partner(x)))
+            x = kids[-1][1] + 1
+        out = mpmath.mpf(1)
+        for a, b in kids:
+            out *= mpmath.gamma(beta(a, b) + 1) * gap(a, b)
+        total = sum(beta(a, b) + 1 for a, b in kids)
+        return out / mpmath.gamma(total + len(kids) + 1)
+
+    with mpmath.workdps(50):
+        return gap(0, partition.size + 1)
+
+
+@pytest.mark.parametrize("h", [0.5001, 0.55, 0.8, 1.0, 2.5])
+def test_noncrossing_exact_against_mpmath(h):
+    for size in (2, 4, 6, 8):
+        for p in all_pair_partitions(size):
+            if is_crossing(p):
+                continue
+            cf = l_closed_form(p, h)
+            ad = l_adaptive(p, h)
+            assert ad.value == cf.value and ad.tol == cf.tol, p
+            assert abs(cf.value - nested_gamma_exact(p, h)) <= cf.tol, p
+
+
+def test_factorization_against_direct_mc():
+    # H > 3/4, so the Monte Carlo variance is finite
+    h = 0.85
+    some8 = ("1-2,3-8,4-5,6-7", "1-8,2-7,3-6,4-5", "1-4,2-3,5-8,6-7")
+    for p in all_pair_partitions(6) + [parse_pairs(s) for s in some8]:
+        a = l_adaptive(p, h, tol=1e-7)
+        mc = l_direct_mc(p, h, samples=200_000, seed=85)
+        assert abs(a.value - mc.value) <= 5 * mc.stderr + a.tol, p
 
 
 def test_direct_mc_unit_case_is_exact():
