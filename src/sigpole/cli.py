@@ -101,6 +101,11 @@ def _parse_gap(qspec: str, n: int) -> GapFunction | None:
 output_option = click.option(
     "--output", type=click.Choice(["json", "text"]), default="json", show_default=True
 )
+tol_option = click.option(
+    "--tol", type=float, default=1e-8, show_default=True,
+    help="adaptive stop rule: level change <= max(tol, tol*|L|), "
+    "so tol is absolute when |L| < 1",
+)
 
 
 @click.group()
@@ -176,7 +181,7 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
 )
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=None, help="RNG seed (default FBM0 bytes)")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@tol_option
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--q", "qspec", default="3^r", show_default=True,
               help="gap weights for the pullback route: '3^r' or a comma list")
@@ -232,7 +237,7 @@ def cmd_eval(
 )
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@tol_option
 @click.option("--workers", type=int, default=1, show_default=True)
 @output_option
 def cmd_mean_sig(
@@ -276,7 +281,7 @@ def cmd_mean_sig(
 )
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@tol_option
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option(
     "--output", type=click.Choice(["json", "csv"]), default="json", show_default=True

@@ -13,7 +13,6 @@ from sigpole.pairings import (
     PairPartition,
     PositionSet,
     Word,
-    all_pair_partitions,
     bracket_count,
     enumerate_refining,
     parse_position_set,
@@ -113,11 +112,6 @@ def test_singleton_interval_attains_half():
         assert ps.max_offset == F(1, 2)
         ok, witness = is_candidate(adjacent_partition(k), F(1, 2), ps)
         assert ok and witness["l"] == 0
-
-
-def test_max_offset_bound_exhaustive():
-    for p in all_pair_partitions(6):
-        assert candidate_poles(p).max_offset <= F(1, 2)
 
 
 def test_diagram_poleset_contains_all_contributions():
@@ -226,14 +220,6 @@ def test_hyperplane_empty_support():
     fam = hyperplane_candidates(3, [])
     assert len(fam) == 0
     assert fam.specialize_diagonal() == PoleSet([])
-
-
-@pytest.mark.parametrize("size", [2, 4, 6])
-def test_specialization_consistency(size):
-    for p in all_pair_partitions(size):
-        support = [frozenset(iv.members()) for iv in p.interval_image]
-        fam = hyperplane_candidates(size, support)
-        assert fam.specialize_diagonal() == candidate_poles(p)
 
 
 def test_poleset_merge_determinism_and_union():

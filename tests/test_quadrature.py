@@ -16,6 +16,8 @@ from sigpole.quadrature import (
     EvalResult,
     FbmCovariance,
     _increasing_pair_sum,
+    _merge_network,
+    _sorted_rows,
     l_adaptive,
     l_closed_form,
     l_direct_mc,
@@ -222,7 +224,61 @@ def test_direct_mc_unit_case_is_exact():
 def test_direct_mc_pair_within_three_sigma():
     r = l_direct_mc(PAIR, 0.75, samples=200_000, seed=42)
     assert abs(r.value - 4 / 3) <= 3 * r.stderr
-    assert "robust_stderr" in r.extra
+    assert r.extra["finite_variance"] is False
+    assert l_direct_mc(PAIR, 0.8, samples=10, seed=42).extra["finite_variance"] is True
+
+
+@pytest.mark.parametrize("h", [0.9, 0.95])
+def test_direct_mc_stderr_matches_exact_variance(h):
+    # the squared integrand is the integrand at H' = 2H - 1, so the exact
+    # per-sample variance is (2k)! L(P; 2H-1) - ((2k)! L(P; H))^2
+    n_samples = 200_000
+    for spec in ("1-2", "1-2,3-4", "1-4,2-3", "1-2,3-4,5-6", "1-6,2-3,4-5"):
+        p = parse_pairs(spec)
+        fact = math.factorial(p.size)
+        mean = fact * l_closed_form(p, h).value
+        sd = math.sqrt(fact * l_closed_form(p, 2 * h - 1).value - mean**2)
+        for seed in range(5):
+            r = l_direct_mc(p, h, samples=n_samples, seed=seed)
+            ratio = r.stderr * fact * math.sqrt(n_samples) / sd
+            assert abs(ratio - 1) <= 0.05, (spec, seed, ratio)
+
+
+# float.hex of (value, stderr); the batch size must not change a bit
+DIRECT_MC_BITS = [
+    ("1-2,3-4,5-6", 0.8, 1_000_000, 7, 1,
+     "0x1.3c7d244d0d12cp-5", "0x1.51f23fcb7735ep-14"),
+    ("1-4,2-5,3-6", 0.62, 123_457, 11, 3,
+     "0x1.26ae9644d4a8bp-6", "0x1.c6e4b826ca364p-14"),
+    ("1-6,2-4,3-7,5-9,8-10", 0.9, 10, 11, 2,
+     "0x1.1c0e105b5c058p-20", "0x1.00d68f9c8c067p-25"),
+    ("1-2", 1.0, 1, 1, 1, "0x1.0000000000000p-1", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("batch", [None, 1 << 10, 1 << 18])
+def test_direct_mc_bits_pinned(batch, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr("sigpole.quadrature._DIRECT_BATCH", batch)
+    for spec, h, n, seed, workers, value, stderr in DIRECT_MC_BITS:
+        r = l_direct_mc(parse_pairs(spec), h, samples=n, seed=seed, workers=workers)
+        assert (r.value.hex(), r.stderr.hex()) == (value, stderr), spec
+
+
+def test_merge_network_sorts():
+    assert [len(_merge_network(n)) for n in (2, 4, 6, 8, 10)] == [1, 5, 12, 19, 32]
+    for n in range(2, 17, 2):
+        # 0-1 principle: sorting every 0/1 column proves the network sorts
+        bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+        cols = bits.astype(float)
+        rows = _sorted_rows(cols, _merge_network(n), np.empty(1 << n))
+        np.testing.assert_array_equal(np.array(rows), np.sort(bits, axis=0))
+    rng = np.random.default_rng(0)
+    for n in range(18, 25, 2):
+        cols = rng.random((n, 2000))
+        want = np.sort(cols, axis=0)
+        rows = _sorted_rows(cols, _merge_network(n), np.empty(2000))
+        np.testing.assert_array_equal(np.array(rows), want)
 
 
 def test_direct_mc_reproducible_and_worker_rule():
