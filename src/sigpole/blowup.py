@@ -32,6 +32,11 @@ __all__ = [
 
 EXACT_R_MAX_DIM = 4
 
+# Newton step lengths 2^0 ... 2^-39, and the most trial points evaluated at
+# once while searching them
+_STEP_LADDER = 0.5 ** np.arange(40)
+_TRIAL_ROWS = 1 << 16
+
 
 def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
@@ -245,6 +250,8 @@ class BlowupChart:
         self.masks = list(range(1, nm + 1))
         self.sizes = np.array([m.bit_count() for m in self.masks])
         self.qvec = np.array([float(q(int(s))) for s in self.sizes])
+        # q(1..n): the level of each rank of the coordinate flag
+        self.qranks = np.array([float(q(j)) for j in range(1, n + 1)])
         # indicator matrix: row = subset, column = coordinate
         self.M = np.array(
             [[1.0 if m >> i & 1 else 0.0 for i in range(n)] for m in self.masks]
@@ -581,13 +588,11 @@ class BlowupChart:
         order = np.argsort(ys, axis=1)
         sorted_y = np.take_along_axis(ys, order, axis=1)
         levels = np.cumsum(sorted_y, axis=1)
-        qranks = np.array([self.q(j) for j in range(1, self.n + 1)], dtype=float)
-        return order, levels - qranks[None, :]
+        return order, levels - self.qranks[None, :]
 
     def _y_from_flag(self, order: np.ndarray, ff: np.ndarray) -> np.ndarray:
         """Rebuild points from flag form values along the given sort order."""
-        qranks = np.array([self.q(j) for j in range(1, self.n + 1)], dtype=float)
-        levels = ff + qranks[None, :]
+        levels = ff + self.qranks[None, :]
         diffs = np.diff(np.concatenate([np.zeros((len(ff), 1)), levels], axis=1))
         ys = np.empty_like(ff)
         np.put_along_axis(ys, order, diffs, axis=1)
@@ -602,20 +607,30 @@ class BlowupChart:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Damped Newton for log F(y) = log target in log-flag coordinates.
 
+        Each row takes the first step length of the ladder 2^0 ... 2^-39
+        that keeps it inside Omega and strictly lowers its log-residual.
+        The ladder is searched in two batched passes: the full step on every
+        row, then all shorter lengths at once on the rows it did not accept.
+        A row that no length improves is frozen for the rest of the call:
+        its point, target and residual stay as they are, so every later
+        iteration would try the same steps and fail again.  The iteration
+        ends when no unfrozen row is above its tolerance.
+
         Returns updated points and the log-residual norms; callers decide
         whether the norms are acceptable.  Points must start inside Omega
-        and never leave it (trial steps are shortened otherwise).
+        and never leave it.
         """
         ys = ys.copy()
         f = self.f_batch(ys)
         err = np.abs(self._log_F_batch(f) - log_targets).max(axis=1)
+        stalled = np.zeros(len(ys), dtype=bool)
         for _ in range(max_iter):
-            active = err > log_tol
-            if not active.any():
+            idx = np.nonzero((err > log_tol) & ~stalled)[0]
+            if not len(idx):
                 break
-            ya = ys[active]
+            ya = ys[idx]
             fa = self.f_batch(ya)
-            g = self._log_F_batch(fa) - log_targets[active]
+            g = self._log_F_batch(fa) - log_targets[idx]
             a = self.gram_batch(fa)
             order, ff = self._flag_coordinates(ya)
             # d log F / d log ff_j = ff_j * (A[:, e_j] - A[:, e_{j+1}])
@@ -626,35 +641,63 @@ class BlowupChart:
             jg[:, :, :-1] -= cols[:, :, 1:]
             jg *= ff[:, None, :]
             dphi = np.linalg.solve(jg, -g[..., None])[..., 0]
-            lam = np.ones(len(ya))
-            best = ya.copy()
-            best_err = err[active].copy()
-            improved = np.zeros(len(ya), dtype=bool)
-            for _halving in range(40):
-                todo = ~improved
-                if not todo.any():
-                    break
-                ff_t = ff[todo] * np.exp(lam[todo, None] * dphi[todo])
-                trial = self._y_from_flag(order[todo], ff_t)
-                f_t = self.f_batch(trial)
-                ok = (f_t > 0).all(axis=1)
-                new_err = np.full(todo.sum(), np.inf)
-                if ok.any():
-                    new_err[ok] = np.abs(
-                        self._log_F_batch(f_t[ok]) - log_targets[active][todo][ok]
-                    ).max(axis=1)
-                good = ok & (new_err < best_err[todo])
-                sel = np.nonzero(todo)[0][good]
-                best[sel] = trial[good]
-                best_err[sel] = new_err[good]
-                improved[sel] = True
-                lam[~improved] *= 0.5
-            if not improved.any():
-                break  # no progress possible; caller checks the residual
-            ys[active] = best
-            err = err.copy()
-            err[active] = best_err
+            rows = (order, ff, dphi, log_targets[idx], err[idx])
+            best, best_err, found = self._first_step(*rows, _STEP_LADDER[:1])
+            rest = np.nonzero(~found)[0]
+            if len(rest):
+                best[rest], best_err[rest], found[rest] = self._first_step(
+                    *(r[rest] for r in rows), _STEP_LADDER[1:]
+                )
+            stalled[idx[~found]] = True
+            ys[idx[found]] = best[found]
+            err[idx[found]] = best_err[found]
         return ys, err
+
+    def _first_step(
+        self,
+        order: np.ndarray,
+        ff: np.ndarray,
+        dphi: np.ndarray,
+        log_targets: np.ndarray,
+        err: np.ndarray,
+        lams: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, the first step length in ``lams`` whose trial point lies
+        in Omega with a log-residual strictly below the row's ``err``.
+
+        Every (row, length) trial is evaluated, at most ``_TRIAL_ROWS`` at a
+        time.  Returns the accepted points, their log-residuals and the mask
+        of rows that accepted a length; the other rows' entries mean nothing.
+        """
+        k = len(lams)
+        per_chunk = max(1, _TRIAL_ROWS // k)
+        best = np.empty_like(ff)
+        best_err = np.empty(len(ff))
+        found = np.zeros(len(ff), dtype=bool)
+        for lo in range(0, len(ff), per_chunk):
+            part = slice(lo, lo + per_chunk)
+            m = len(ff[part])
+
+            def stack(v: np.ndarray) -> np.ndarray:
+                return np.repeat(v[part], k, axis=0)
+
+            lam = np.tile(lams, m)
+            trial = self._y_from_flag(
+                stack(order), stack(ff) * np.exp(lam[:, None] * stack(dphi))
+            )
+            f_t = self.f_batch(trial)
+            ok = (f_t > 0).all(axis=1)
+            new_err = np.full(len(trial), np.inf)
+            if ok.any():
+                new_err[ok] = np.abs(
+                    self._log_F_batch(f_t[ok]) - stack(log_targets)[ok]
+                ).max(axis=1)
+            good = (new_err < stack(err)).reshape(m, k)
+            pick = good.argmax(axis=1) + k * np.arange(m)
+            best[part] = trial[pick]
+            best_err[part] = new_err[pick]
+            found[part] = good.any(axis=1)
+        return best, best_err, found
 
     def F_inverse_batch(
         self,
@@ -817,14 +860,11 @@ class BlowupChart:
         """
         perms = np.asarray(perms, dtype=np.intp)
         ffs = np.asarray(ffs, dtype=float)
-        qranks = np.array(
-            [float(self.q(j)) for j in range(1, self.n + 1)]
-        )
         # memb[p, s, j] = 1 if the rank-j value lands in subset s
         memb = self.M[:, perms].transpose(1, 0, 2)
         eps = memb.copy()
         eps[:, :, :-1] -= memb[:, :, 1:]
-        const = eps @ qranks - self.qvec[None, :]
+        const = eps @ self.qranks - self.qvec[None, :]
         return const + np.einsum("psj,pj->ps", eps, ffs)
 
     def flag_ranges(

@@ -307,7 +307,6 @@ def l_pullback_mc(
     lo, hi = chart.flag_ranges()
     xi_lo, xi_hi = np.log(lo), np.log(hi)
     widths = xi_hi - xi_lo
-    qranks = np.array([float(chart.q(j)) for j in range(1, n + 1)])
     # exponent on each affine form: |S| - 1 + 2(H-1)[S|P], plus one for the
     # forms folded out of the positive factor R = det(A) * prod f_S
     iv_masks = [chart.mask_of(iv.members()) for iv in partition.interval_image]
@@ -327,7 +326,7 @@ def l_pullback_mc(
         b = len(xi)
         out = np.zeros(b)
         ff = np.exp(xi)
-        levels = qranks + ff
+        levels = chart.qranks + ff
         d = np.diff(levels, prepend=0.0, axis=1)
         ok = (np.diff(d, axis=1) >= 0).all(axis=1) if n > 1 else np.ones(b, bool)
         ok &= (xi >= xi_lo).all(axis=1) & (xi <= xi_hi).all(axis=1)

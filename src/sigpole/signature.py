@@ -84,6 +84,8 @@ def mean_iterated_integral(
     Given a ``seed``, the i-th matching in ``enumerate_refining`` order runs
     on its own seed, drawn from ``SeedSequence(seed, spawn_key=(i,))``, so
     that the estimates are independent; the result reports the given seed.
+    When every matching's result reports ``extra["finite_variance"]``, the
+    word's result reports whether all of them are finite.
     """
     if mode not in NORMALIZATION_MODES:
         raise DomainError(f"unknown normalization mode {mode!r}")
@@ -124,6 +126,11 @@ def mean_iterated_integral(
     else:
         tol = abs(pref) * sum(r.tol for r in parts)
         cells = sum(r.cells for r in parts)
+    extra = {**base_extra, "partition_sum": sum(r.value for r in parts)}
+    flags = [r.extra.get("finite_variance") for r in parts]
+    if None not in flags:
+        # the sum has finite variance only if every term has
+        extra["finite_variance"] = all(flags)
     return EvalResult(
         value=value,
         method=method,
@@ -133,7 +140,7 @@ def mean_iterated_integral(
         cells=cells,
         seed=seed,
         h=h,
-        extra={**base_extra, "partition_sum": sum(r.value for r in parts)},
+        extra=extra,
     )
 
 

@@ -15,7 +15,8 @@ from sigpole.blowup import (
     exact_det,
 )
 from sigpole.errors import DomainError, NumericError, SizeError
-from sigpole.pairings import PairPartition, PositionSet, bracket_count
+from sigpole.pairings import PairPartition, PositionSet, bracket_count, parse_pairs
+from sigpole.quadrature import l_pullback_mc
 
 
 def omega_samples(chart: BlowupChart, count: int, seed: int = 77) -> np.ndarray:
@@ -299,6 +300,62 @@ def test_forms_from_flag_matches_direct():
 def test_flag_ranges_guard_beyond_probing_limit():
     with pytest.raises(NumericError):
         BlowupChart(5).flag_ranges(probes=64)
+
+
+# float.hex of flag_ranges() (lo then hi, by rank); how the Newton step
+# lengths are searched must not change a bit
+FLAG_RANGE_BITS = [
+    (1, None, ["0x1.f335678000000p-29"], ["0x1.ffff3f1b84b6cp+2"]),
+    (2, None, ["0x1.5338000000000p-41", "0x1.8b54138d00000p-19"],
+     ["0x1.a46f571f3fedcp+3", "0x1.360ad116b9980p+1"]),
+    (3, None,
+     ["0x1.3681c30980000p-21", "0x1.eee1a2c44c000p-12", "0x1.27373e6000000p-24"],
+     ["0x1.771d60188b8c4p+5", "0x1.18a11dca06b92p+6", "0x1.66052fdf30000p-8"]),
+    (4, None,
+     ["0x1.559bc94e88000p-17", "0x1.11e4fabdb63c0p-6", "0x1.84b320ca4d250p-1",
+      "0x1.0000000000000p-46"],
+     ["0x1.08b6166698214p+7", "0x1.e2890161bb5f4p+7", "0x1.077fa7569749fp+8",
+      "0x1.9d00000000000p-34"]),
+    (2, [1, 4, 16], ["0x1.a268000000000p-40", "0x1.287f91d200000p-20"],
+     ["0x1.02902e41f82f8p+5", "0x1.f83d9abce2000p-1"]),
+]
+
+
+@pytest.mark.parametrize("n,q,lo,hi", FLAG_RANGE_BITS)
+def test_flag_ranges_bits_pinned(n, q, lo, hi):
+    chart = BlowupChart(n, None if q is None else GapFunction(q))
+    got_lo, got_hi = chart.flag_ranges()
+    assert [v.hex() for v in got_lo.tolist()] == lo
+    assert [v.hex() for v in got_hi.tolist()] == hi
+
+
+# float.hex of (value, stderr)
+PULLBACK_MC_BITS = [
+    ("1-2", 0.8, 3, "0x1.0ad9dbb3e64c2p+0", "0x1.de1e964f4ccd9p-8"),
+    ("1-2,3-4", 0.9, 13, "0x1.152996d5f351bp-4", "0x1.37531f00a00e9p-7"),
+]
+
+
+@pytest.mark.parametrize("spec,h,seed,value,stderr", PULLBACK_MC_BITS)
+def test_pullback_mc_bits_pinned(spec, h, seed, value, stderr):
+    r = l_pullback_mc(parse_pairs(spec), h, samples=100_000, seed=seed)
+    assert (r.value.hex(), r.stderr.hex()) == (value, stderr)
+
+
+def test_flag_ranges_never_retries_a_failed_step(monkeypatch):
+    # a row whose every step length fails is frozen, not searched again
+    calls = rows = 0
+    y_from_flag = BlowupChart._y_from_flag
+
+    def counting(self, order, ff):
+        nonlocal calls, rows
+        calls += 1
+        rows += len(ff)
+        return y_from_flag(self, order, ff)
+
+    monkeypatch.setattr(BlowupChart, "_y_from_flag", counting)
+    BlowupChart(4).flag_ranges()
+    assert calls <= 400 and rows <= 400_000, (calls, rows)
 
 
 def test_chart_descriptor():

@@ -207,6 +207,25 @@ def test_mean_sig_zero_word():
     assert payload["result"]["extra"]["exact_zero"] is True
 
 
+def test_word_results_carry_finite_variance():
+    def extra(command, h, method, *more):
+        out = CliRunner().invoke(
+            cli.main, [command, *more, "--H", h, "--method", method, "--samples", "1000"]
+        )
+        assert out.exit_code == 0, out.output
+        payload = json.loads(out.output)
+        if command == "gamma-table":
+            return [e["extra"] for e in payload["table"]["entries"]]
+        return payload["result"]["extra"]
+
+    word = ("--word", "1,1")
+    assert extra("mean-sig", "0.7", "direct-mc", *word)["finite_variance"] is False
+    assert extra("mean-sig", "0.8", "direct-mc", *word)["finite_variance"] is True
+    assert "finite_variance" not in extra("mean-sig", "0.8", "adaptive", *word)
+    table = extra("gamma-table", "0.7", "direct-mc", "--k", "1", "--d", "2")
+    assert [e.get("finite_variance") for e in table] == [False, None, None, False]
+
+
 def test_gamma_table_json_and_csv():
     out = run_cli("gamma-table", "--k", "1", "--d", "2", "--H", "0.75")
     payload = json.loads(out.stdout)

@@ -29,12 +29,7 @@ from sigpole.pairings import (
     parse_word,
     refines,
 )
-from sigpole.verify import (
-    DIAGRAM_PARTITION,
-    DIAGRAM_ROWS,
-    REFINEMENT_DIAGRAMS,
-    TEN_LETTER_WORD,
-)
+from sigpole.verify import DIAGRAM_PARTITION, TEN_LETTER_WORD
 
 
 def test_interval_of_pair_examples():
@@ -64,11 +59,6 @@ def test_interval_set_worked_examples():
     assert set(p3.interval_image) == {Interval(2, 4), Interval(3, 5), Interval(4, 6)}
     for p in (p1, p2, p3):
         assert len(p.interval_image) == p.k
-
-
-def test_refines_worked_diagrams():
-    for spec, expect in REFINEMENT_DIAGRAMS.items():
-        assert refines(parse_pairs(spec), TEN_LETTER_WORD) is expect
 
 
 def test_refines_constant_word_and_dimension_error():
@@ -104,20 +94,6 @@ def test_refines_matches_level_set_membership():
                 for (a, bb) in p.pairs
             )
             assert refines(p, w) == mono
-
-
-# ---------------------------------------------------------------------------
-# Bracket counts against the five worked diagrams (expected 2[S|P] values
-# read off the annotated identities |S| + aug - def = 16, 4, 6, 8, 14).
-
-DIAGRAM_DOUBLES = [(spec, dbl) for spec, dbl, _offset, _step in DIAGRAM_ROWS]
-
-
-@pytest.mark.parametrize("spec,expected_double", DIAGRAM_DOUBLES)
-def test_diagram_bracket_counts(spec, expected_double):
-    s = parse_position_set(spec)
-    assert 2 * bracket_count(s, DIAGRAM_PARTITION) == expected_double
-    assert 2 * bracket_count_via_aug_def(s, DIAGRAM_PARTITION) == expected_double
 
 
 def test_bracket_count_edge_cases():
