@@ -156,7 +156,8 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
             _emit(payload, output)
             return
         word = parse_word(word_spec)
-        report = candidate_pole_report(word)
+        # a word with more refining matchings than are enumerated exits 3
+        report = _compute(candidate_pole_report, word)
         payload = {
             "config": {"word": word_spec},
             "refining_partitions": report["refining_count"],

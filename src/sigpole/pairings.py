@@ -13,6 +13,7 @@ Text formats (shared with the CLI):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +22,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidPairError,
     ParseError,
+    SizeError,
 )
 
 __all__ = [
@@ -275,6 +277,10 @@ def refines(partition: PairPartition, word: Word) -> bool:
     return all(letters[a - 1] == letters[b - 1] for a, b in partition.pairs)
 
 
+# 13!!: every matching of [1, 14]
+_MAX_REFINING = 135_135
+
+
 def _pairings_of(block: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
     """All perfect matchings of an even-sized block, smallest element leading."""
     if not block:
@@ -291,11 +297,18 @@ def enumerate_refining(word: Word) -> list[PairPartition]:
     """All pair partitions refining the word, in canonical lexicographic order.
 
     Empty (not an error) when some letter occurs an odd number of times.
-    The count is the product of (|block| - 1)!! over the level-set blocks.
+    The count is the product of (|block| - 1)!! over the level-set blocks;
+    SizeError refuses a count above 13!! = 135,135 before any is built.
     """
     blocks = [sorted(b) for b in word.level_sets]
     if any(len(b) % 2 for b in blocks):
         return []
+    count = math.prod(double_factorial(len(b) - 1) for b in blocks)
+    if count > _MAX_REFINING:
+        raise SizeError(
+            f"word has {count} refining pair partitions, "
+            f"more than the {_MAX_REFINING} enumerated"
+        )
     out = [
         PairPartition(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*(_pairings_of(b) for b in blocks))

@@ -237,30 +237,27 @@ def candidate_pole_report(word: Word) -> dict:
     Each refining partition's pole set is computed once; the union merges
     them in one pass, the earliest partition's witness winning.
     ``contributions`` lists the union's contributions, each with the
-    ``pairs`` of the partition its witness set was computed on.
+    ``pairs`` of the partition its witness set was computed on: the first
+    one that contributes the progression.
     """
     refining = enumerate_refining(word)
     pole_sets = [candidate_poles(p) for p in refining]
-    per_partition = [
-        {
-            "partition": p,
-            "pole_set": ps,
-            "contributions": ps.contribution_records(),
-        }
-        for p, ps in zip(refining, pole_sets)
-    ]
     union = PoleSet([]).union(*pole_sets)
-    first: dict = {}
-    for row in per_partition:
-        pairs = format_pairs(row["partition"])
-        for (pr, _w), rec in zip(row["pole_set"].contributions, row["contributions"]):
-            if pr not in first:
-                first[pr] = {**rec, "pairs": pairs}
+    source: dict = {}
+    for p, ps in zip(refining, pole_sets):
+        for pr, _w in ps.contributions:
+            source.setdefault(pr, p)
+    contributions = [
+        {**rec, "pairs": format_pairs(source[pr])}
+        for (pr, _w), rec in zip(union.contributions, union.contribution_records())
+    ]
     return {
         "word": format_word(word),
         "refining_count": len(refining),
         "union": union,
-        "contributions": [first[pr] for pr, _w in union.contributions],
-        "per_partition": per_partition,
+        "contributions": contributions,
+        "per_partition": [
+            {"partition": p, "pole_set": ps} for p, ps in zip(refining, pole_sets)
+        ],
         "note": None if refining else "no refining pair partitions",
     }

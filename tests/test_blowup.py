@@ -1,6 +1,7 @@
 """Blowup machinery: gap functions, witnesses, Jacobians, inversion, pullback."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,36 @@ def test_f_inverse_exact_n4():
         assert chart.omega_contains(y)
 
 
+def pin_targets(count: int, n: int) -> np.ndarray:
+    return np.random.default_rng(808).random((count, n)) * 0.999 + 5e-4
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_f_inverse_exact_points_pinned():
+    # sha256 of repr of the dyadic preimages: the exact polish starts from
+    # the float homotopy, so this pins both stages
+    ys = BlowupChart(4).F_inverse_exact_batch(pin_targets(5, 4))
+    assert sha256(repr(ys)) == (
+        "c41538511ba40a40b3cb3070d22fe03290f27effd64b1cc4cd816b2f4096e2fe"
+    )
+
+
+# sha256 of the space-joined float.hex of F_inverse_batch on 20 targets
+F_INVERSE_BITS = [
+    (2, "69b70365696de3813dbad6d36b23601869be60f3bc1e6e34cead86c186b9517e"),
+    (3, "ca931c7ac1eaf17d9c01e96330ea3c7b3401c5184e385f5e3f56fd79786439ef"),
+]
+
+
+@pytest.mark.parametrize("n,digest", F_INVERSE_BITS)
+def test_f_inverse_float_bits_pinned(n, digest):
+    ys = BlowupChart(n).F_inverse_batch(pin_targets(20, n))
+    assert sha256(" ".join(v.hex() for v in ys.ravel().tolist())) == digest
+
+
 def test_f_inverse_rejects_boundary_targets():
     chart = BlowupChart(2)
     with pytest.raises(DomainError):
@@ -299,7 +330,7 @@ def test_forms_from_flag_matches_direct():
 
 def test_flag_ranges_guard_beyond_probing_limit():
     with pytest.raises(NumericError):
-        BlowupChart(5).flag_ranges(probes=64)
+        BlowupChart(5).flag_ranges()
 
 
 # float.hex of flag_ranges() (lo then hi, by rank); how the Newton step

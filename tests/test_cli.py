@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None):
+def run_cli(*args: str, env_extra: dict | None = None, timeout: float | None = None):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH", "")]))
     env.pop("SIGPOLE_SEED", None)
@@ -31,6 +31,7 @@ def run_cli(*args: str, env_extra: dict | None = None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -141,6 +142,18 @@ def test_eval_domain_error_exit_3():
     out = run_cli("eval", "--pairs", "1-2", "--H", "0.4", "--method", "adaptive")
     assert out.returncode == 3
     assert "outside convergent region" in out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("poles", "--word", ",".join(["1"] * 16)),
+    ("gamma-table", "--k", "8", "--d", "1", "--H", "0.8"),
+])
+def test_huge_word_enumeration_exit_3(args):
+    # 1^16 has 15!! = 2,027,025 refining matchings: refused before any is
+    # built, so the command ends well inside the timeout
+    out = run_cli(*args, timeout=10)
+    assert out.returncode == 3, out.stderr
+    assert "refining pair partitions" in out.stderr
 
 
 def test_eval_closed_form_declines_crossing():

@@ -129,18 +129,6 @@ def test_deficiency_examples():
     assert deficiency(Interval(14, 14), p) == PositionSet([])
 
 
-def exhaustive_sets(size: int):
-    for bits in range(1 << size):
-        yield PositionSet(p for p in range(1, size + 1) if bits >> (p - 1) & 1)
-
-
-@pytest.mark.parametrize("size", [2, 4, 6])
-def test_identity_exhaustive_small(size):
-    for p in all_pair_partitions(size):
-        for s in exhaustive_sets(size):
-            assert bracket_count(s, p) == bracket_count_via_aug_def(s, p)
-
-
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_identity_randomized_larger(data):

@@ -56,12 +56,6 @@ def test_progression_subset_relation():
     assert not fine.is_subset_of(incomm)
 
 
-@pytest.mark.parametrize("spec,offset,step", DIAGRAM_PROGRESSIONS)
-def test_diagram_contributed_progressions(spec, offset, step):
-    pr = progression_of_set(DIAGRAM_PARTITION, parse_position_set(spec))
-    assert pr == RationalProgression(offset, step)
-
-
 def test_progression_of_set_zero_bracket():
     assert progression_of_set(DIAGRAM_PARTITION, PositionSet([1])) is None
 

@@ -171,7 +171,7 @@ def test_candidate_pole_report_structure():
     rep = candidate_pole_report(parse_word("1,1"))
     assert rep["refining_count"] == 1
     assert rep["union"].max_offset is not None
-    assert rep["per_partition"][0]["contributions"]
+    assert rep["per_partition"][0]["pole_set"].contributions
     rep0 = candidate_pole_report(parse_word("1,2,2,3"))
     assert rep0["refining_count"] == 0
     assert rep0["note"] == "no refining pair partitions"
