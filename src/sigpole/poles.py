@@ -3,8 +3,9 @@
 Everything here is arbitrary-precision rational arithmetic; no floating point
 enters this module.  A candidate pole of the continuation attached to a pair
 partition P is a rational of the form 1 - (|S| + l) / (2 [S|P]) with l >= 0,
-for a position set S with positive bracket count.  No claim is made that the
-candidates are actual poles.
+for a position set S with positive bracket count, so one progression of
+candidates is the integer pair (|S|, 2[S|P]); its offset and step are exact
+Fractions.  No claim is made that the candidates are actual poles.
 
 One enumerator finds the realized pairs (|S|, 2[S|P]) at every size: a
 dynamic program over families of pairwise nonadjacent intervals.  Such
@@ -44,41 +45,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RationalProgression:
-    """The decreasing progression {offset - step*l : l = 0, 1, 2, ...}."""
+    """The decreasing progression {1 - (size + l)/denom : l = 0, 1, 2, ...}.
 
-    offset: Fraction
-    step: Fraction
+    A set S gives size |S| and denom 2[S|P]; offset and step read as Fractions.
+    """
+
+    size: int
+    denom: int
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise DomainError(f"progression step must be positive, got {self.step}")
-        # pole sets hash every progression several times; Fraction hashing is slow
-        object.__setattr__(self, "_hash", hash((self.offset, self.step)))
+        if self.denom < 1:
+            raise DomainError(f"progression denominator {self.denom} is not positive")
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.denom - self.size, self.denom)
+
+    @property
+    def step(self) -> Fraction:
+        return Fraction(1, self.denom)
 
     def __contains__(self, x) -> bool:
         return self.index_of(x) is not None
 
     def index_of(self, x) -> int | None:
-        """The l with offset - step*l == x, or None."""
-        l = (self.offset - Fraction(x)) / self.step
+        """The l with 1 - (size + l)/denom == x, or None."""
+        l = self.denom * (1 - Fraction(x)) - self.size
         if l >= 0 and l.denominator == 1:
             return int(l)
         return None
 
     def is_subset_of(self, other: RationalProgression) -> bool:
-        """step / other.step and (other.offset - offset) / other.step are
-        nonnegative integers; tested on numerators and denominators."""
-        s, t = self.step, other.step
-        if (s.numerator * t.denominator) % (s.denominator * t.numerator):
-            return False
-        a, b = self.offset, other.offset
-        num = (b.numerator * a.denominator - a.numerator * b.denominator) * t.denominator
-        return num >= 0 and num % (a.denominator * b.denominator * t.numerator) == 0
+        """denom divides other.denom, and the offset is a member of other."""
+        return (
+            other.denom % self.denom == 0
+            and self.size * (other.denom // self.denom) >= other.size
+        )
 
     def as_record(self) -> dict[str, str]:
         return {"offset": str(self.offset), "step": str(self.step)}
@@ -88,56 +92,36 @@ class RationalProgression:
 
 
 class PoleSet:
-    """A finite union of rational progressions.
+    """A finite union of rational progressions, each with a witness set.
 
-    Two views are kept.  ``contributions`` lists every distinct progression
-    as contributed, with the witness position set whose bracket count
-    produced it.  ``progressions`` is the canonical merged form: a
-    progression whose offset lies in a kept one with an integer step ratio
-    is absorbed, so no stored progression is a subset of another.  Both are
+    Two views are kept.  ``contributions`` lists every progression with the
+    witness position set whose bracket count produced it.  ``progressions``
+    is the canonical merged form: a progression contained in a kept one is
+    absorbed, so no stored progression is a subset of another.  Both are
     sorted by descending offset, then ascending step.  Equality compares the
     merged form (the two views describe the same set of numbers).
     """
 
     __slots__ = ("progressions", "contributions", "witnesses")
 
-    def __init__(
-        self,
-        progressions: Iterable[RationalProgression],
-        witnesses: Mapping[RationalProgression, PositionSet] | None = None,
-    ):
-        witnesses = witnesses or {}
-        distinct = set(progressions)
-        # over common denominators every comparison in the sorts is of integers
-        lo = math.lcm(*(pr.offset.denominator for pr in distinct))
-        ls = math.lcm(*(pr.step.denominator for pr in distinct))
-        key = {
-            pr: (
-                -pr.offset.numerator * (lo // pr.offset.denominator),
-                pr.step.numerator * (ls // pr.step.denominator),
-            )
-            for pr in distinct
-        }
-        distinct = sorted(distinct, key=key.__getitem__)
-        if distinct and distinct[0].offset > Fraction(1, 2):
-            raise DomainError(f"candidate offset {distinct[0].offset} exceeds 1/2")
+    def __init__(self, witnesses: Mapping[RationalProgression, PositionSet]):
+        # over one common denominator, offsets compare as integer ranks
+        lcm = math.lcm(*(pr.denom for pr in witnesses))
+        rank = {pr: pr.size * (lcm // pr.denom) for pr in witnesses}
+        contributions = tuple(
+            sorted(witnesses.items(), key=lambda kv: (rank[kv[0]], -kv[0].denom))
+        )
         kept: list[RationalProgression] = []
         # finest steps first so any potential absorber is already kept
-        for pr in sorted(distinct, key=lambda pr: key[pr][::-1]):
+        for pr in sorted(witnesses, key=lambda pr: (-pr.denom, rank[pr])):
             if not any(pr.is_subset_of(a) for a in kept):
                 kept.append(pr)
         kept_set = set(kept)
         object.__setattr__(
-            self, "progressions", tuple(pr for pr in distinct if pr in kept_set)
+            self, "progressions", tuple(pr for pr, _ in contributions if pr in kept_set)
         )
-        object.__setattr__(
-            self,
-            "contributions",
-            tuple((pr, witnesses.get(pr)) for pr in distinct),
-        )
-        object.__setattr__(
-            self, "witnesses", {pr: w for pr, w in self.contributions if w is not None}
-        )
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "witnesses", dict(contributions))
 
     def __setattr__(self, *a):
         raise AttributeError("PoleSet is immutable")
@@ -168,24 +152,19 @@ class PoleSet:
 
     def union(self, *others: PoleSet) -> PoleSet:
         """One merge of this set with the others; the earliest witness wins."""
-        parts = (self, *others)
         witnesses: dict[RationalProgression, PositionSet] = {}
-        for ps in reversed(parts):
+        for ps in reversed((self, *others)):
             witnesses.update(ps.witnesses)
-        return PoleSet([pr for ps in parts for pr, _ in ps.contributions], witnesses)
+        return PoleSet(witnesses)
 
     def as_records(self) -> list[dict[str, str]]:
         return [pr.as_record() for pr in self.progressions]
 
     def contribution_records(self) -> list[dict]:
-        out = []
-        for pr, w in self.contributions:
-            rec = pr.as_record()
-            if w is not None:
-                rec["set"] = format_position_set(w)
-                rec["set_size"] = len(w)
-            out.append(rec)
-        return out
+        return [
+            {**pr.as_record(), "set": format_position_set(w), "set_size": len(w)}
+            for pr, w in self.contributions
+        ]
 
     def __repr__(self) -> str:
         return f"PoleSet({len(self.progressions)} progressions, max={self.max_offset})"
@@ -203,11 +182,7 @@ def progression_of_set(
             f"set {format_position_set(s)} leaves the positions 1..{partition.size}"
         )
     c = bracket_count(s, partition)
-    if c == 0:
-        return None
-    return RationalProgression(
-        Fraction(1) - Fraction(len(s), 2 * c), Fraction(1, 2 * c)
-    )
+    return RationalProgression(len(s), 2 * c) if c else None
 
 
 def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
@@ -256,18 +231,20 @@ def candidate_poles(partition: PairPartition) -> PoleSet:
     the bitmask order (position p is bit p-1); distinct progressions come
     from distinct pairs (|S|, 2[S|P]).
     """
-    progressions = []
-    witnesses = {}
-    for (size, c2), mask in _realized(partition).items():
-        pr = RationalProgression(Fraction(c2 - size, c2), Fraction(1, c2))
-        progressions.append(pr)
-        witnesses[pr] = _mask_to_set(mask)
-    return PoleSet(progressions, witnesses)
+    ps = PoleSet({
+        RationalProgression(*key): _mask_to_set(mask)
+        for key, mask in _realized(partition).items()
+    })
+    # [S|P] <= |S| for pair partitions: each pair interval inside S has its
+    # right end in S, so no offset 1 - |S|/(2[S|P]) exceeds 1/2
+    if ps and ps.max_offset > Fraction(1, 2):
+        raise DomainError(f"candidate offset {ps.max_offset} exceeds 1/2")
+    return ps
 
 
 def candidate_poles_for_word(word: Word) -> PoleSet:
     """Union of candidate_poles over all pair partitions refining the word."""
-    return PoleSet([]).union(*(candidate_poles(p) for p in enumerate_refining(word)))
+    return PoleSet({}).union(*(candidate_poles(p) for p in enumerate_refining(word)))
 
 
 def is_candidate(
@@ -280,14 +257,12 @@ def is_candidate(
     if hit is None:
         return False, None
     pr, l = hit
-    witness_set = ps.witnesses.get(pr)
+    witness_set = ps.witnesses[pr]
     return True, {
         "progression": pr,
         "l": l,
         "set": witness_set,
-        "bracket_count": None
-        if witness_set is None
-        else bracket_count(witness_set, partition),
+        "bracket_count": bracket_count(witness_set, partition),
     }
 
 
@@ -331,20 +306,14 @@ class HyperplaneFamily:
         """Set every supported exponent to 2H - 2 and solve for H.
 
         |S| + c*(2H - 2) in the nonpositive integers gives the progression
-        with offset 1 - |S|/(2c) and step 1/(2c).
+        (|S|, 2c), that is 1 - (|S| + l)/(2c).
         """
-        progressions = []
-        witnesses = {}
-        for s, triggers in sorted(
-            self.entries.items(), key=lambda kv: sorted(kv[0])
-        ):
-            c = len(triggers)
-            pr = RationalProgression(
-                Fraction(1) - Fraction(len(s), 2 * c), Fraction(1, 2 * c)
-            )
-            progressions.append(pr)
-            witnesses.setdefault(pr, PositionSet(s))
-        return PoleSet(progressions, witnesses)
+        # later sets overwrite, so each witness is the first set in sorted order
+        entries = sorted(self.entries.items(), key=lambda kv: sorted(kv[0]))
+        return PoleSet({
+            RationalProgression(len(s), 2 * len(t)): PositionSet(s)
+            for s, t in reversed(entries)
+        })
 
 
 def hyperplane_candidates(

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, SizeError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import PoleSet, candidate_poles
 from .quadrature import EvalResult, evaluator_by_name
@@ -189,6 +189,10 @@ class GammaTable:
         }
 
 
+# a table keeps and prints one entry for each of its d^(2k) words
+_MAX_TABLE_WORDS = 2**20
+
+
 def gamma_table(
     k: int,
     d: int,
@@ -200,10 +204,17 @@ def gamma_table(
     """Coefficients for every word of length 2k over the alphabet [1, d].
 
     Words sharing a level-set partition share a value, so the integral is
-    computed once per canonical relabeling class.
+    computed once per canonical relabeling class.  SizeError refuses more
+    than 2^20 words before any is evaluated.
     """
     if k < 1 or d < 1:
         raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
+    # with d >= 2, every k > 10 is past the limit; skip the huge power
+    if d > 1 and (k > 10 or d ** (2 * k) > _MAX_TABLE_WORDS):
+        raise SizeError(
+            f"gamma table over {d}^{2 * k} words refused: "
+            f"more than the {_MAX_TABLE_WORDS} tabulated"
+        )
     by_class: dict[tuple[int, ...], EvalResult] = {}
     entries: dict[tuple[int, ...], EvalResult] = {}
     for letters in _all_words(k, d):
@@ -242,7 +253,7 @@ def candidate_pole_report(word: Word) -> dict:
     """
     refining = enumerate_refining(word)
     pole_sets = [candidate_poles(p) for p in refining]
-    union = PoleSet([]).union(*pole_sets)
+    union = PoleSet({}).union(*pole_sets)
     source: dict = {}
     for p, ps in zip(refining, pole_sets):
         for pr, _w in ps.contributions:

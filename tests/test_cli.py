@@ -156,6 +156,14 @@ def test_huge_word_enumeration_exit_3(args):
     assert "refining pair partitions" in out.stderr
 
 
+def test_huge_gamma_table_exit_3():
+    # 33^4 = 1,185,921 words is past the 2^20 limit: refused before any word
+    # is evaluated, so the command ends well inside the timeout
+    out = run_cli("gamma-table", "--k", "2", "--d", "33", "--H", "0.8", timeout=10)
+    assert out.returncode == 3, out.stderr
+    assert "words refused" in out.stderr
+
+
 def test_eval_closed_form_declines_crossing():
     args = ["eval", "--pairs", "1-3,2-4", "--H", "0.8", "--method", "closed-form"]
     out = CliRunner().invoke(cli.main, args)
