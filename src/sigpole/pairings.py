@@ -1,8 +1,10 @@
 """Words, pair partitions, position sets and the interval bookkeeping on [1, 2k].
 
 Positions are 1-based throughout; the 0-based convention appears only in array
-code at serialization or numeric boundaries.  All objects are immutable after
-construction and safe to share between threads.
+code at serialization or numeric boundaries.  A position set is one int
+bitmask, bit p-1 for position p, and only PositionSet and Interval know that
+format; positions are bounded by 2^16 so no mask exceeds 8 KB.  All objects
+are immutable after construction and safe to share between threads.
 
 Text formats (shared with the CLI):
 
@@ -13,7 +15,7 @@ Text formats (shared with the CLI):
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +50,10 @@ __all__ = [
 ]
 
 
+# the largest position; a mask of positions up to it is at most 8 KB
+_MAX_POSITION = 1 << 16
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Integer interval [lo, hi]; the singleton [n] is Interval(n, n)."""
@@ -58,6 +64,8 @@ class Interval:
     def __post_init__(self) -> None:
         if not (1 <= self.lo <= self.hi):
             raise InvalidPairError(f"bad interval bounds [{self.lo}, {self.hi}]")
+        if self.hi > _MAX_POSITION:
+            raise InvalidPairError(f"position {self.hi} exceeds {_MAX_POSITION}")
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -68,8 +76,9 @@ class Interval:
     def members(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def issubset(self, members: frozenset[int]) -> bool:
-        return all(p in members for p in self.members())
+    @property
+    def mask(self) -> int:
+        return ((1 << len(self)) - 1) << (self.lo - 1)
 
     def __str__(self) -> str:
         return str(self.lo) if self.lo == self.hi else f"{self.lo}-{self.hi}"
@@ -205,47 +214,63 @@ class PairPartition:
 
 
 class PositionSet:
-    """A subset of [1, 2k] together with its maximal interval decomposition.
+    """A subset of [1, 2k], stored as one int mask: bit p-1 for position p.
 
-    Consecutive maximal intervals are separated by a gap of at least one
-    missing position, so any interval contained in the set is contained in a
-    single component.
+    Its maximal interval decomposition separates consecutive intervals by a
+    gap of at least one missing position, so any interval contained in the
+    set is contained in a single component.
     """
 
-    __slots__ = ("members", "maximal_intervals")
+    __slots__ = ("mask",)
 
     def __init__(self, members: Iterable[int]):
-        mem = frozenset(int(p) for p in members)
-        if any(p < 1 for p in mem):
-            raise InvalidPairError("positions must be >= 1")
-        object.__setattr__(self, "members", mem)
-        runs: list[list[int]] = []
-        for p in sorted(mem):
-            if runs and p == runs[-1][1] + 1:
-                runs[-1][1] = p
-            else:
-                runs.append([p, p])
-        object.__setattr__(
-            self, "maximal_intervals", tuple(Interval(lo, hi) for lo, hi in runs)
-        )
+        mask = 0
+        for p in members:
+            p = int(p)
+            if p < 1:
+                raise InvalidPairError("positions must be >= 1")
+            if p > _MAX_POSITION:
+                raise InvalidPairError(f"position {p} exceeds {_MAX_POSITION}")
+            mask |= 1 << (p - 1)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_mask(cls, mask: int) -> PositionSet:
+        if mask < 0 or mask.bit_length() > _MAX_POSITION:
+            raise InvalidPairError(f"mask is not a set of positions 1..{_MAX_POSITION}")
+        s = cls.__new__(cls)
+        object.__setattr__(s, "mask", mask)
+        return s
 
     def __setattr__(self, *a):
         raise AttributeError("PositionSet is immutable")
 
+    @property
+    def maximal_intervals(self) -> tuple[Interval, ...]:
+        runs: list[list[int]] = []
+        for p in self:
+            if runs and p == runs[-1][1] + 1:
+                runs[-1][1] = p
+            else:
+                runs.append([p, p])
+        return tuple(Interval(lo, hi) for lo, hi in runs)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, p: int) -> bool:
-        return p in self.members
+        return p >= 1 and bool(self.mask >> (p - 1) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        # character i of the reversed binary string is bit i, position i + 1
+        bits = f"{self.mask:b}"[::-1]
+        return (p for p, bit in enumerate(bits, start=1) if bit == "1")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PositionSet) and self.members == other.members
+        return isinstance(other, PositionSet) and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash(self.members)
+        return hash(self.mask)
 
     def __repr__(self) -> str:
         return f"PositionSet({format_position_set(self)!r})"
@@ -303,12 +328,11 @@ def enumerate_refining(word: Word) -> list[PairPartition]:
     blocks = [sorted(b) for b in word.level_sets]
     if any(len(b) % 2 for b in blocks):
         return []
-    count = math.prod(double_factorial(len(b) - 1) for b in blocks)
-    if count > _MAX_REFINING:
-        raise SizeError(
-            f"word has {count} refining pair partitions, "
-            f"more than the {_MAX_REFINING} enumerated"
-        )
+    # the running product stops at the limit: the full count can have
+    # thousands of digits
+    factors = (f for b in blocks for f in range(len(b) - 1, 1, -2))
+    if any(c > _MAX_REFINING for c in itertools.accumulate(factors, operator.mul)):
+        raise SizeError(f"word has more than {_MAX_REFINING} refining pair partitions")
     out = [
         PairPartition(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*(_pairings_of(b) for b in blocks))
@@ -338,8 +362,8 @@ def bracket_count(s: PositionSet, partition: PairPartition) -> int:
 
     Counted with multiplicity over the multiset image.
     """
-    members = s.members
-    return sum(1 for iv in partition.interval_image if iv.issubset(members))
+    mask = s.mask
+    return sum(1 for iv in partition.interval_image if mask & iv.mask == iv.mask)
 
 
 def augmentation(iv: Interval, partition: PairPartition) -> PositionSet:
@@ -351,13 +375,13 @@ def augmentation(iv: Interval, partition: PairPartition) -> PositionSet:
     if iv.lo >= 2 and iv.lo - 1 <= partition.size:
         left = iv.lo - 1
         if left in partition._partner and partition.partner(left) in iv:
-            return PositionSet(list(iv.members()) + [left])
-    return PositionSet(iv.members())
+            return PositionSet.from_mask(Interval(left, iv.hi).mask)
+    return PositionSet.from_mask(iv.mask)
 
 
 def deficiency(iv: Interval, partition: PairPartition) -> PositionSet:
     """Elements of the interval not paired with an element of its augmentation."""
-    aug = augmentation(iv, partition).members
+    aug = augmentation(iv, partition)
     return PositionSet(
         p for p in iv.members() if partition.partner(p) not in aug
     )
@@ -416,7 +440,7 @@ def parse_pairs(text: str) -> PairPartition:
 
 def parse_position_set(text: str) -> PositionSet:
     """Parse "2-8,10-11,13-17" (singletons bare, e.g. "12") into a PositionSet."""
-    members: list[int] = []
+    mask = 0
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
@@ -424,20 +448,17 @@ def parse_position_set(text: str) -> PositionSet:
         parts = tok.split("-")
         try:
             if len(parts) == 1:
-                members.append(int(parts[0]))
+                lo = hi = int(parts[0])
             elif len(parts) == 2:
                 lo, hi = int(parts[0]), int(parts[1])
-                if lo > hi:
-                    raise ParseError(f"descending interval {tok!r} in {text!r}")
-                members.extend(range(lo, hi + 1))
             else:
                 raise ParseError(f"bad interval token {tok!r} in {text!r}")
+            mask |= Interval(lo, hi).mask
+        except InvalidPairError as exc:
+            raise ParseError(f"bad position set {text!r}: {exc}") from exc
         except ValueError as exc:
             raise ParseError(f"bad interval token {tok!r} in {text!r}") from exc
-    try:
-        return PositionSet(members)
-    except InvalidPairError as exc:
-        raise ParseError(f"bad position set {text!r}: {exc}") from exc
+    return PositionSet.from_mask(mask)
 
 
 def format_word(word: Word) -> str:

@@ -13,7 +13,8 @@ families are in bijection with position sets through the maximal interval
 decomposition, and [S|P] adds over it, so the work stays polynomial in 2k.
 Each realized pair is witnessed by its least position set in the bitmask
 order (position p is bit p-1), so witnesses do not depend on how the sets
-were enumerated.
+were enumerated.  The enumerator works on those masks, which are the storage
+format of PositionSet, so each witness is wrapped in O(1) with no conversion.
 """
 from __future__ import annotations
 
@@ -177,7 +178,7 @@ def progression_of_set(
 
     Raises DimensionError when the set reaches past the partition's size.
     """
-    if s.maximal_intervals and s.maximal_intervals[-1].hi > partition.size:
+    if s.mask.bit_length() > partition.size:
         raise DimensionError(
             f"set {format_position_set(s)} leaves the positions 1..{partition.size}"
         )
@@ -220,10 +221,6 @@ def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
     return {key: mask for key, mask in reach[1].items() if key[1] > 0}
 
 
-def _mask_to_set(mask: int) -> PositionSet:
-    return PositionSet(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
-
-
 def candidate_poles(partition: PairPartition) -> PoleSet:
     """Union of progressions 1 - (|S|+l)/(2[S|P]) over sets with [S|P] > 0.
 
@@ -232,7 +229,7 @@ def candidate_poles(partition: PairPartition) -> PoleSet:
     from distinct pairs (|S|, 2[S|P]).
     """
     ps = PoleSet({
-        RationalProgression(*key): _mask_to_set(mask)
+        RationalProgression(*key): PositionSet.from_mask(mask)
         for key, mask in _realized(partition).items()
     })
     # [S|P] <= |S| for pair partitions: each pair interval inside S has its

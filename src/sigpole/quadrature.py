@@ -309,7 +309,7 @@ def l_pullback_mc(
     widths = xi_hi - xi_lo
     # exponent on each affine form: |S| - 1 + 2(H-1)[S|P], plus one for the
     # forms folded out of the positive factor R = det(A) * prod f_S
-    iv_masks = [chart.mask_of(iv.members()) for iv in partition.interval_image]
+    iv_masks = [iv.mask for iv in partition.interval_image]
     f_expo = np.empty(len(chart.masks))
     brackets = np.empty(len(chart.masks))
     for j, m in enumerate(chart.masks):

@@ -73,7 +73,7 @@ class CheckResult:
 
 def _all_subsets(size: int):
     for bits in range(1 << size):
-        yield PositionSet(p for p in range(1, size + 1) if bits >> (p - 1) & 1)
+        yield PositionSet.from_mask(bits)
 
 
 # -- combinatorics ----------------------------------------------------------
@@ -114,7 +114,7 @@ def _check_additivity(quick: bool):
     for size in sizes:
         for p in all_pair_partitions(size):
             for s in _all_subsets(size):
-                parts = [PositionSet(iv.members()) for iv in s.maximal_intervals]
+                parts = [PositionSet.from_mask(iv.mask) for iv in s.maximal_intervals]
                 if bracket_count(s, p) != sum(bracket_count(t, p) for t in parts):
                     return False, f"additivity fails: {p!r}, {s!r}"
     return True, f"exhaustive at 2k in {sizes}"

@@ -404,3 +404,24 @@ def test_cli_import_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ("poles", "--word", ",".join(["1"] * 3200)),
+    ("mean-sig", "--word", ",".join(["1"] * 3200), "--H", "0.8"),
+    ("gamma-table", "--k", "1600", "--d", "1", "--H", "0.8"),
+])
+def test_refining_count_past_str_digit_limit_exit_3(args):
+    # 3199!! has more digits than int -> str allows: the limit check stops
+    # multiplying once past 135135 and never prints the count
+    out = run_cli(*args, timeout=10)
+    assert out.returncode == 3, out.stderr
+    assert "more than 135135 refining pair partitions" in out.stderr
+
+
+@pytest.mark.parametrize("set_spec", ["5000000000000", "1-4000000000"])
+def test_huge_position_set_exit_2(set_spec):
+    # refused at the position bound before any mask is built
+    out = run_cli("poles", "--pairs", "1-2", "--set", set_spec, timeout=10)
+    assert out.returncode == 2, out.stderr
+    assert "exceeds 65536" in out.stderr

@@ -200,3 +200,47 @@ def test_partition_reflection():
     q = p.reversed()
     assert q == PairPartition([(5, 10), (7, 9), (4, 8), (2, 6), (1, 3)])
     assert q.reversed() == p
+
+
+def test_position_set_mask_format():
+    for m in range(1 << 12):
+        s = PositionSet.from_mask(m)
+        positions = list(s)
+        assert positions == sorted(positions)
+        assert s == PositionSet(positions) and hash(s) == hash(PositionSet(positions))
+        assert s.mask == m and len(s) == m.bit_count()
+        assert all(p in s for p in positions) and 0 not in s and -1 not in s
+        assert parse_position_set(format_position_set(s)) == s
+        runs = s.maximal_intervals
+        assert [p for iv in runs for p in iv.members()] == positions
+        # maximal: consecutive runs are gapped by at least one missing position
+        for a, b in itertools.pairwise(runs):
+            assert b.lo - a.hi >= 2
+
+
+def test_position_bound():
+    top = 1 << 16
+    assert Interval(top, top).mask == 1 << (top - 1)
+    assert PositionSet([top]) == PositionSet.from_mask(1 << (top - 1))
+    with pytest.raises(InvalidPairError):
+        Interval(1, top + 1)
+    with pytest.raises(InvalidPairError):
+        PositionSet([top + 1])
+    for bad in (-1, 1 << top):
+        with pytest.raises(InvalidPairError):
+            PositionSet.from_mask(bad)
+    with pytest.raises(InvalidPairError, match="must be >= 1"):
+        PositionSet([0])
+    for spec in (str(top + 1), f"1-{top + 1}", "1-4000000000"):
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_position_set(spec)
+
+
+@pytest.mark.parametrize("size", [2, 4, 6, 8])
+def test_bracket_count_matches_interval_containment(size):
+    for p in all_pair_partitions(size):
+        image = [set(iv.members()) for iv in p.interval_image]
+        for bits in range(1 << size):
+            members = {q for q in range(1, size + 1) if bits >> (q - 1) & 1}
+            expected = sum(1 for iv in image if iv <= members)
+            assert bracket_count(PositionSet(members), p) == expected, (p, members)

@@ -284,3 +284,21 @@ def test_pole_outputs_pinned():
     assert h.hexdigest() == (
         "3e1320ceef4c30af4cf765afd46c7b31c965a3d0aa545d09c078bc1180085a4c"
     )
+
+
+def test_candidate_poles_wraps_witness_masks(monkeypatch):
+    # witnesses come straight from the enumerator's masks: no set is rebuilt
+    # position by position
+    calls = []
+    init = PositionSet.__init__
+
+    def counting_init(self, members):
+        calls.append(1)
+        init(self, members)
+
+    monkeypatch.setattr(PositionSet, "__init__", counting_init)
+    witnesses = 0
+    for size in (2, 4, 6, 8, 10):
+        for p in all_pair_partitions(size):
+            witnesses += len(candidate_poles(p).contributions)
+    assert witnesses > 0 and not calls
