@@ -278,10 +278,6 @@ class BlowupChart:
             self._ps_idx.append([index(holds[i] - supersets) for i in mem])
         self._r_exact_terms: list[tuple[int, list[int]]] | None = None
 
-    def descriptor(self) -> dict:
-        """JSON-ready chart description: dimension and gap values."""
-        return {"n": self.n, "q": [self.q(r) for r in range(self.n + 1)]}
-
     # -- subset plumbing ----------------------------------------------------
 
     def mask_of(self, s: Iterable[int]) -> int:

@@ -6,8 +6,11 @@ version, the run configuration and the provenance of each number.  Exit
 codes: 0 success, 1 verification failure, 2 usage or parse error, 3 domain
 error (for instance a Hurst parameter outside the convergent region).
 
-Identical configurations (seed and worker count included) produce byte
-identical output; the default seed can be overridden with SIGPOLE_SEED.
+eval, mean-sig and gamma-table share one option set (--H, --method,
+--samples, --seed, --tol, --workers) and one runner.  The seed is --seed,
+else SIGPOLE_SEED, else the FBM0 default; a stochastic route gets the
+samples, seed and workers, adaptive gets tol.  Identical configurations (seed
+and worker count included) produce byte identical output.
 """
 from __future__ import annotations
 
@@ -18,11 +21,10 @@ import sys
 import click
 
 from . import __version__
-from .blowup import BlowupChart, GapFunction
 from .errors import DimensionError, DomainError, NumericError, ParseError, SizeError
 from .pairings import format_position_set, parse_pairs, parse_position_set, parse_word
 from .poles import candidate_poles, progression_of_set
-from .quadrature import DEFAULT_SEED, STOCHASTIC_METHODS, evaluator_by_name
+from .quadrature import DEFAULT_SEED, ROUTES, STOCHASTIC_METHODS
 from .signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -35,16 +37,6 @@ from .verify import available_suites, run_suite
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-
-def _default_seed() -> int:
-    env = os.environ.get("SIGPOLE_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise click.UsageError(f"SIGPOLE_SEED={env!r} is not an integer")
-    return DEFAULT_SEED
 
 
 def _emit(payload: dict, output: str) -> None:
@@ -63,16 +55,6 @@ def _emit(payload: dict, output: str) -> None:
         raise click.UsageError(f"unsupported output format {output!r}")
 
 
-def _evaluator_kwargs(
-    method: str, samples: int, seed: int, tol: float, workers: int
-) -> dict:
-    if method in STOCHASTIC_METHODS:
-        return {"samples": samples, "seed": seed, "workers": workers}
-    if method == "adaptive":
-        return {"tol": tol}
-    return {}
-
-
 def _compute(fn, *args, **kwargs):
     """fn(*args, **kwargs), exiting with EXIT_DOMAIN on a domain, size or
     numeric error."""
@@ -88,23 +70,61 @@ def _provenance(results) -> str:
     return "stochastic" if stochastic else "deterministic"
 
 
-def _parse_gap(qspec: str, n: int) -> GapFunction | None:
-    if qspec == "3^r":
-        return None  # chart default
+def _parse(parse, spec: str):
     try:
-        values = [int(tok) for tok in qspec.split(",")]
-        return GapFunction(values[: n + 1])
-    except (ValueError, DomainError) as exc:
-        raise click.UsageError(f"bad gap function spec {qspec!r}: {exc}")
+        return parse(spec)
+    except ParseError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _evaluate(fn, args, config, method, samples, seed, tol, workers):
+    """fn(*args, **route kwargs) through _compute, with the run
+    configuration: config followed by the shared route options."""
+    if seed is None:
+        env = os.environ.get("SIGPOLE_SEED")
+        try:
+            seed = DEFAULT_SEED if env is None else int(env, 0)
+        except ValueError:
+            raise click.UsageError(f"SIGPOLE_SEED={env!r} is not an integer")
+    if method in STOCHASTIC_METHODS:
+        kwargs = {"samples": samples, "seed": seed, "workers": workers}
+    else:
+        kwargs = {"tol": tol} if method == "adaptive" else {}
+    result = _compute(fn, *args, **kwargs)
+    config = {**config, "method": method, "samples": samples, "seed": seed,
+              "tol": tol, "workers": workers}
+    return result, config
+
+
+def route_options(methods):
+    """The options of eval, mean-sig and gamma-table, declared once."""
+    options = [
+        click.option("--H", "hurst", type=float, required=True),
+        click.option("--method", type=click.Choice(methods), default="adaptive",
+                     show_default=True),
+        click.option("--samples", type=int, default=1_000_000, show_default=True),
+        click.option("--seed", type=int, default=None,
+                     help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)"),
+        click.option("--tol", type=float, default=1e-8, show_default=True,
+                     help="adaptive stop rule: level change <= max(tol, tol*|L|), "
+                     "so tol is absolute when |L| < 1"),
+        click.option("--workers", type=int, default=1, show_default=True),
+    ]
+
+    def decorate(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+
+    return decorate
 
 
 output_option = click.option(
     "--output", type=click.Choice(["json", "text"]), default="json", show_default=True
 )
-tol_option = click.option(
-    "--tol", type=float, default=1e-8, show_default=True,
-    help="adaptive stop rule: level change <= max(tol, tol*|L|), "
-    "so tol is absolute when |L| < 1",
+mode_option = click.option(
+    "--mode", type=click.Choice(NORMALIZATION_MODES), default=DEFAULT_MODE,
+    show_default=True,
 )
 
 
@@ -145,7 +165,8 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
                 }
                 _emit(payload, output)
                 return
-            ps = candidate_poles(partition)
+            # a partition of more than 128 positions exits 3
+            ps = _compute(candidate_poles, partition)
             payload = {
                 "config": {"pairs": pairs_spec},
                 "progressions": ps.as_records(),
@@ -173,139 +194,50 @@ def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
 
 @main.command("eval")
 @click.option("--pairs", "pairs_spec", required=True)
-@click.option("--H", "hurst", type=float, required=True)
-@click.option(
-    "--method",
-    type=click.Choice(["adaptive", "direct-mc", "pullback-mc", "closed-form"]),
-    default="adaptive",
-    show_default=True,
-)
-@click.option("--samples", type=int, default=1_000_000, show_default=True)
-@click.option("--seed", type=int, default=None, help="RNG seed (default FBM0 bytes)")
-@tol_option
-@click.option("--workers", type=int, default=1, show_default=True)
-@click.option("--q", "qspec", default="3^r", show_default=True,
-              help="gap weights for the pullback route: '3^r' or a comma list")
+@route_options(list(ROUTES))
 @output_option
-def cmd_eval(
-    pairs_spec, hurst, method, samples, seed, tol, workers, qspec, output
-) -> None:
+def cmd_eval(pairs_spec, hurst, method, output, **route) -> None:
     """Numerically evaluate the integral attached to one pair partition."""
-    try:
-        partition = parse_pairs(pairs_spec)
-    except ParseError as exc:
-        raise click.UsageError(str(exc))
-    seed = _default_seed() if seed is None else seed
-    kwargs = _evaluator_kwargs(method, samples, seed, tol, workers)
-    chart_info = None
-    if method == "pullback-mc":
-        gap = _parse_gap(qspec, partition.size)
-        try:
-            chart = BlowupChart(partition.size, gap)
-        except (DomainError, SizeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DOMAIN)
-        kwargs["chart"] = chart
-        chart_info = chart.descriptor()
-    result = _compute(evaluator_by_name(method), partition, hurst, **kwargs)
-    payload = {
-        "config": {
-            "pairs": pairs_spec, "H": hurst, "method": method, "samples": samples,
-            "seed": seed, "tol": tol, "workers": workers, "q": qspec,
-        },
-        "result": result.to_json_dict(),
-        "provenance": _provenance([result]),
-    }
-    if chart_info is not None:
-        payload["chart"] = chart_info
-    _emit(payload, output)
+    partition = _parse(parse_pairs, pairs_spec)
+    result, config = _evaluate(ROUTES[method], (partition, hurst),
+                               {"pairs": pairs_spec, "H": hurst}, method, **route)
+    _emit({"config": config, "result": result.to_json_dict(),
+           "provenance": _provenance([result])}, output)
 
 
 @main.command("mean-sig")
 @click.option("--word", "word_spec", required=True)
-@click.option("--H", "hurst", type=float, required=True)
-@click.option(
-    "--mode",
-    type=click.Choice(list(NORMALIZATION_MODES)),
-    default=DEFAULT_MODE,
-    show_default=True,
-)
-@click.option(
-    "--method",
-    type=click.Choice(["adaptive", "direct-mc", "pullback-mc", "closed-form"]),
-    default="adaptive",
-    show_default=True,
-)
-@click.option("--samples", type=int, default=1_000_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@tol_option
-@click.option("--workers", type=int, default=1, show_default=True)
+@mode_option
+@route_options(list(ROUTES))
 @output_option
-def cmd_mean_sig(
-    word_spec, hurst, mode, method, samples, seed, tol, workers, output
-) -> None:
+def cmd_mean_sig(word_spec, hurst, mode, method, output, **route) -> None:
     """Mean iterated integral of a word (prefactor times the partition sum)."""
-    try:
-        word = parse_word(word_spec)
-    except ParseError as exc:
-        raise click.UsageError(str(exc))
-    seed = _default_seed() if seed is None else seed
-    kwargs = _evaluator_kwargs(method, samples, seed, tol, workers)
-    result = _compute(mean_iterated_integral, word, hurst, mode, method, **kwargs)
-    payload = {
-        "config": {
-            "word": word_spec, "H": hurst, "mode": mode, "method": method,
-            "samples": samples, "seed": seed, "tol": tol, "workers": workers,
-        },
-        "result": result.to_json_dict(),
-        "mode": mode,
-        "provenance": _provenance([result]),
-    }
-    _emit(payload, output)
+    word = _parse(parse_word, word_spec)
+    result, config = _evaluate(mean_iterated_integral, (word, hurst, mode, method),
+                               {"word": word_spec, "H": hurst, "mode": mode},
+                               method, **route)
+    _emit({"config": config, "result": result.to_json_dict(), "mode": mode,
+           "provenance": _provenance([result])}, output)
 
 
 @main.command("gamma-table")
 @click.option("--k", "order", type=int, required=True)
 @click.option("--d", "alphabet", type=int, required=True)
-@click.option("--H", "hurst", type=float, required=True)
-@click.option(
-    "--mode",
-    type=click.Choice(list(NORMALIZATION_MODES)),
-    default=DEFAULT_MODE,
-    show_default=True,
-)
-@click.option(
-    "--method",
-    type=click.Choice(["adaptive", "direct-mc", "closed-form"]),
-    default="adaptive",
-    show_default=True,
-)
-@click.option("--samples", type=int, default=1_000_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@tol_option
-@click.option("--workers", type=int, default=1, show_default=True)
+@mode_option
+@route_options([m for m in ROUTES if m != "pullback-mc"])
 @click.option(
     "--output", type=click.Choice(["json", "csv"]), default="json", show_default=True
 )
-def cmd_gamma_table(
-    order, alphabet, hurst, mode, method, samples, seed, tol, workers, output
-) -> None:
+def cmd_gamma_table(order, alphabet, hurst, mode, method, output, **route) -> None:
     """Coefficient table over all words of length 2k on d letters."""
-    seed = _default_seed() if seed is None else seed
-    kwargs = _evaluator_kwargs(method, samples, seed, tol, workers)
-    table = _compute(gamma_table, order, alphabet, hurst, mode, method, **kwargs)
+    table, config = _evaluate(gamma_table, (order, alphabet, hurst, mode, method),
+                              {"k": order, "d": alphabet, "H": hurst, "mode": mode},
+                              method, **route)
     if output == "csv":
         click.echo(table.to_csv(), nl=False)
         return
-    payload = {
-        "config": {
-            "k": order, "d": alphabet, "H": hurst, "mode": mode, "method": method,
-            "samples": samples, "seed": seed, "tol": tol, "workers": workers,
-        },
-        "table": table.to_json_dict(),
-        "provenance": _provenance(table.entries.values()),
-    }
-    _emit(payload, "json")
+    _emit({"config": config, "table": table.to_json_dict(),
+           "provenance": _provenance(table.entries.values())}, "json")
 
 
 @main.command("verify")

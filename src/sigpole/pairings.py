@@ -111,6 +111,9 @@ class Word:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word, (self.letters,)
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -173,6 +176,9 @@ class PairPartition:
 
     def __setattr__(self, *a):
         raise AttributeError("PairPartition is immutable")
+
+    def __reduce__(self):
+        return PairPartition, (self.pairs,)
 
     @property
     def k(self) -> int:
@@ -244,6 +250,9 @@ class PositionSet:
 
     def __setattr__(self, *a):
         raise AttributeError("PositionSet is immutable")
+
+    def __reduce__(self):
+        return PositionSet.from_mask, (self.mask,)
 
     @property
     def maximal_intervals(self) -> tuple[Interval, ...]:

@@ -127,6 +127,9 @@ class PoleSet:
     def __setattr__(self, *a):
         raise AttributeError("PoleSet is immutable")
 
+    def __reduce__(self):
+        return PoleSet, (self.witnesses,)
+
     def __len__(self) -> int:
         return len(self.progressions)
 
@@ -221,13 +224,23 @@ def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
     return {key: mask for key, mask in reach[1].items() if key[1] > 0}
 
 
+# the enumeration costs about (2k)^4: 2k = 128 takes seconds, 256 a minute
+_MAX_POLE_POSITIONS = 128
+
+
 def candidate_poles(partition: PairPartition) -> PoleSet:
     """Union of progressions 1 - (|S|+l)/(2[S|P]) over sets with [S|P] > 0.
 
     Each progression is witnessed by the least position set producing it in
     the bitmask order (position p is bit p-1); distinct progressions come
-    from distinct pairs (|S|, 2[S|P]).
+    from distinct pairs (|S|, 2[S|P]).  SizeError refuses more than 128
+    positions.
     """
+    if partition.size > _MAX_POLE_POSITIONS:
+        raise SizeError(
+            f"candidate poles of {partition.size} positions refused: "
+            f"more than {_MAX_POLE_POSITIONS}"
+        )
     ps = PoleSet({
         RationalProgression(*key): PositionSet.from_mask(mask)
         for key, mask in _realized(partition).items()

@@ -12,6 +12,10 @@ Four routes are provided and cross-checked against each other:
 - ``l_adaptive``: that product times nested double-exponential quadrature
   of each crossing component of up to 3 pairs, with level doubling.
 
+``ROUTES`` maps the route names ``adaptive``, ``direct-mc``, ``pullback-mc``
+and ``closed-form`` to these functions; it is the only place a name is
+resolved.
+
 ``wick_grid_oracle`` is the independent deterministic oracle for mean
 iterated integrals: a Riemann sum over strictly increasing grid indices of
 pair-covariance products of fractional Gaussian increments.  It shares no
@@ -36,6 +40,7 @@ from .pairings import PairPartition, Word, enumerate_refining, format_pairs
 
 __all__ = [
     "DEFAULT_SEED",
+    "ROUTES",
     "EvalResult",
     "FbmCovariance",
     "worker_seeds",
@@ -741,13 +746,10 @@ def wick_grid_oracle(
     )
 
 
-def evaluator_by_name(name: str) -> Callable[..., EvalResult]:
-    table = {
-        "direct-mc": l_direct_mc,
-        "pullback-mc": l_pullback_mc,
-        "adaptive": l_adaptive,
-        "closed-form": l_closed_form,
-    }
-    if name not in table:
-        raise DomainError(f"unknown evaluator {name!r}; pick from {sorted(table)}")
-    return table[name]
+# route name -> evaluator, the one table of the names a caller may pass
+ROUTES: dict[str, Callable[..., EvalResult]] = {
+    "adaptive": l_adaptive,
+    "direct-mc": l_direct_mc,
+    "pullback-mc": l_pullback_mc,
+    "closed-form": l_closed_form,
+}

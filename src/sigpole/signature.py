@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericError, SizeError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import PoleSet, candidate_poles
-from .quadrature import EvalResult, evaluator_by_name
+from .quadrature import DEFAULT_SEED, ROUTES, STOCHASTIC_METHODS, EvalResult
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -60,12 +60,6 @@ def prefactor(mode: str, k: int, h: float) -> float:
     return base
 
 
-def _resolve_evaluator(evaluator) -> Callable[..., EvalResult]:
-    if callable(evaluator):
-        return evaluator
-    return evaluator_by_name(evaluator)
-
-
 def _matching_seed(seed: int, i: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
 
@@ -79,16 +73,18 @@ def mean_iterated_integral(
 ) -> EvalResult:
     """prefactor(mode) times the sum of L over partitions refining the word.
 
-    A word with no refining pair partition gives exactly zero.  Stochastic
-    evaluator errors combine in quadrature; deterministic tolerances add.
-    Given a ``seed``, the i-th matching in ``enumerate_refining`` order runs
-    on its own seed, drawn from ``SeedSequence(seed, spawn_key=(i,))``, so
-    that the estimates are independent; the result reports the given seed.
-    When every matching's result reports ``extra["finite_variance"]``, the
-    word's result reports whether all of them are finite.
+    ``evaluator`` is a name in ``quadrature.ROUTES`` or a callable used as
+    given.  A word with no refining pair partition gives exactly zero.
+    Stochastic evaluator errors combine in quadrature; deterministic
+    tolerances add.  Given a ``seed``, or by default ``DEFAULT_SEED`` for a
+    named stochastic route, the i-th matching in ``enumerate_refining``
+    order runs on its own seed, drawn from ``SeedSequence(seed,
+    spawn_key=(i,))``, so that the estimates are independent; the result
+    reports that seed.  A callable given no seed gets the keyword arguments
+    unchanged.  When every matching's result reports
+    ``extra["finite_variance"]``, the word's result reports whether all of
+    them are finite.
     """
-    if mode not in NORMALIZATION_MODES:
-        raise DomainError(f"unknown normalization mode {mode!r}")
     refining = enumerate_refining(word)
     k = word.k
     pref = prefactor(mode, k, h)
@@ -106,8 +102,15 @@ def mean_iterated_integral(
             h=h,
             extra={**base_extra, "exact_zero": True},
         )
-    fn = _resolve_evaluator(evaluator)
     seed = evaluator_kwargs.get("seed")
+    if callable(evaluator):
+        fn = evaluator
+    elif evaluator in ROUTES:
+        fn = ROUTES[evaluator]
+        if seed is None and evaluator in STOCHASTIC_METHODS:
+            seed = DEFAULT_SEED
+    else:
+        raise DomainError(f"unknown evaluator {evaluator!r}; pick from {sorted(ROUTES)}")
     if seed is None:
         parts = [fn(p, h, **evaluator_kwargs) for p in refining]
         seed = parts[0].seed
@@ -217,7 +220,7 @@ def gamma_table(
         )
     by_class: dict[tuple[int, ...], EvalResult] = {}
     entries: dict[tuple[int, ...], EvalResult] = {}
-    for letters in _all_words(k, d):
+    for letters in itertools.product(range(1, d + 1), repeat=2 * k):
         word = Word(letters)
         canon = word.canonical_relabel().letters
         if canon not in by_class:
@@ -226,20 +229,6 @@ def gamma_table(
             )
         entries[letters] = by_class[canon]
     return GammaTable(k=k, d=d, h=h, mode=mode, entries=entries)
-
-
-def _all_words(k: int, d: int):
-    size = 2 * k
-    letters = [1] * size
-    while True:
-        yield tuple(letters)
-        pos = size - 1
-        while pos >= 0 and letters[pos] == d:
-            letters[pos] = 1
-            pos -= 1
-        if pos < 0:
-            return
-        letters[pos] += 1
 
 
 def candidate_pole_report(word: Word) -> dict:

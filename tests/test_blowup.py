@@ -389,11 +389,6 @@ def test_flag_ranges_never_retries_a_failed_step(monkeypatch):
     assert calls <= 400 and rows <= 400_000, (calls, rows)
 
 
-def test_chart_descriptor():
-    chart = BlowupChart(3)
-    assert chart.descriptor() == {"n": 3, "q": [1, 3, 9, 27]}
-
-
 def test_pullback_zero_exponent_equals_jacobian():
     for n in (2, 3):
         chart = BlowupChart(n)

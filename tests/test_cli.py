@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, reproducibility."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from sigpole import cli, verify
+from sigpole.quadrature import ROUTES
 from sigpole.pairings import parse_pairs, parse_position_set
 from sigpole.poles import progression_of_set
 
@@ -285,22 +287,6 @@ def test_seed_env_override():
     assert json.loads(explicit.stdout)["config"]["seed"] == 99
 
 
-def test_eval_pullback_with_gap_spec():
-    out = run_cli(
-        "eval", "--pairs", "1-2", "--H", "0.8", "--method", "pullback-mc",
-        "--samples", "30000", "--seed", "3", "--q", "1,4,16",
-    )
-    assert out.returncode == 0
-    payload = json.loads(out.stdout)
-    assert payload["chart"] == {"n": 2, "q": [1, 4, 16]}
-    assert abs(payload["result"]["value"] - 10 / 8.8 / (0.6)) < 1.0  # sanity scale
-    bad = run_cli(
-        "eval", "--pairs", "1-2", "--H", "0.8", "--method", "pullback-mc",
-        "--q", "1,2,3",
-    )
-    assert bad.returncode == 2  # inadmissible gap weights
-
-
 def test_verify_single_suite():
     out = run_cli("verify", "combinatorics", "--quick", "--output", "text")
     assert out.returncode == 0
@@ -425,3 +411,70 @@ def test_huge_position_set_exit_2(set_spec):
     out = run_cli("poles", "--pairs", "1-2", "--set", set_spec, timeout=10)
     assert out.returncode == 2, out.stderr
     assert "exceeds 65536" in out.stderr
+
+
+def test_poles_pairs_size_limit_exit_3():
+    # 130 positions is past the 128 that candidate_poles enumerates
+    pairs = ",".join(f"{2 * i - 1}-{2 * i}" for i in range(1, 66))
+    out = run_cli("poles", "--pairs", pairs, timeout=10)
+    assert out.returncode == 3, out.stderr
+    assert "130 positions refused" in out.stderr
+
+
+def test_evaluation_commands_share_one_option_set():
+    shared = ("hurst", "method", "samples", "seed", "tol", "workers")
+
+    def options(command):
+        params = {p.name: p for p in cli.main.commands[command].params}
+        return {
+            name: (tuple(params[name].opts), type(params[name].type),
+                   params[name].default)
+            for name in shared
+        }, params["method"].type.choices
+
+    eval_options, eval_methods = options("eval")
+    for command in ("mean-sig", "gamma-table"):
+        command_options, methods = options(command)
+        assert command_options == eval_options
+        assert set(methods) <= set(ROUTES)
+    assert set(eval_methods) <= set(ROUTES)
+
+
+# sha256 of the stdout of each command, with its exit code, recorded before the
+# three commands shared one option set and one runner
+PINNED_STDOUT = [
+    (("mean-sig", "--word", "1,2,1,2", "--H", "0.8"), 0,
+     "49ff1a740b266c9da72613a48cd42dba25568337ce62c4ece370382afbdf1438"),
+    (("mean-sig", "--word", "1,1,1,1", "--H", "0.8", "--method", "direct-mc",
+      "--samples", "4000", "--workers", "2"), 0,
+     "b07eef25cba254b38e9595edbb46b222fd3d7d51a61e9ffe953b14a83540abc8"),
+    (("mean-sig", "--word", "1,1", "--H", "0.8", "--method", "pullback-mc",
+      "--samples", "4000"), 0,
+     "e7f9c0975fd0dd0c7628984b01e338486cb86aef2f431fce2fa01aa57d13c712"),
+    (("mean-sig", "--word", "1,1,2,2", "--H", "0.7", "--mode", "paper-406"), 0,
+     "3776b31089674727db4f35c2183a8fa3c04d4e6cdd412366d9e8d41aa96d0e32"),
+    (("mean-sig", "--word", "1,1,1,1", "--H", "0.8", "--method", "direct-mc",
+      "--samples", "3000", "--output", "text"), 0,
+     "5510b49b2174e91d61e61b0a34558b3d86a6647d0c3dd230a0d3891cf7d83378"),
+    (("mean-sig", "--word", "1,1", "--H", "inf", "--output", "text"), 3,
+     hashlib.sha256(b"").hexdigest()),
+    (("gamma-table", "--k", "1", "--d", "3", "--H", "0.8"), 0,
+     "eee671e0fbc622d07f0144273ff3ac71fa26060972b656e0a2381be3d80cf5e2"),
+    (("gamma-table", "--k", "2", "--d", "2", "--H", "0.8", "--method", "direct-mc",
+      "--samples", "2000"), 0,
+     "10e15a1fca9deb341849fe51fb903517e3e85f9d162d83ae5b8dd07bcc83c676"),
+    (("gamma-table", "--k", "1", "--d", "2", "--H", "0.75", "--output", "csv"), 0,
+     "f8075a87a1c545853fc0f00eaf838ea056c70ccdcb88381e33df550a3cbf8308"),
+    (("gamma-table", "--k", "1", "--d", "2", "--H", "0.8", "--method",
+      "pullback-mc"), 2, hashlib.sha256(b"").hexdigest()),
+    (("gamma-table", "--k", "2", "--d", "33", "--H", "0.8"), 3,
+     hashlib.sha256(b"").hexdigest()),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", PINNED_STDOUT,
+                         ids=[" ".join(a) for a, _, _ in PINNED_STDOUT])
+def test_word_command_stdout_pinned(args, code, digest):
+    out = CliRunner().invoke(cli.main, list(args), env={"SIGPOLE_SEED": None})
+    assert out.exit_code == code, out.output
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest

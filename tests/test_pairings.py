@@ -1,7 +1,9 @@
 """Combinatorics layer: interval map, refinement, bracket counts, Aug/Def."""
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,14 @@ def test_bracket_count_matches_interval_containment(size):
             members = {q for q in range(1, size + 1) if bits >> (q - 1) & 1}
             expected = sum(1 for iv in image if iv <= members)
             assert bracket_count(PositionSet(members), p) == expected, (p, members)
+
+
+@pytest.mark.parametrize("value", [
+    PositionSet([2, 3, 5, 70]),
+    Word([3, 1, 3, 1]),
+    PairPartition([(1, 3), (2, 4)]),
+])
+def test_copy_and_pickle_round_trip(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value)

@@ -1,7 +1,9 @@
 """Candidate pole sets: exact progressions, merging, hyperplane families."""
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -302,3 +304,10 @@ def test_candidate_poles_wraps_witness_masks(monkeypatch):
         for p in all_pair_partitions(size):
             witnesses += len(candidate_poles(p).contributions)
     assert witnesses > 0 and not calls
+
+
+def test_pole_set_copy_and_pickle_round_trip():
+    ps = candidate_poles(PairPartition([(1, 4), (2, 6), (3, 5)]))
+    for twin in (copy.copy(ps), copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
+        assert twin == ps
+        assert twin.contributions == ps.contributions

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
+from sigpole import quadrature
 from sigpole.errors import DomainError
 from sigpole.pairings import Word, parse_word
-from sigpole.quadrature import l_direct_mc, wick_grid_oracle
+from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, wick_grid_oracle
 from sigpole.signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -204,3 +205,30 @@ def test_oracle_agreement_all_small_words():
                     continue
                 budget = 2e-3 + 2 * abs(oracle.tol)
                 assert abs(assembled.value - oracle.value) <= budget, (canon, h)
+
+
+def test_named_stochastic_route_derives_seeds_without_a_seed(monkeypatch):
+    word = Word([1] * 4)
+    r = mean_iterated_integral(word, 0.8, evaluator="direct-mc", samples=2000)
+    pinned = mean_iterated_integral(
+        word, 0.8, evaluator="direct-mc", samples=2000, seed=DEFAULT_SEED
+    )
+    assert r.value.hex() == pinned.value.hex()
+    assert r.stderr.hex() == pinned.stderr.hex()
+    assert r.seed == DEFAULT_SEED
+    # each of the three matchings of 1^4 runs on its own stream
+    seen = []
+
+    def spy(p, h, **kw):
+        seen.append(kw["seed"])
+        return l_direct_mc(p, h, **kw)
+
+    monkeypatch.setitem(quadrature.ROUTES, "direct-mc", spy)
+    spied = mean_iterated_integral(word, 0.8, evaluator="direct-mc", samples=2000)
+    assert len(seen) == 3 and len(set(seen)) == 3
+    assert spied.value.hex() == r.value.hex()
+
+
+def test_unknown_evaluator_name():
+    with pytest.raises(DomainError, match="unknown evaluator 'wick'"):
+        mean_iterated_integral(Word([1, 1]), 0.8, evaluator="wick")
