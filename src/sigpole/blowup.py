@@ -1,6 +1,6 @@
-"""Orthant blowup machinery: gap functions, the region Omega, the polynomial
-map F, Jacobian identities, boundary witness points, numerical inversion and
-the pullback integrand.
+"""Orthant blowup machinery: the gap weights q(r) = 3^r, the region Omega,
+the polynomial map F, Jacobian identities, boundary witness points,
+numerical inversion and the pullback integrand.
 
 Scalar entry points accept plain Python sequences and are generic over the
 scalar type, so they run exactly on ``fractions.Fraction`` inputs; sign
@@ -19,10 +19,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError, SizeError
-from .pairings import PairPartition
+from .pairings import PairPartition, PositionSet
 
 __all__ = [
-    "GapFunction",
     "MonotoneList",
     "BlowupChart",
     "ExponentAssignment",
@@ -83,77 +82,14 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def _solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Exact solve of a small rational linear system (Gaussian elimination)."""
-    n = len(rhs)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if a[piv][k] == 0:
-            raise NumericError("singular system in exact solve")
-        a[k], a[piv] = a[piv], a[k]
-        for r in range(k + 1, n):
-            factor = a[r][k] / a[k][k]
-            if factor:
-                for c in range(k, n + 1):
-                    a[r][c] -= factor * a[k][c]
-    out = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n] - sum(a[k][c] * out[c] for c in range(k + 1, n))
-        out[k] = s / a[k][k]
-    return out
-
-
-class GapFunction:
-    """Positive integer weights q(0..n) steering the affine forms.
-
-    Admissibility (checked at construction): q(0) = 1, q(a) + q(b) < q(max+1)
-    for all a, b below the top index, and 3 q(a) <= q(a+1).
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[int]):
-        vals = tuple(int(v) for v in values)
-        n = len(vals) - 1
-        if n < 1:
-            raise DomainError("need q(0) and at least q(1)")
-        if any(v <= 0 for v in vals):
-            raise DomainError(f"gap values must be positive, got {vals}")
-        if vals[0] != 1:
-            raise DomainError(f"q(0) must be 1, got {vals[0]}")
-        for a in range(n):
-            if 3 * vals[a] > vals[a + 1]:
-                raise DomainError(f"3*q({a}) <= q({a+1}) fails: {vals}")
-            for b in range(a + 1):
-                if vals[a] + vals[b] >= vals[a + 1]:
-                    raise DomainError(
-                        f"q({a}) + q({b}) < q({a+1}) fails: {vals}"
-                    )
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GapFunction is immutable")
-
-    @classmethod
-    def powers_of_three(cls, n: int) -> GapFunction:
-        """The natural default q(r) = 3^r."""
-        return cls([3**r for r in range(n + 1)])
-
-    def __call__(self, r: int) -> int:
-        if r == len(self.values):
-            # virtual top value, only used to position free witness levels
-            return 3 * self.values[-1]
-        return self.values[r]
-
-    @property
-    def top(self) -> int:
-        return len(self.values) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GapFunction) and self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"GapFunction({list(self.values)})"
+    """Exact solve of a small nonsingular rational system (Cramer's rule)."""
+    det = exact_det(matrix)
+    if det == 0:
+        raise NumericError("singular system in exact solve")
+    return [
+        exact_det([[*row[:i], b, *row[i + 1:]] for row, b in zip(matrix, rhs)]) / det
+        for i in range(len(rhs))
+    ]
 
 
 class MonotoneList:
@@ -178,6 +114,9 @@ class MonotoneList:
 
     def __setattr__(self, *a):
         raise AttributeError("MonotoneList is immutable")
+
+    def __reduce__(self):
+        return MonotoneList, (self.subsets,)
 
     def __len__(self) -> int:
         return len(self.subsets)
@@ -230,34 +169,35 @@ class ExponentAssignment:
 
 
 class BlowupChart:
-    """Dimension n plus a gap function; hosts all blowup evaluations.
+    """The blowup chart of dimension n; hosts all blowup evaluations.
 
-    Subsets of [1, n] are indexed by bitmask order 1 .. 2^n - 1 (bit i-1 set
-    iff element i belongs).  One subset table, built with the chart, serves
-    every evaluation: ``members[j]`` lists the 0-based coordinates of subset
-    j and ``containing[i]`` the indices of the subsets holding coordinate i,
-    both ascending.
+    The affine form of a nonempty subset S of [1, n] is -q(|S|) plus the sum
+    of the S-coordinates, with the gap weights q(r) = 3^r.  These are
+    admissible: q(0) = 1, 3 q(a) = q(a+1), and q(a) + q(b) <= 2 q(a) <
+    q(a+1) for b <= a.
+
+    Subsets are indexed by their ``PositionSet`` masks 1 .. 2^n - 1 in
+    order.  One subset table, built with the chart, serves every
+    evaluation: ``members[j]`` lists the 0-based coordinates of subset j and
+    ``containing[i]`` the indices of the subsets holding coordinate i, both
+    ascending.
     """
 
-    def __init__(self, n: int, q: GapFunction | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise DomainError(f"dimension must be >= 1, got {n}")
         if n > 12:
             raise SizeError(f"chart with 2^{n} - 1 affine forms refused")
-        q = q if q is not None else GapFunction.powers_of_three(n)
-        if q.top < n:
-            raise DomainError(f"gap function covers ranks 0..{q.top}, need {n}")
         self.n = n
-        self.q = q
         self.masks = list(range(1, 1 << n))
-        self.members = [[i for i in range(n) if m >> i & 1] for m in self.masks]
+        self.members = [[p - 1 for p in PositionSet.from_mask(m)] for m in self.masks]
         self.containing = [
             [j for j, mem in enumerate(self.members) if i in mem] for i in range(n)
         ]
         self.sizes = np.array([len(mem) for mem in self.members])
-        self.qvec = np.array([float(q(int(s))) for s in self.sizes])
+        self.qvec = np.array([float(self.q(int(s))) for s in self.sizes])
         # q(1..n): the level of each rank of the coordinate flag
-        self.qranks = np.array([float(q(j)) for j in range(1, n + 1)])
+        self.qranks = np.array([float(self.q(j)) for j in range(1, n + 1)])
         # indicator matrix: row = subset, column = coordinate
         self.M = np.zeros((len(self.masks), n))
         for j, mem in enumerate(self.members):
@@ -278,20 +218,24 @@ class BlowupChart:
             self._ps_idx.append([index(holds[i] - supersets) for i in mem])
         self._r_exact_terms: list[tuple[int, list[int]]] | None = None
 
+    @staticmethod
+    def q(r: int) -> int:
+        """The gap weight q(r) = 3^r."""
+        return 3**r
+
     # -- subset plumbing ----------------------------------------------------
 
     def mask_of(self, s: Iterable[int]) -> int:
-        m = 0
-        for i in s:
-            if not 1 <= int(i) <= self.n:
+        elements = [int(i) for i in s]
+        for i in elements:
+            if not 1 <= i <= self.n:
                 raise DomainError(f"element {i} outside [1,{self.n}]")
-            m |= 1 << (int(i) - 1)
-        if m == 0:
+        if not elements:
             raise DomainError("empty subset")
-        return m
+        return PositionSet(elements).mask
 
     def subset_of(self, mask: int) -> frozenset[int]:
-        return frozenset(i + 1 for i in range(self.n) if mask >> i & 1)
+        return frozenset(PositionSet.from_mask(mask))
 
     def index_of(self, s: Iterable[int]) -> int:
         return self.mask_of(s) - 1
@@ -777,7 +721,7 @@ class BlowupChart:
         pulled-back simplex, padded multiplicatively in log scale.
 
         The probes are fixed (``_PROBES`` seeded targets, inverted with a
-        16-stage homotopy), so the ranges depend on the chart alone.
+        16-stage homotopy), so the ranges depend on n alone.
         """
         if self.n > EXACT_R_MAX_DIM:
             raise NumericError(

@@ -2,9 +2,11 @@
 
 Positions are 1-based throughout; the 0-based convention appears only in array
 code at serialization or numeric boundaries.  A position set is one int
-bitmask, bit p-1 for position p, and only PositionSet and Interval know that
-format; positions are bounded by 2^16 so no mask exceeds 8 KB.  All objects
-are immutable after construction and safe to share between threads.
+bitmask, bit p-1 for position p; positions are bounded by 2^16 so no mask
+exceeds 8 KB.  PositionSet and Interval define that format.  The pole
+enumerator and the blowup chart build and compare masks as integers, but
+turn a mask back into positions only through PositionSet.  All objects are
+immutable after construction and safe to share between threads.
 
 Text formats (shared with the CLI):
 

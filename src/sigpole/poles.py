@@ -289,9 +289,8 @@ class HyperplaneFamily:
 
     def __init__(self, n: int, support: Sequence[frozenset[int]]):
         entries: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-        full = range(1, n + 1)
         for mask in range(1, 1 << n):
-            s = frozenset(p for p in full if mask >> (p - 1) & 1)
+            s = frozenset(PositionSet.from_mask(mask))
             triggers = tuple(t for t in support if t <= s)
             if triggers:
                 entries[s] = triggers
@@ -301,6 +300,9 @@ class HyperplaneFamily:
 
     def __setattr__(self, *a):
         raise AttributeError("HyperplaneFamily is immutable")
+
+    def __reduce__(self):
+        return HyperplaneFamily, (self.n, self.support)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -35,8 +35,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blowup import EXACT_R_MAX_DIM, BlowupChart
-from .errors import DomainError, NumericError, SizeError
-from .pairings import PairPartition, Word, enumerate_refining, format_pairs
+from .errors import DimensionError, DomainError, NumericError, SizeError
+from .pairings import (
+    PairPartition,
+    PositionSet,
+    Word,
+    bracket_count,
+    enumerate_refining,
+    format_pairs,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -309,17 +316,17 @@ def l_pullback_mc(
         # the limit of flag-range probing, checked before any probing
         raise SizeError(f"pullback route limited to 2k <= {EXACT_R_MAX_DIM}")
     chart = chart if chart is not None else BlowupChart(n)
+    if chart.n != n:
+        raise DimensionError(f"chart has n={chart.n}, the matching has 2k={n}")
     lo, hi = chart.flag_ranges()
     xi_lo, xi_hi = np.log(lo), np.log(hi)
     widths = xi_hi - xi_lo
     # exponent on each affine form: |S| - 1 + 2(H-1)[S|P], plus one for the
     # forms folded out of the positive factor R = det(A) * prod f_S
-    iv_masks = [iv.mask for iv in partition.interval_image]
-    f_expo = np.empty(len(chart.masks))
-    brackets = np.empty(len(chart.masks))
-    for j, m in enumerate(chart.masks):
-        brackets[j] = sum(1 for t in iv_masks if t & m == t)
-        f_expo[j] = chart.sizes[j] - 1 + 2 * (h - 1) * brackets[j] + 1.0
+    brackets = np.array(
+        [bracket_count(PositionSet.from_mask(m), partition) for m in chart.masks]
+    )
+    f_expo = chart.sizes - 1 + 2 * (h - 1) * brackets + 1.0
     def evaluate(
         xi: np.ndarray, perms: np.ndarray, log_q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

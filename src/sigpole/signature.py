@@ -75,7 +75,8 @@ def mean_iterated_integral(
 
     ``evaluator`` is a name in ``quadrature.ROUTES`` or a callable used as
     given.  A word with no refining pair partition gives exactly zero.
-    Stochastic evaluator errors combine in quadrature; deterministic
+    Stochastic evaluator errors combine in quadrature when the matchings'
+    results report pairwise distinct seeds, and add otherwise; deterministic
     tolerances add.  Given a ``seed``, or by default ``DEFAULT_SEED`` for a
     named stochastic route, the i-th matching in ``enumerate_refining``
     order runs on its own seed, drawn from ``SeedSequence(seed,
@@ -124,7 +125,12 @@ def mean_iterated_integral(
     stderr = tol = None
     samples = cells = None
     if parts[0].stderr is not None:
-        stderr = abs(pref) * math.sqrt(sum(r.stderr**2 for r in parts))
+        if len({r.seed for r in parts}) == len(parts):
+            stderr = abs(pref) * math.sqrt(sum(r.stderr**2 for r in parts))
+        else:
+            # shared seeds correlate the estimates; by Minkowski's inequality
+            # the summed stderrs bound the sum's standard deviation
+            stderr = abs(pref) * sum(r.stderr for r in parts)
         samples = sum(r.samples for r in parts)
     else:
         tol = abs(pref) * sum(r.tol for r in parts)

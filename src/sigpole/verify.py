@@ -264,8 +264,7 @@ def _check_non_nested_sign(quick: bool):
     done = 0
     while done < trials:
         bits = rng.integers(1, 2**n, size=2)
-        s0 = frozenset(i + 1 for i in range(n) if bits[0] >> i & 1)
-        s1 = frozenset(i + 1 for i in range(n) if bits[1] >> i & 1)
+        s0, s1 = (chart.subset_of(int(b)) for b in bits)
         if s0 <= s1 or s1 <= s0:
             continue
         inter = s0 & s1

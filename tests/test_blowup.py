@@ -1,7 +1,9 @@
-"""Blowup machinery: gap functions, witnesses, Jacobians, inversion, pullback."""
+"""Blowup machinery: gap weights, witnesses, Jacobians, inversion, pullback."""
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +12,14 @@ import pytest
 from sigpole.blowup import (
     BlowupChart,
     ExponentAssignment,
-    GapFunction,
     MonotoneList,
+    _solve_exact,
     all_monotone_lists,
     exact_det,
 )
 from sigpole.errors import DomainError, NumericError, SizeError
 from sigpole.pairings import PairPartition, PositionSet, bracket_count, parse_pairs
+from sigpole.poles import hyperplane_candidates
 from sigpole.quadrature import l_pullback_mc
 
 
@@ -26,24 +29,14 @@ def omega_samples(chart: BlowupChart, count: int, seed: int = 77) -> np.ndarray:
     return base + rng.random((count, chart.n)) * 4.0
 
 
-def test_gap_function_default_admissible_up_to_12():
-    q = GapFunction.powers_of_three(12)
-    assert q.values[0] == 1 and q.values[1] == 3 and q.values[12] == 3**12
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        [1],                # too short
-        [2, 6],             # q(0) != 1
-        [1, 2],             # 3q(0) > q(1)
-        [1, 3, 8],          # 3q(1) > q(2)
-        [1, 3, 9, 11],      # q(2)+q(2) >= q(3) and growth fails
-    ],
-)
-def test_gap_function_rejects_inadmissible(values):
-    with pytest.raises(DomainError):
-        GapFunction(values)
+def test_gap_weights_admissible_up_to_rank_13():
+    # rank 13 is the top flag level one past the largest chart, n = 12
+    q = BlowupChart.q
+    assert q(0) == 1
+    for a in range(13):
+        assert 3 * q(a) <= q(a + 1)
+        for b in range(a + 1):
+            assert q(a) + q(b) < q(a + 1)
 
 
 def test_f_eval_examples():
@@ -52,6 +45,12 @@ def test_f_eval_examples():
     assert chart.f_eval({1}, [3.0, 10.0]) == 0.0
     with pytest.raises(DomainError):
         chart.f_eval(set(), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("s", [{0}, {3}, {1, 3}])
+def test_mask_of_refuses_elements_outside_the_chart(s):
+    with pytest.raises(DomainError):
+        BlowupChart(2).mask_of(s)
 
 
 def test_omega_membership():
@@ -245,6 +244,23 @@ def test_monotone_pair_sign_dichotomy():
     assert chart.f_eval(crossing[0] | crossing[1], y) < 0
 
 
+def test_solve_exact_is_exact():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        a = [[Fraction(int(p), int(d)) for p, d in zip(*rng.integers(1, 50, (2, 4)))]
+             for _ in range(4)]
+        if exact_det(a) == 0:
+            continue
+        b = [Fraction(int(p), int(d)) for p, d in zip(*rng.integers(1, 50, (2, 4)))]
+        x = _solve_exact(a, b)
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+
+
+def test_solve_exact_refuses_singular():
+    with pytest.raises(NumericError):
+        _solve_exact([[1, 2], [Fraction(1, 2), 1]], [1, 1])
+
+
 def test_exact_det_helper():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert exact_det(rows) == Fraction(1, 14) - Fraction(1, 15)
@@ -336,25 +352,23 @@ def test_flag_ranges_guard_beyond_probing_limit():
 # float.hex of flag_ranges() (lo then hi, by rank); how the Newton step
 # lengths are searched must not change a bit
 FLAG_RANGE_BITS = [
-    (1, None, ["0x1.f335678000000p-29"], ["0x1.ffff3f1b84b6cp+2"]),
-    (2, None, ["0x1.5338000000000p-41", "0x1.8b54138d00000p-19"],
+    (1, ["0x1.f335678000000p-29"], ["0x1.ffff3f1b84b6cp+2"]),
+    (2, ["0x1.5338000000000p-41", "0x1.8b54138d00000p-19"],
      ["0x1.a46f571f3fedcp+3", "0x1.360ad116b9980p+1"]),
-    (3, None,
+    (3,
      ["0x1.3681c30980000p-21", "0x1.eee1a2c44c000p-12", "0x1.27373e6000000p-24"],
      ["0x1.771d60188b8c4p+5", "0x1.18a11dca06b92p+6", "0x1.66052fdf30000p-8"]),
-    (4, None,
+    (4,
      ["0x1.559bc94e88000p-17", "0x1.11e4fabdb63c0p-6", "0x1.84b320ca4d250p-1",
       "0x1.0000000000000p-46"],
      ["0x1.08b6166698214p+7", "0x1.e2890161bb5f4p+7", "0x1.077fa7569749fp+8",
       "0x1.9d00000000000p-34"]),
-    (2, [1, 4, 16], ["0x1.a268000000000p-40", "0x1.287f91d200000p-20"],
-     ["0x1.02902e41f82f8p+5", "0x1.f83d9abce2000p-1"]),
 ]
 
 
-@pytest.mark.parametrize("n,q,lo,hi", FLAG_RANGE_BITS)
-def test_flag_ranges_bits_pinned(n, q, lo, hi):
-    chart = BlowupChart(n, None if q is None else GapFunction(q))
+@pytest.mark.parametrize("n,lo,hi", FLAG_RANGE_BITS)
+def test_flag_ranges_bits_pinned(n, lo, hi):
+    chart = BlowupChart(n)
     got_lo, got_hi = chart.flag_ranges()
     assert [v.hex() for v in got_lo.tolist()] == lo
     assert [v.hex() for v in got_hi.tolist()] == hi
@@ -434,5 +448,20 @@ def test_chart_guards():
         BlowupChart(0)
     with pytest.raises(SizeError):
         BlowupChart(13)
-    with pytest.raises(DomainError):
-        BlowupChart(4, GapFunction([1, 3, 9]))
+
+
+def test_copy_and_pickle_round_trip():
+    chart = BlowupChart(2)
+    chart.r_exact([5, 5])
+    flags = MonotoneList([{1}, {1, 2}])
+    family = hyperplane_candidates(2, [{1}, {2}, {1, 2}])
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = clone(chart)
+        assert twin._r_exact_terms == chart._r_exact_terms
+        assert twin.r_exact([Fraction(7), 5]) == chart.r_exact([Fraction(7), 5])
+        assert twin.members == chart.members and (twin.qvec == chart.qvec).all()
+        assert clone(flags).subsets == flags.subsets
+        twin = clone(family)
+        assert (twin.n, twin.support, twin.entries) == (
+            family.n, family.support, family.entries
+        )

@@ -367,8 +367,6 @@ def test_payload_validates_against_latest_schemas(args):
         checks.append(("verifyreport", payload))
     if "result" in payload:
         checks.append(("evalresult", payload["result"]))
-    if "chart" in payload:
-        checks.append(("chart", payload["chart"]))
     if "table" in payload:
         checks.append(("gammatable", payload["table"]))
         for entry in payload["table"]["entries"]:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from sigpole.errors import DomainError, NumericError, SizeError
+from sigpole.blowup import BlowupChart
+from sigpole.errors import DimensionError, DomainError, NumericError, SizeError
 from sigpole.pairings import PairPartition, Word, all_pair_partitions, parse_pairs
 from sigpole.quadrature import (
     DEFAULT_SEED,
@@ -323,6 +324,12 @@ def test_pullback_guards():
     with pytest.raises(SizeError):
         # beyond the float probing limit, refused before any probing
         l_pullback_mc(PairPartition([(1, 2), (3, 4), (5, 6)]), 0.8, samples=100)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_pullback_refuses_chart_of_wrong_dimension(n):
+    with pytest.raises(DimensionError):
+        l_pullback_mc(PAIR, 0.8, samples=100, chart=BlowupChart(n))
 
 
 def test_estimator_consistency_grid():

@@ -9,7 +9,7 @@ import pytest
 
 from sigpole import quadrature
 from sigpole.errors import DomainError
-from sigpole.pairings import Word, parse_word
+from sigpole.pairings import Word, enumerate_refining, parse_word
 from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, wick_grid_oracle
 from sigpole.signature import (
     DEFAULT_MODE,
@@ -95,6 +95,16 @@ def test_per_matching_seeds():
     assert seeds_handed_out(seed=11)[1] == first
     # without a seed the evaluator kwargs pass through unchanged
     assert seeds_handed_out()[1] == [None] * 15
+
+
+def test_shared_seed_stderrs_add():
+    # with no seed every matching runs on l_direct_mc's default stream, so
+    # the estimates are correlated and only the summed stderrs bound the sum
+    word = Word([1] * 4)
+    r = mean_iterated_integral(word, 0.8, evaluator=l_direct_mc, samples=2000)
+    parts = [l_direct_mc(p, 0.8, samples=2000) for p in enumerate_refining(word)]
+    assert len(parts) == 3
+    assert r.stderr == abs(r.extra["prefactor"]) * sum(p.stderr for p in parts)
 
 
 def test_prefactor_scaling_near_half():
