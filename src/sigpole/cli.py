@@ -32,7 +32,6 @@ from .signature import (
     gamma_table,
     mean_iterated_integral,
 )
-from .verify import available_suites, run_suite
 
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -246,6 +245,8 @@ def cmd_gamma_table(order, alphabet, hurst, mode, method, output, **route) -> No
 @output_option
 def cmd_verify(suite, quick, output) -> None:
     """Run a module's invariant suite (or all of them)."""
+    from .verify import available_suites, run_suite
+
     if suite not in available_suites():
         raise click.UsageError(
             f"unknown suite {suite!r}; choose from {available_suites()}"

@@ -24,17 +24,23 @@ evaluation logic with the routes above.
 All stochastic estimators split their sample budget over workers with seeds
 ``SeedSequence(entropy=seed, spawn_key=(w,))`` and reduce in worker order,
 so results are reproducible for a fixed (seed, workers) pair.
+
+Only the functions that build arrays import numpy, each where it runs: the
+two Monte Carlo routes and their sort network, the double-exponential grid
+of a crossing component, the Wick oracle, ``FbmCovariance`` and
+``worker_seeds``; ``l_pullback_mc`` alone imports ``blowup``.  The gamma
+product of a non-crossing matching is pure ``math``, so the CLI commands
+that need no array start without loading numpy.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .blowup import EXACT_R_MAX_DIM, BlowupChart
 from .errors import DimensionError, DomainError, NumericError, SizeError
 from .pairings import (
     PairPartition,
@@ -44,6 +50,11 @@ from .pairings import (
     enumerate_refining,
     format_pairs,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .blowup import BlowupChart
 
 __all__ = [
     "DEFAULT_SEED",
@@ -98,7 +109,7 @@ class EvalResult:
                 raise DomainError(f"{self.method} results need a tolerance")
         else:
             raise DomainError(f"unknown method {self.method!r}")
-        if not np.isfinite(self.value) or (
+        if not cmath.isfinite(self.value) or (
             self.stderr is not None and not math.isfinite(self.stderr)
         ):
             raise NumericError(
@@ -128,7 +139,9 @@ class EvalResult:
 def _json_value(v):
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, (np.floating, np.integer)):
+    # a numpy scalar exists only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(v, (np.floating, np.integer)):
         return v.item()
     return v
 
@@ -145,12 +158,12 @@ class FbmCovariance:
 
     def cov(self, s, t):
         h2 = 2 * self.h
-        return 0.5 * (
-            np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(np.subtract(s, t)) ** h2
-        )
+        return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(s - t) ** h2)
 
     def increment_cov(self, m: int) -> np.ndarray:
         """Covariance matrix of the m unit-grid increments on [0, 1]."""
+        import numpy as np
+
         edges = np.arange(m + 1) / m
         r = self.cov(edges[:, None], edges[None, :])
         return r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
@@ -158,6 +171,8 @@ class FbmCovariance:
 
 def worker_seeds(seed: int, workers: int) -> list[np.random.SeedSequence]:
     """Per-worker seed sequences: SeedSequence(entropy=seed, spawn_key=(w,))."""
+    import numpy as np
+
     return [
         np.random.SeedSequence(entropy=seed, spawn_key=(w,)) for w in range(workers)
     ]
@@ -203,6 +218,8 @@ def _sorted_rows(
     move values without arithmetic, so the result is exactly the sorted
     columns.
     """
+    import numpy as np
+
     rows = list(cols)
     for i, j in network:
         np.minimum(rows[i], rows[j], out=spare)
@@ -246,6 +263,8 @@ def l_direct_mc(
     H > 3/4, for every matching; ``extra["finite_variance"]`` reports this,
     and below it the plain standard error is not a reliable error.
     """
+    import numpy as np
+
     _require_convergent(h)
     _require_counts(samples, workers)
     n = partition.size
@@ -309,6 +328,10 @@ def l_pullback_mc(
     and all affine forms are evaluated from the flag data so that forms far
     below the coordinate scale keep full relative accuracy.
     """
+    import numpy as np
+
+    from .blowup import EXACT_R_MAX_DIM, BlowupChart
+
     _require_convergent(h)
     _require_counts(samples, workers)
     n = partition.size
@@ -447,21 +470,21 @@ def l_pullback_mc(
 # ---------------------------------------------------------------------------
 # Deterministic routes: nested quadrature and the nesting-forest factorization
 
-def _de_span(worst: float) -> float:
-    """Node range wide enough that the truncated tail of the worst endpoint
-    singularity (exponent ``worst``, 2H - 2 for the pair factors) sits below
-    1e-13.  Grows like asinh(1/(2H-1)) as H approaches 1/2 from above."""
-    expo = max(worst + 1, 1e-4)
-    return float(np.arcsinh(150.0 / (np.pi * expo)))
-
-
-def _de_nodes(m: int, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _de_nodes(m: int, worst: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Double-exponential nodes on (0, 1) in log form.
 
-    Returns (log t, log(1 - t), log weight).  Carrying the node values and
-    their complements as logs keeps extreme nodes off the endpoints for any
-    span, which the near-convergence-boundary exponents need.
+    Returns (log t, log(1 - t), log weight).  The node range is wide enough
+    that the truncated tail of the worst endpoint singularity (exponent
+    ``worst``, 2H - 2 for the pair factors) sits below 1e-13; it grows like
+    asinh(1/(2H-1)) as H approaches 1/2 from above.  Carrying the node
+    values and their complements as logs keeps extreme nodes off the
+    endpoints for any range, which the near-convergence-boundary exponents
+    need.
     """
+    import numpy as np
+
+    expo = max(worst + 1, 1e-4)
+    span = float(np.arcsinh(150.0 / (np.pi * expo)))
     x = np.linspace(-span, span, m)
     z = 0.5 * np.pi * np.sinh(x)
     logt = -np.logaddexp(0.0, -2.0 * z)
@@ -489,8 +512,10 @@ def _reduced_level_sum(factors: Sequence[tuple[int, int, float]], m: int) -> flo
     log-weight vector per variable; only those gaps are evaluated on the
     grid, in log space.
     """
+    import numpy as np
+
     d = max(b for _, b, _ in factors) - 2
-    logu, logtc, logw = _de_nodes(m, _de_span(min(e for *_, e in factors)))
+    logu, logtc, logw = _de_nodes(m, min(e for *_, e in factors))
     axis_logs = []
     for j in range(1, d + 1):
         # u_j is a factor of r_i for i <= j: of the Jacobian terms r_2 .. r_j
@@ -584,6 +609,8 @@ def _factored(
     """The gamma product of ``_factorize`` times the J_C of its crossing
     components, level by level (see ``l_adaptive``)."""
     _require_convergent(h)
+    if not tol >= 0:  # NaN fails too, before any level runs
+        raise DomainError(f"tolerance must be a nonnegative number, got {tol}")
     tree, numer, denom, crossing = _factorize(partition)
     labels = "; ".join(label for label, _, _ in crossing)
     if crossing and method == "closed-form":
@@ -594,7 +621,8 @@ def _factored(
             f"(grids of at most 4 dimensions); crossing pairs {labels}"
         )
     # c + p alpha computed as (c - p) + p (2H - 1) sums nonnegative terms, to a
-    # few ulps; err carries that through lgamma and adds lgamma's and exp's
+    # few ulps; err carries that through lgamma and adds lgamma's and exp's.
+    # The reported tol is the larger of err and the last level change.
     g = 2 * h - 1
     args = [(s, (c - p) + p * g) for s, a in ((1, numer), (-1, denom)) for c, p in a]
     try:
@@ -607,13 +635,13 @@ def _factored(
     grids = [[(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f] for *_, f in crossing]
     wide = any(count == 3 for _, count, _ in crossing)  # 4-D grids: up to 129
     levels = [17, 33, 65, 129, 257, 513][: min(max_level, 4 if wide else 6)]
-    values, cells, done = [], 0, not grids
+    values, cells, done, change = [], 0, not grids, 0.0
     for m in levels if grids else []:
         values.append(exact * math.prod(_reduced_level_sum(f, m) for f in grids))
         cells += sum(m ** (max(b for _, b, _ in f) - 2) for f in grids)
         if len(values) > 1:
-            err = abs(values[-1] - values[-2])
-            done = err <= max(tol, tol * abs(values[-1]))
+            change = abs(values[-1] - values[-2])
+            done = change <= max(tol, tol * abs(values[-1]))
             if done:
                 break
     if not done:
@@ -622,8 +650,9 @@ def _factored(
     extra = {"factor_tree": tree}
     if method == "adaptive":
         extra.update(levels=levels[: len(values)], level_values=values)
-    return EvalResult(value=values[-1] if values else exact, method=method, tol=err,
-                      cells=cells, h=h, partition=format_pairs(partition), extra=extra)
+    return EvalResult(value=values[-1] if values else exact, method=method,
+                      tol=max(change, err), cells=cells, h=h,
+                      partition=format_pairs(partition), extra=extra)
 
 
 def l_adaptive(
@@ -637,8 +666,11 @@ def l_adaptive(
     is the change of L between levels, and ``extra["level_values"]``
     records L at each.  Levels stop once that change is at most
     ``max(tol, tol * |L|)``, so tol is an absolute bound whenever |L| < 1
-    (L is small from 2k = 8 on).  Larger crossing components raise
-    SizeError; an exhausted level budget raises with the best value.
+    (L is small from 2k = 8 on); the reported tol is that change or the
+    rounding bound of the gamma product, whichever is larger.  A NaN or
+    negative tol raises DomainError before any level runs, larger crossing
+    components raise SizeError, and an exhausted level budget raises with
+    the best value.
     """
     return _factored(partition, h, "adaptive", tol, max_level)
 
@@ -664,12 +696,6 @@ def _open_close_pattern(partition: PairPartition) -> list[tuple[str, int]]:
     return pattern
 
 
-def _exclusive_prefix(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    np.cumsum(arr[..., :-1], axis=-1, out=out[..., 1:])
-    return out
-
-
 def _increasing_pair_sum(partition: PairPartition, cov: np.ndarray) -> float:
     """Sum over strictly increasing grid multi-indices of the product of
     cov[t_a, t_b] over the pairs.
@@ -680,6 +706,8 @@ def _increasing_pair_sum(partition: PairPartition, cov: np.ndarray) -> float:
     ties a fresh axis to the frontier, closing one contracts its axis
     against the covariance row at the new frontier.
     """
+    import numpy as np
+
     m = cov.shape[0]
     idx = np.arange(m)
     state: np.ndarray | None = None
@@ -690,7 +718,9 @@ def _increasing_pair_sum(partition: PairPartition, cov: np.ndarray) -> float:
             state = np.eye(m)
             open_axis = {pos: 0}
             continue
-        pref = _exclusive_prefix(state)  # frontier advances strictly
+        # exclusive prefix sum: the frontier advances strictly
+        pref = np.zeros_like(state)
+        np.cumsum(state[..., :-1], axis=-1, out=pref[..., 1:])
         if kind == "open":
             new = np.zeros(state.shape + (m,))
             new[..., idx, idx] = pref

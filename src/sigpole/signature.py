@@ -23,8 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, NumericError, SizeError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import PoleSet, candidate_poles
@@ -61,6 +59,8 @@ def prefactor(mode: str, k: int, h: float) -> float:
 
 
 def _matching_seed(seed: int, i: int) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
 
 

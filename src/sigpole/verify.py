@@ -4,6 +4,8 @@ Each suite replays the golden vectors and cross-identities of one module
 and reports one pass/fail line per check.  The full mode is the release
 gate: its sizes, seeds and tolerances are the ones the acceptance tests in
 ``tests/test_acceptance.py`` run.  ``quick`` trims sizes for a fast pass.
+The blowup checks import ``blowup`` and the array checks numpy where they
+run, so the combinatorics and poles suites load neither.
 """
 from __future__ import annotations
 
@@ -12,9 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
-from .blowup import BlowupChart, ExponentAssignment, all_monotone_lists
 from .pairings import (
     PairPartition,
     PositionSet,
@@ -216,6 +215,8 @@ def _check_gamma_ratio_poles(quick: bool):
 # -- blowup -----------------------------------------------------------------
 
 def _check_witness_flags(quick: bool):
+    from .blowup import BlowupChart, all_monotone_lists
+
     top = 3
     for n in range(1, top + 1):
         chart = BlowupChart(n)
@@ -227,6 +228,8 @@ def _check_witness_flags(quick: bool):
 
 
 def _check_boundary_positivity(quick: bool):
+    from .blowup import BlowupChart, all_monotone_lists
+
     for n in (1, 2, 3):
         chart = BlowupChart(n)
         for flags in all_monotone_lists(n):
@@ -240,6 +243,10 @@ def _check_boundary_positivity(quick: bool):
 
 
 def _check_jacobian_identity(quick: bool):
+    import numpy as np
+
+    from .blowup import BlowupChart
+
     rng = np.random.default_rng(9)
     for n in (2, 3, 4):
         chart = BlowupChart(n)
@@ -257,6 +264,10 @@ def _check_jacobian_identity(quick: bool):
 
 
 def _check_non_nested_sign(quick: bool):
+    import numpy as np
+
+    from .blowup import BlowupChart
+
     rng = np.random.default_rng(4)
     n = 4
     chart = BlowupChart(n)
@@ -284,6 +295,10 @@ def _check_non_nested_sign(quick: bool):
 
 
 def _check_round_trip(quick: bool):
+    import numpy as np
+
+    from .blowup import BlowupChart
+
     rng = np.random.default_rng(808)
     count, exact_count = (50, 5) if quick else (500, 500)
     for n in (1, 2, 3):
@@ -305,6 +320,10 @@ def _check_round_trip(quick: bool):
 
 
 def _check_pullback_identity(quick: bool):
+    import numpy as np
+
+    from .blowup import BlowupChart, ExponentAssignment
+
     rng = np.random.default_rng(23)
     counts = ((2, 30), (3, 30)) if quick else ((1, 334), (2, 333), (3, 333))
     for n, count in counts:
@@ -391,6 +410,8 @@ def _check_wick_limits(quick: bool):
 
 
 def _check_reflection_symmetry(quick: bool):
+    import numpy as np
+
     rng = np.random.default_rng(31)
     for _ in range(1 if quick else 3):
         perm = list(rng.permutation(np.arange(1, 5)))

@@ -375,6 +375,38 @@ def test_payload_validates_against_latest_schemas(args):
         schemas[name].validate(instance)
 
 
+# commands that build no array: they run without numpy and the blowup chart
+EXACT_COMMANDS = [
+    ("poles", "--pairs", "1-7,2-8,3-5,4-6"),
+    ("poles", "--word", "1,2,1,2,1,2"),
+    ("eval", "--pairs", "1-2,3-4", "--H", "0.8", "--method", "closed-form"),
+    ("mean-sig", "--word", "1,1", "--H", "0.8"),
+    ("gamma-table", "--k", "1", "--d", "3", "--H", "0.8"),
+    ("verify", "poles", "--quick"),
+]
+
+
+def loaded_at_exit(*args: str) -> list[str]:
+    """Which of numpy, scipy and sigpole.blowup a fresh interpreter holds when
+    the CLI run with ``args`` exits (printed as the last stdout line)."""
+    code = (
+        "import atexit, json, sys\n"
+        "watch = ('numpy', 'scipy', 'sigpole.blowup')\n"
+        "atexit.register(lambda: print(json.dumps([m for m in watch if m in sys.modules])))\n"
+        "from sigpole.cli import main\n"
+        "main(sys.argv[1:])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, sigpole.cli; "
@@ -388,6 +420,19 @@ def test_cli_import_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+    for args in EXACT_COMMANDS:
+        assert loaded_at_exit(*args) == [], args
+    # the guard can see numpy: a Monte Carlo route loads it
+    assert loaded_at_exit("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
+                          "--samples", "100") == ["numpy"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tolerance_exit_3(tol):
+    # refused before any level runs: the 4-D grid of 1-4,2-5,3-6 never starts
+    out = run_cli("eval", "--pairs", "1-4,2-5,3-6", "--H", "0.8", "--tol", tol, timeout=10)
+    assert out.returncode == 3, out.stderr
+    assert "tolerance must be a nonnegative number" in out.stderr
 
 
 @pytest.mark.parametrize("args", [

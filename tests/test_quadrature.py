@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from sigpole import quadrature
 from sigpole.blowup import BlowupChart
 from sigpole.errors import DimensionError, DomainError, NumericError, SizeError
 from sigpole.pairings import PairPartition, Word, all_pair_partitions, parse_pairs
@@ -138,7 +139,7 @@ def test_adaptive_reducible_crossing(h):
         assert r.extra["levels"]
 
 
-def test_adaptive_guards():
+def test_adaptive_guards(monkeypatch):
     with pytest.raises(DomainError):
         l_adaptive(PAIR, 0.5)
     with pytest.raises(SizeError):
@@ -146,6 +147,27 @@ def test_adaptive_guards():
     with pytest.raises(NumericError) as err:
         l_adaptive(CROSS2, 0.75, tol=1e-12, max_level=2)
     assert "best" in err.value.diagnostics
+
+    # a NaN or negative tol is refused before any level runs
+    def no_level(*args):
+        raise AssertionError("a quadrature level ran")
+
+    monkeypatch.setattr(quadrature, "_reduced_level_sum", no_level)
+    for tol in (math.nan, -1.0, -math.inf):
+        for p in (parse_pairs("1-4,2-5,3-6"), PAIR):
+            with pytest.raises(DomainError, match="tolerance"):
+                l_adaptive(p, 0.8, tol=tol)
+
+
+def test_adaptive_tolerance_extremes():
+    # levels 257 and 513 of CROSS2 agree to the bit: tol = 0 stops there, and
+    # the reported tol is the rounding bound of the gamma product, never 0
+    for tol in (0.0, 1e-300):
+        r = l_adaptive(CROSS2, 0.8, tol=tol)
+        assert r.extra["levels"] == [17, 33, 65, 129, 257, 513]
+        assert r.extra["level_values"][-1] == r.extra["level_values"][-2]
+        assert 0 < r.tol < 1e-13
+    assert l_adaptive(CROSS2, 0.8, tol=math.inf).extra["levels"] == [17, 33]
 
 
 def test_closed_form_adjacent():
@@ -452,6 +474,24 @@ def test_eval_result_validation():
     r = EvalResult(value=1.0, method="adaptive", tol=1e-8, cells=100, h=0.8)
     d = r.to_json_dict()
     assert d["tol"] == 1e-8 and "stderr" not in d
+    for value in (complex(1.0, math.inf), complex(math.nan, 0.0), np.float64(np.nan)):
+        with pytest.raises(NumericError):
+            EvalResult(value=value, method="adaptive", tol=0.0)
+
+
+def test_to_json_dict_numpy_scalars_and_bools():
+    r = EvalResult(value=np.float64(0.25), method="direct-mc", stderr=0.01, samples=10,
+                   seed=1, extra={"finite_variance": True, "mean": np.float64(0.5),
+                                  "count": np.int64(7), "z": 2j})
+    d = r.to_json_dict()
+    assert json.dumps(d, sort_keys=True) == (
+        '{"extra": {"count": 7, "finite_variance": true, "mean": 0.5, '
+        '"z": {"im": 2.0, "re": 0.0}}, "method": "direct-mc", "samples": 10, '
+        '"seed": 1, "stderr": 0.01, "value": 0.25}'
+    )
+    assert [type(d["extra"][k]) for k in ("count", "finite_variance", "mean")] == [
+        int, bool, float]
+    assert type(d["value"]) is float
 
 
 def test_default_seed_spelling():
