@@ -23,7 +23,11 @@ evaluation logic with the routes above.
 
 All stochastic estimators split their sample budget over workers with seeds
 ``SeedSequence(entropy=seed, spawn_key=(w,))`` and reduce in worker order,
-so results are reproducible for a fixed (seed, workers) pair.
+so results are reproducible for a fixed (seed, workers) pair.  ``workers``
+picks only that stream layout, not the parallelism: ``l_direct_mc`` runs its
+batches on threads, one per CPU in the process's affinity set and at most
+one per batch, and its output is identical for any thread count.
+``l_pullback_mc`` runs in the calling thread.
 
 Only the functions that build arrays import numpy, each where it runs: the
 two Monte Carlo routes and their sort network, the double-exponential grid
@@ -37,6 +41,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -74,6 +79,7 @@ DEFAULT_SEED = int.from_bytes(b"FBM0", "big")
 
 STOCHASTIC_METHODS = frozenset({"direct-mc", "pullback-mc"})
 DETERMINISTIC_METHODS = frozenset({"adaptive", "closed-form", "wick-grid"})
+_DEFAULT_SAMPLES = 1_000_000
 _MC_BATCH = 1 << 18
 # direct-MC rows per batch: the (n, batch) working set stays in cache
 _DIRECT_BATCH = 1 << 13
@@ -237,17 +243,44 @@ def _require_convergent(h: float) -> None:
 
 
 def _require_counts(samples: int, workers: int) -> None:
-    """Both Monte Carlo routes need at least one sample and one worker."""
+    """Both Monte Carlo routes need at least one sample, and at least one
+    and at most ``samples`` workers; checked before any seed is built."""
     if samples < 1 or workers < 1:
         raise SizeError(
             f"need samples >= 1 and workers >= 1, got {samples} and {workers}"
         )
+    if workers > samples:
+        raise SizeError(f"{workers} workers refused for {samples} samples")
+
+
+def _require_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN fails too, before any level runs
+        raise DomainError(f"tolerance must be a nonnegative number, got {tol}")
+
+
+def check_route_args(method: str, **kwargs) -> None:
+    """The argument guards a named route runs before any work: the tol of
+    ``adaptive`` and the sample and worker counts of the Monte Carlo
+    routes.  An argument not given passes, as the route's default does."""
+    if method == "adaptive":
+        _require_tol(kwargs.get("tol", 0.0))
+    elif method in STOCHASTIC_METHODS:
+        samples = kwargs.get("samples", _DEFAULT_SAMPLES)
+        _require_counts(samples, kwargs.get("workers", 1))
+
+
+def _thread_count() -> int:
+    """The CPUs this process may run on: its affinity set, else cpu_count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def l_direct_mc(
     partition: PairPartition,
     h: float,
-    samples: int = 1_000_000,
+    samples: int = _DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> EvalResult:
@@ -262,6 +295,14 @@ def l_direct_mc(
     integrand at H' = 2H - 1, so the variance is finite exactly when
     H > 3/4, for every matching; ``extra["finite_variance"]`` reports this,
     and below it the plain standard error is not a reliable error.
+
+    The batches run on threads, as many as the CPUs in the process's
+    affinity set and at most one per batch; a single batch or a single CPU
+    runs in the calling thread.  Each thread takes a contiguous share of
+    the batches and starts each worker stream it meets by advancing that
+    stream's PCG64 state to its first batch, so every sample, and every
+    output bit, is the same for any thread count.  ``workers`` picks only
+    the stream layout.
     """
     import numpy as np
 
@@ -270,30 +311,59 @@ def l_direct_mc(
     n = partition.size
     pairs = [(a - 1, b - 1) for a, b in partition.pairs]
     network = _merge_network(n)
+    alpha = 2 * h - 2
     batch = min(_DIRECT_BATCH, samples)
-    draws = np.empty((batch, n))
-    cols = np.empty((n, batch))
-    spare = np.empty(batch)
-    diff = np.empty(batch)
-    vals = np.empty(samples)
+    # every batch of every worker's stream: (seed, index in the stream,
+    # first sample, rows), in the order of the serial loop
+    batches = []
     start = 0
     for seq, count in zip(worker_seeds(seed, workers), _worker_counts(samples, workers)):
-        rng = np.random.default_rng(seq)
         end = start + count
-        while start < end:
-            b = min(batch, end - start)
+        for i, first in enumerate(range(start, end, batch)):
+            batches.append((seq, i, first, min(batch, end - first)))
+        start = end
+    threads = min(_thread_count(), len(batches))
+    # one scratch set per thread, owned by it for the call; allocated here,
+    # since allocations in the threads would grow per-thread malloc arenas
+    scratch = [
+        (np.empty((batch, n)), np.empty((n, batch)), np.empty(batch), np.empty(batch))
+        for _ in range(threads)
+    ]
+    vals = np.empty(samples)
+
+    def run(share, buffers) -> None:
+        """Fill the vals of a contiguous run of batches."""
+        draws, cols, spare, diff = buffers
+        stream = None
+        for seq, i, first, b in share:
+            if seq is not stream:
+                # PCG64 spends one 64-bit step per double, so the advanced
+                # generator's first draw is the one the serial loop makes here
+                stream = seq
+                rng = np.random.Generator(np.random.PCG64(seq))
+                rng.bit_generator.advance(i * batch * n)
             u = rng.random((b, n), out=draws[:b])
             np.copyto(cols[:, :b], u.T)
             rows = _sorted_rows(cols[:, :b], network, spare[:b])
             # sorted rows give s_hi - s_lo >= 0, bit for bit |s_lo - s_hi|
-            out, gap = vals[start:start + b], diff[:b]
+            out, gap = vals[first:first + b], diff[:b]
             np.subtract(rows[pairs[0][1]], rows[pairs[0][0]], out=out)
             for lo, hi in pairs[1:]:
                 np.subtract(rows[hi], rows[lo], out=gap)
                 out *= gap
-            start += b
-    # one power per sample on the product of the pair gaps
-    vals **= 2 * h - 2
+            # one power per sample on the product of the pair gaps
+            out **= alpha
+
+    if threads == 1:
+        run(batches, scratch[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # contiguous, near-equal shares of the batches, one per thread
+        cuts = [len(batches) * t // threads for t in range(threads + 1)]
+        shares = [batches[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, shares, scratch))
     factorial = math.factorial(n)
     mean = vals.mean()
     stderr = vals.std() / math.sqrt(samples)
@@ -312,7 +382,7 @@ def l_direct_mc(
 def l_pullback_mc(
     partition: PairPartition,
     h: float,
-    samples: int = 1_000_000,
+    samples: int = _DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     chart: BlowupChart | None = None,
@@ -609,8 +679,7 @@ def _factored(
     """The gamma product of ``_factorize`` times the J_C of its crossing
     components, level by level (see ``l_adaptive``)."""
     _require_convergent(h)
-    if not tol >= 0:  # NaN fails too, before any level runs
-        raise DomainError(f"tolerance must be a nonnegative number, got {tol}")
+    _require_tol(tol)
     tree, numer, denom, crossing = _factorize(partition)
     labels = "; ".join(label for label, _, _ in crossing)
     if crossing and method == "closed-form":

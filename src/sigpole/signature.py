@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from .errors import DomainError, NumericError, SizeError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import PoleSet, candidate_poles
-from .quadrature import DEFAULT_SEED, ROUTES, STOCHASTIC_METHODS, EvalResult
+from .quadrature import (
+    DEFAULT_SEED,
+    ROUTES,
+    STOCHASTIC_METHODS,
+    EvalResult,
+    check_route_args,
+)
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -74,7 +80,8 @@ def mean_iterated_integral(
     """prefactor(mode) times the sum of L over partitions refining the word.
 
     ``evaluator`` is a name in ``quadrature.ROUTES`` or a callable used as
-    given.  A word with no refining pair partition gives exactly zero.
+    given.  A word with no refining pair partition gives exactly zero, once
+    a named route's argument guards have passed (``check_route_args``).
     Stochastic evaluator errors combine in quadrature when the matchings'
     results report pairwise distinct seeds, and add otherwise; deterministic
     tolerances add.  Given a ``seed``, or by default ``DEFAULT_SEED`` for a
@@ -94,6 +101,17 @@ def mean_iterated_integral(
     base_extra = {"mode": mode, "prefactor": pref, "refining_partitions": len(refining)}
     if k >= 2:
         base_extra["normalization_note"] = MODE_NOTE
+    seed = evaluator_kwargs.get("seed")
+    if callable(evaluator):
+        fn = evaluator
+    elif evaluator in ROUTES:
+        fn = ROUTES[evaluator]
+        # the route's own guards, which the exact zero below would skip
+        check_route_args(evaluator, **evaluator_kwargs)
+        if seed is None and evaluator in STOCHASTIC_METHODS:
+            seed = DEFAULT_SEED
+    else:
+        raise DomainError(f"unknown evaluator {evaluator!r}; pick from {sorted(ROUTES)}")
     if not refining:
         return EvalResult(
             value=0.0,
@@ -103,15 +121,6 @@ def mean_iterated_integral(
             h=h,
             extra={**base_extra, "exact_zero": True},
         )
-    seed = evaluator_kwargs.get("seed")
-    if callable(evaluator):
-        fn = evaluator
-    elif evaluator in ROUTES:
-        fn = ROUTES[evaluator]
-        if seed is None and evaluator in STOCHASTIC_METHODS:
-            seed = DEFAULT_SEED
-    else:
-        raise DomainError(f"unknown evaluator {evaluator!r}; pick from {sorted(ROUTES)}")
     if seed is None:
         parts = [fn(p, h, **evaluator_kwargs) for p in refining]
         seed = parts[0].seed

@@ -216,6 +216,25 @@ def test_mc_counts_below_one_exit_3(method, count):
     assert out.exit_code == 3, out.output
 
 
+@pytest.mark.parametrize("args", [
+    ("mean-sig", "--word", "1,2", "--H", "0.8", "--tol", "-1"),
+    ("mean-sig", "--word", "1,2", "--H", "0.8", "--method", "direct-mc", "--samples", "0"),
+    ("mean-sig", "--word", "1,2,2,3", "--H", "0.8", "--method", "pullback-mc",
+     "--workers", "0"),
+    ("mean-sig", "--word", "1,2", "--H", "0.8", "--method", "direct-mc", "--samples", "3",
+     "--workers", "4"),
+    ("gamma-table", "--k", "1", "--d", "2", "--H", "0.8", "--method", "direct-mc",
+     "--samples", "3", "--workers", "4"),
+    ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "pullback-mc", "--samples", "3",
+     "--workers", "4"),
+])
+def test_route_guards_before_exact_zero_exit_3(args):
+    # a word with no refining matching still runs the named route's guards,
+    # and no route takes more workers than samples
+    out = CliRunner().invoke(cli.main, list(args))
+    assert out.exit_code == 3, out.output
+
+
 def test_mean_sig_pair_word():
     out = run_cli("mean-sig", "--word", "1,1", "--H", "0.9")
     payload = json.loads(out.stdout)
@@ -387,11 +406,12 @@ EXACT_COMMANDS = [
 
 
 def loaded_at_exit(*args: str) -> list[str]:
-    """Which of numpy, scipy and sigpole.blowup a fresh interpreter holds when
-    the CLI run with ``args`` exits (printed as the last stdout line)."""
+    """Which of numpy, scipy, sigpole.blowup and concurrent.futures a fresh
+    interpreter holds when the CLI run with ``args`` exits (printed as the
+    last stdout line)."""
     code = (
         "import atexit, json, sys\n"
-        "watch = ('numpy', 'scipy', 'sigpole.blowup')\n"
+        "watch = ('numpy', 'scipy', 'sigpole.blowup', 'concurrent.futures')\n"
         "atexit.register(lambda: print(json.dumps([m for m in watch if m in sys.modules])))\n"
         "from sigpole.cli import main\n"
         "main(sys.argv[1:])\n"
@@ -422,7 +442,8 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
     for args in EXACT_COMMANDS:
         assert loaded_at_exit(*args) == [], args
-    # the guard can see numpy: a Monte Carlo route loads it
+    # the guard can see numpy: a Monte Carlo route loads it (one batch, so
+    # no thread pool)
     assert loaded_at_exit("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
                           "--samples", "100") == ["numpy"]
 

@@ -1,9 +1,12 @@
 """Quadrature routes and the deterministic moment oracle."""
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -286,6 +289,81 @@ def test_direct_mc_bits_pinned(batch, monkeypatch):
     for spec, h, n, seed, workers, value, stderr in DIRECT_MC_BITS:
         r = l_direct_mc(parse_pairs(spec), h, samples=n, seed=seed, workers=workers)
         assert (r.value.hex(), r.stderr.hex()) == (value, stderr), spec
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("batch", [None, 1 << 10, 1 << 18])
+def test_direct_mc_bits_any_thread_count(threads, batch, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr("sigpole.quadrature._DIRECT_BATCH", batch)
+    # 7 workers of 1429 or 1428 samples: every thread's share crosses worker
+    # segments, and at 2^10 rows one segment is split between two threads
+    monkeypatch.setattr("sigpole.quadrature._thread_count", lambda: 1)
+    short = l_direct_mc(CROSS2, 0.8, samples=10_000, seed=3, workers=7)
+    monkeypatch.setattr("sigpole.quadrature._thread_count", lambda: threads)
+    again = l_direct_mc(CROSS2, 0.8, samples=10_000, seed=3, workers=7)
+    assert (again.value.hex(), again.stderr.hex()) == (short.value.hex(), short.stderr.hex())
+    for spec, h, n, seed, workers, value, stderr in DIRECT_MC_BITS:
+        r = l_direct_mc(parse_pairs(spec), h, samples=n, seed=seed, workers=workers)
+        assert (r.value.hex(), r.stderr.hex()) == (value, stderr), spec
+
+
+def test_direct_mc_threads_stress(monkeypatch):
+    # 8 threads on 64-row batches, switching as often as the interpreter
+    # allows: a batch written twice or by a neighbour's scratch moves a bit
+    monkeypatch.setattr("sigpole.quadrature._DIRECT_BATCH", 1 << 6)
+    monkeypatch.setattr("sigpole.quadrature._thread_count", lambda: 1)
+    want = l_direct_mc(ADJ2, 0.8, samples=20_000, seed=5, workers=3)
+    monkeypatch.setattr("sigpole.quadrature._thread_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = l_direct_mc(ADJ2, 0.8, samples=20_000, seed=5, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.value.hex(), got.stderr.hex()) == (want.value.hex(), want.stderr.hex())
+
+
+def test_direct_mc_thread_pool_bounds(monkeypatch):
+    def refuse(max_workers):
+        raise AssertionError(f"pool of {max_workers} started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    # one batch, then one CPU: both run in the calling thread
+    l_direct_mc(PAIR, 0.8, samples=quadrature._DIRECT_BATCH, seed=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    l_direct_mc(PAIR, 0.8, samples=100_000, seed=1, workers=4)
+    asked = []
+    real = concurrent.futures.thread.ThreadPoolExecutor
+
+    def spy(max_workers):
+        asked.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    l_direct_mc(PAIR, 0.8, samples=100_000, seed=1, workers=4)
+    assert asked == [2]
+
+
+def test_thread_count_fallbacks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert quadrature._thread_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert quadrature._thread_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert quadrature._thread_count() == 1
+
+
+@pytest.mark.parametrize("route", [l_direct_mc, l_pullback_mc])
+def test_more_workers_than_samples_refused(route, monkeypatch):
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("a seed sequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    with pytest.raises(SizeError, match="4 workers refused for 3 samples"):
+        route(PAIR, 0.8, samples=3, workers=4)
 
 
 def test_merge_network_sorts():

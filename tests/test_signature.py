@@ -8,7 +8,7 @@ import json
 import pytest
 
 from sigpole import quadrature
-from sigpole.errors import DomainError
+from sigpole.errors import DomainError, SizeError
 from sigpole.pairings import Word, enumerate_refining, parse_word
 from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, wick_grid_oracle
 from sigpole.signature import (
@@ -67,6 +67,32 @@ def test_vanishing_word():
     assert r.value == 0.0
     assert r.extra["exact_zero"] is True
     assert r.tol == 0.0
+
+
+@pytest.mark.parametrize("evaluator, kwargs, error", [
+    ("adaptive", {"tol": -1.0}, DomainError),
+    ("adaptive", {"tol": float("nan")}, DomainError),
+    ("direct-mc", {"samples": 0}, SizeError),
+    ("pullback-mc", {"workers": 0}, SizeError),
+    ("direct-mc", {"samples": 3, "workers": 4}, SizeError),
+])
+def test_vanishing_word_runs_the_route_guards(evaluator, kwargs, error):
+    with pytest.raises(error):
+        mean_iterated_integral(Word([1, 2]), 0.8, evaluator=evaluator, **kwargs)
+
+
+def test_vanishing_word_guards_use_the_route_defaults():
+    # 2 workers are fine against the default 1e6 samples
+    r = mean_iterated_integral(Word([1, 2]), 0.8, evaluator="direct-mc", workers=2)
+    assert r.value == 0.0 and r.extra["exact_zero"] is True
+
+
+def test_vanishing_word_with_a_callable_is_exact_zero():
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    r = mean_iterated_integral(Word([1, 2]), 0.8, evaluator=never, tol=-1.0)
+    assert r.value == 0.0 and r.extra["exact_zero"] is True
 
 
 def test_error_combination_stochastic():
