@@ -105,8 +105,8 @@ def route_options(methods):
         click.option("--seed", type=int, default=None,
                      help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)"),
         click.option("--tol", type=float, default=1e-8, show_default=True,
-                     help="adaptive stop rule: level change <= max(tol, tol*|L|), "
-                     "so tol is absolute when |L| < 1"),
+                     help="adaptive stop rule: level change <= max(tol, tol*|L|) "
+                     "or the rounding bound, so tol is absolute when |L| < 1"),
         click.option("--workers", type=int, default=1, show_default=True),
     ]
 

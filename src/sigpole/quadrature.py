@@ -9,8 +9,10 @@ Four routes are provided and cross-checked against each other:
   pulled-back integrand (a working check of the change of variables);
 - ``l_closed_form``: the exact gamma product of a non-crossing P, from the
   factorization over the nesting forest of P's crossing components;
-- ``l_adaptive``: that product times nested double-exponential quadrature
-  of each crossing component of up to 3 pairs, with level doubling.
+- ``l_adaptive``: that product times each crossing component of up to 5
+  pairs as a signed sum of gamma-product terms; only a term whose
+  intervals cross runs nested double-exponential quadrature, with level
+  doubling, on a grid of at most 4 dimensions.
 
 ``ROUTES`` maps the route names ``adaptive``, ``direct-mc``, ``pullback-mc``
 and ``closed-form`` to these functions; it is the only place a name is
@@ -31,10 +33,11 @@ one per batch, and its output is identical for any thread count.
 
 Only the functions that build arrays import numpy, each where it runs: the
 two Monte Carlo routes and their sort network, the double-exponential grid
-of a crossing component, the Wick oracle, ``FbmCovariance`` and
+of a crossing term, the Wick oracle, ``FbmCovariance`` and
 ``worker_seeds``; ``l_pullback_mc`` alone imports ``blowup``.  The gamma
-product of a non-crossing matching is pure ``math``, so the CLI commands
-that need no array start without loading numpy.
+product of a non-crossing matching and the terms whose intervals nest are
+pure ``math``, so the CLI commands that need no array start without loading
+numpy.
 """
 from __future__ import annotations
 
@@ -357,13 +360,28 @@ def l_direct_mc(
     if threads == 1:
         run(batches, scratch[0])
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        import threading
+
+        errors: list[BaseException] = []
+
+        def guarded(share, buffers) -> None:
+            try:
+                run(share, buffers)
+            except BaseException as exc:  # raised again in the caller
+                errors.append(exc)
 
         # contiguous, near-equal shares of the batches, one per thread
         cuts = [len(batches) * t // threads for t in range(threads + 1)]
-        shares = [batches[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, shares, scratch))
+        pool = [
+            threading.Thread(target=guarded, args=(batches[lo:hi], buffers))
+            for lo, hi, buffers in zip(cuts, cuts[1:], scratch)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        if errors:
+            raise errors[0]
     factorial = math.factorial(n)
     mean = vals.mean()
     stderr = vals.std() / math.sqrt(samples)
@@ -569,10 +587,12 @@ def _de_nodes(m: int, worst: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return logt, logtc, logw
 
 
-def _reduced_level_sum(factors: Sequence[tuple[int, int, float]], m: int) -> float:
-    """One tensor level of the nested rule for a reduced integral J: the
-    product of (s_b - s_a)^e over the factors (a, b, e) on positions 1..n,
-    with s_1 = 0 and s_n = 1 pinned.
+def _reduced_level_sum(
+    factors: Sequence[tuple[int, int, float]], n: int, m: int
+) -> float:
+    """One tensor level of the nested rule for a term whose intervals cross:
+    the integral of the product of (s_b - s_a)^e over the factors (a, b, e)
+    on positions 1..n, with s_1 = 0 and s_n = 1 pinned.
 
     With r_i = s_{i+1}, the substitution r_i = u_i * r_{i+1} maps the cube
     of the n - 2 inner variables onto them with Jacobian r_2 ... r_{n-1}; a
@@ -584,7 +604,7 @@ def _reduced_level_sum(factors: Sequence[tuple[int, int, float]], m: int) -> flo
     """
     import numpy as np
 
-    d = max(b for _, b, _ in factors) - 2
+    d = n - 2
     logu, logtc, logw = _de_nodes(m, min(e for *_, e in factors))
     axis_logs = []
     for j in range(1, d + 1):
@@ -622,18 +642,48 @@ def _reduced_level_sum(factors: Sequence[tuple[int, int, float]], m: int) -> flo
     return total
 
 
+# An exponent or gamma argument c + p alpha, alpha = 2H - 2, is kept as the
+# integer pair (c, p); a free gap has exponent (0, 0).
+_FREE = (0, 0)
+# the largest crossing component evaluated: at 2k <= 10 no term leaves a
+# grid of more than 4 dimensions
+_MAX_PAIRS = 5
+
+
+def _dirichlet(
+    parts: Sequence[tuple[int, int]], e: tuple[int, int], numer: list, denom: list
+) -> tuple[int, int]:
+    """The nested Dirichlet step, the one rule for every nesting.
+
+    An interval J of exponent e, split into its parts (its maximal
+    sub-intervals and the free gaps between them, in order) of exponents
+    gamma_i, integrates over the parts to prod Gamma(gamma_i + 1) /
+    Gamma(sum(gamma_i + 1)) times its span to the power
+    gamma_J = e + sum(gamma_i + 1) - 1, which is returned.  The gamma
+    arguments go to ``numer`` and ``denom``, leaving out those of value 1:
+    a free gap's, and both of a J of one part.
+    """
+    total = (sum(c + 1 for c, _ in parts), sum(p for _, p in parts))
+    if len(parts) > 1:
+        numer.extend((c + 1, p) for c, p in parts if (c, p) != _FREE)
+        denom.append(total)
+    return (e[0] + total[0] - 1, e[1] + total[1])
+
+
 def _factorize(partition: PairPartition):
     """Split P into crossing-connected components, each nested in a gap
     between consecutive positions of another or in the root gap [0, 1].
 
-    A gap whose children have span exponents beta_i integrates to
-    prod Gamma(beta_i + 1) / Gamma(e + 1), e = sum(beta_i + 2); a component
-    with q positions, p pairs and gap exponents e_j has span exponent
-    q - 2 + p alpha + sum e_j, all stored as (c, p) for c + p alpha with
-    alpha = 2H - 2.  Returns the factor tree, the gamma arguments of the
-    numerator and denominator, and per component of two or more pairs its
-    label, pair count and the (a, b, exponent) factors of J_C on its local
-    positions 1..q, a filled gap j adding the factor (j, j + 1, e_j).
+    A gap is an interval of exponent 0 whose parts are its child
+    components, of span exponents beta_i, and the free gaps between them;
+    ``_dirichlet`` integrates it to prod Gamma(beta_i + 1) / Gamma(e + 1),
+    e = sum(beta_i + 2).  A component with q positions, p pairs and gap
+    exponents e_j has span exponent q - 2 + p alpha + sum e_j, all stored as
+    (c, p) for c + p alpha with alpha = 2H - 2.  Returns the factor tree,
+    the gamma arguments of the numerator and denominator, and per component
+    of two or more pairs its label, pair count and the (a, b, exponent)
+    factors of J_C on its local positions 1..q, a filled gap j adding the
+    factor (j, j + 1, e_j).
     """
     comp = {pair: (pair,) for pair in partition.pairs}
     for p, q in itertools.combinations(partition.pairs, 2):
@@ -649,12 +699,10 @@ def _factorize(partition: PairPartition):
         while x < hi:
             nodes.append(component(at[x]))
             x = max(b for _, b in at[x]) + 1
-        betas = [node["exponent"] for node in nodes]
-        e = (sum(c + 2 for c, _ in betas), sum(p for _, p in betas))
-        if nodes:
-            numer.extend((c + 1, p) for c, p in betas)
-            denom.append((e[0] + 1, e[1]))
-        return nodes, e
+        parts = [_FREE]
+        for node in nodes:
+            parts += [tuple(node["exponent"]), _FREE]
+        return nodes, _dirichlet(parts, _FREE, numer, denom)
 
     def component(ps: tuple[tuple[int, int], ...]) -> dict:
         pos = sorted(x for pair in ps for x in pair)
@@ -673,44 +721,161 @@ def _factorize(partition: PairPartition):
     return tree, numer, denom, crossing
 
 
+def _nested(fac: dict, a: int, b: int, numer: list, denom: list) -> tuple[int, int]:
+    """Integrate the intervals of a laminar term inside [a, b] by
+    ``_dirichlet``, innermost first; returns the exponent of [a, b]."""
+    parts, x = [], a
+    while x < b:
+        y = max((d for c, d in fac if c == x and d <= b and (c, d) != (a, b)), default=0)
+        parts.append(_nested(fac, x, y, numer, denom) if y else _FREE)
+        x = y or x + 1
+    return _dirichlet(parts, fac.get((a, b), _FREE), numer, denom)
+
+
+def _crossing_terms(factors: Sequence[tuple[int, int, tuple[int, int]]], q: int) -> list:
+    """J_C of a crossing component as a signed sum of terms.
+
+    ``factors`` are the (a, b, exponent) factors of ``_factorize`` on the
+    positions 1..q, s_1 = 0 and s_q = 1 pinned.  An inner position i in
+    exactly one factor (s_i - s_c)^e, c < i, integrates out between its
+    neighbouring positions lo < i < hi to
+    [(s_hi - s_c)^(e+1) - (s_lo - s_c)^(e+1)] / (e+1), the second term
+    absent when c = lo, and the mirror image for c > i.  Positions whose
+    partner is a neighbour go first, as they give one term.  Exponents on
+    the same two positions add, a factor on the two pinned positions is 1,
+    and the divisor e + 1 enters as Gamma(e + 1) / Gamma(e + 2).  A term
+    left with nesting intervals only is then exact by ``_dirichlet``.
+
+    Returns (sign, numer, denom, grid) per term: the term is sign times the
+    gamma product, times, where ``grid = (factors, n)`` is not None, the
+    integral of those crossing factors on positions 1..n that
+    ``_reduced_level_sum`` evaluates.  Everything is exact integer pairs.
+    """
+    # every pair of a crossing component has a position of it inside, so
+    # no two of the factors share both positions
+    todo = [(1, [], [], tuple(range(1, q + 1)), {(a, b): e for a, b, e in factors})]
+    terms = []
+    while todo:
+        sign, numer, denom, pos, fac = todo.pop()
+        count: dict = {}
+        for x in itertools.chain.from_iterable(fac):
+            count[x] = count.get(x, 0) + 1
+        steps = []
+        for k in range(1, len(pos) - 1):
+            if count.get(pos[k]) == 1:
+                ab = next(ab for ab in fac if pos[k] in ab)
+                steps.append((sum(ab) - pos[k] not in (pos[k - 1], pos[k + 1]), k, ab))
+        if not steps:
+            local = {x: j for j, x in enumerate(pos, start=1)}
+            fac = {(local[a], local[b]): e for (a, b), e in fac.items()}
+            grid = None
+            if any(a < c < b < d for (a, b), (c, d) in itertools.permutations(fac, 2)):
+                grid = (sorted((a, b, e) for (a, b), e in fac.items()), len(pos))
+            else:
+                _nested(fac, 1, len(pos), numer, denom)
+            terms.append((sign, numer, denom, grid))
+            continue
+        _, k, ab = min(steps)
+        lo, i, hi = pos[k - 1 : k + 2]
+        rest = {key: e for key, e in fac.items() if key != ab}
+        c, (e0, e1) = sum(ab) - i, fac[ab]
+        div = (e0 + 1, e1)
+        ends = ((hi, 1), (lo, -1)) if c < i else ((lo, 1), (hi, -1))
+        for end, s in ends:
+            if end == c:
+                continue
+            new = dict(rest)
+            key = (min(c, end), max(c, end))
+            if key != (pos[0], pos[-1]):
+                old = new.get(key, _FREE)
+                new[key] = (old[0] + div[0], old[1] + div[1])
+            todo.append((sign * s, numer + [div], denom + [(div[0] + 1, div[1])],
+                         pos[:k] + pos[k + 1:], new))
+    return terms
+
+
+def _gamma_product(numer: list, denom: list, h: float) -> tuple[float, float]:
+    """prod Gamma(numer) / prod Gamma(denom) at H, and its rounding bound.
+
+    Each argument c + p alpha is computed as (c - p) + p (2H - 1), a sum of
+    nonnegative terms, to a few ulps; the bound carries that through lgamma
+    and adds lgamma's and exp's own rounding.
+    """
+    g = 2 * h - 1
+    args = [(s, (c - p) + p * g) for s, a in ((1, numer), (-1, denom)) for c, p in a]
+    try:
+        logs = [(s, x, math.lgamma(x)) for s, x in args]
+        value = math.exp(sum(s * lg for s, _, lg in logs))
+    except OverflowError:
+        raise NumericError(f"gamma product out of float range at H={h}") from None
+    slack = sum(2 + abs(lg) + x * abs(math.log(x)) for _, x, lg in logs)
+    return value, 8 * math.ulp(1.0) * slack * value
+
+
 def _factored(
     partition: PairPartition, h: float, method: str, tol: float, max_level: int
 ) -> EvalResult:
     """The gamma product of ``_factorize`` times the J_C of its crossing
-    components, level by level (see ``l_adaptive``)."""
+    components as sums of terms, level by level (see ``l_adaptive``)."""
     _require_convergent(h)
     _require_tol(tol)
     tree, numer, denom, crossing = _factorize(partition)
     labels = "; ".join(label for label, _, _ in crossing)
     if crossing and method == "closed-form":
         raise DomainError(f"no closed form for crossing pairs {labels}")
-    if any(count > 3 for _, count, _ in crossing):
+    if any(count > _MAX_PAIRS for _, count, _ in crossing):
         raise SizeError(
-            "adaptive route limited to crossing components of at most 3 pairs "
-            f"(grids of at most 4 dimensions); crossing pairs {labels}"
+            f"adaptive route limited to crossing components of at most {_MAX_PAIRS} "
+            f"pairs; crossing pairs {labels}"
         )
-    # c + p alpha computed as (c - p) + p (2H - 1) sums nonnegative terms, to a
-    # few ulps; err carries that through lgamma and adds lgamma's and exp's.
-    # The reported tol is the larger of err and the last level change.
-    g = 2 * h - 1
-    args = [(s, (c - p) + p * g) for s, a in ((1, numer), (-1, denom)) for c, p in a]
-    try:
-        logs = [(s, x, math.lgamma(x)) for s, x in args]
-        exact = math.exp(sum(s * lg for s, _, lg in logs))
-    except OverflowError:
-        raise NumericError(f"gamma product out of float range at H={h}") from None
-    slack = sum(2 + abs(lg) + x * abs(math.log(x)) for _, x, lg in logs)
-    err = 8 * math.ulp(1.0) * slack * exact
-    grids = [[(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f] for *_, f in crossing]
-    wide = any(count == 3 for _, count, _ in crossing)  # 4-D grids: up to 129
-    levels = [17, 33, 65, 129, 257, 513][: min(max_level, 4 if wide else 6)]
-    values, cells, done, change = [], 0, not grids, 0.0
-    for m in levels if grids else []:
-        values.append(exact * math.prod(_reduced_level_sum(f, m) for f in grids))
-        cells += sum(m ** (max(b for _, b, _ in f) - 2) for f in grids)
+    exact, err = _gamma_product(numer, denom, h)
+    # per component, (signed value, rounding bound, grid or None) per term
+    comps = []
+    for _, count, factors in crossing:
+        terms = []
+        for sign, tn, td, grid in _crossing_terms(factors, 2 * count):
+            value, bound = _gamma_product(tn, td, h)
+            if grid is not None:
+                f, n = grid
+                grid = ([(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f], n)
+            terms.append((sign * value, bound, grid))
+        comps.append(terms)
+    dims = [grid[1] - 2 for terms in comps for *_, grid in terms if grid]
+
+    def level(m: int | None) -> tuple[float, float, list[float | None]]:
+        """L with every leftover grid at m nodes a side, its rounding bound
+        and the cancellation ratio sum |term| / |J_C| of each component
+        (None where the terms sum to 0: all underflow, or all cancel).
+        The bound is err for the gamma product plus, per component, the sum
+        over its terms of |term| times the term's own rounding bound."""
+        sums, floors, ratios = [], [], []
+        for terms in comps:
+            vals, bounds = [], []
+            for value, bound, grid in terms:
+                scale = 1.0 if grid is None else _reduced_level_sum(*grid, m)
+                vals.append(value * scale)
+                bounds.append(bound * scale)
+            sums.append(math.fsum(vals))
+            floors.append(math.fsum(bounds))
+            ratios.append(math.fsum(map(abs, vals)) / abs(sums[-1]) if sums[-1] else None)
+        mags = [abs(j) for j in sums]
+        rounding = err * math.prod(mags) + abs(exact) * sum(
+            f * math.prod(mags[:i] + mags[i + 1:]) for i, f in enumerate(floors)
+        )
+        return exact * math.prod(sums), rounding, ratios
+
+    # 513 nodes a side on 2-D grids, 257 on 3-D, 129 on 4-D
+    levels = [17, 33, 65, 129, 257, 513][: min(max_level, 8 - max(dims))] if dims else []
+    values, cells, change, done = [], 0, 0.0, not dims
+    if done:
+        value, rounding, ratios = level(None)
+    for m in levels:
+        value, rounding, ratios = level(m)
+        values.append(value)
+        cells += sum(m ** d for d in dims)
         if len(values) > 1:
             change = abs(values[-1] - values[-2])
-            done = change <= max(tol, tol * abs(values[-1]))
+            done = change <= max(tol, tol * abs(value), rounding)
             if done:
                 break
     if not done:
@@ -719,9 +884,11 @@ def _factored(
     extra = {"factor_tree": tree}
     if method == "adaptive":
         extra.update(levels=levels[: len(values)], level_values=values)
-    return EvalResult(value=values[-1] if values else exact, method=method,
-                      tol=max(change, err), cells=cells, h=h,
-                      partition=format_pairs(partition), extra=extra)
+    if comps:
+        extra.update(terms=[len(terms) for terms in comps], grid_dims=dims,
+                     cancellation=ratios)
+    return EvalResult(value=value, method=method, tol=max(change, rounding), cells=cells,
+                      h=h, partition=format_pairs(partition), extra=extra)
 
 
 def l_adaptive(
@@ -729,17 +896,25 @@ def l_adaptive(
 ) -> EvalResult:
     """Deterministic evaluation of L: the exact gamma product of
     ``_factorize`` times the reduced integral J_C of each crossing component
-    C of two or three pairs (none for a non-crossing P, which gives the
-    float of ``l_closed_form``).  The J_C run a nested rule on grids of at
-    most 4 dimensions, node counts doubling per level; the error estimate
-    is the change of L between levels, and ``extra["level_values"]``
-    records L at each.  Levels stop once that change is at most
-    ``max(tol, tol * |L|)``, so tol is an absolute bound whenever |L| < 1
-    (L is small from 2k = 8 on); the reported tol is that change or the
-    rounding bound of the gamma product, whichever is larger.  A NaN or
-    negative tol raises DomainError before any level runs, larger crossing
-    components raise SizeError, and an exhausted level budget raises with
-    the best value.
+    C (none for a non-crossing P, which gives the float of
+    ``l_closed_form``).  Each J_C is a signed sum of terms: one-factor
+    positions integrate out in closed form (``_crossing_terms``), and a term
+    whose intervals nest is a gamma product (``_dirichlet``).  A term whose
+    intervals cross runs a nested rule on a grid of at most 4 dimensions,
+    node counts doubling per level; the error estimate is the change of L
+    between levels, and ``extra["level_values"]`` records L at each.
+    Levels stop once that change is at most ``max(tol, tol * |L|)`` or the
+    rounding bound, so tol is an absolute bound whenever |L| < 1 (L is
+    small from 2k = 8 on).  The rounding bound is the gamma product's plus,
+    per component, the sum over its terms of |term| times the term's own
+    rounding bound, which carries the cancellation between terms
+    (``extra["cancellation"]`` is sum |term| / |J_C|); the reported tol is
+    the larger of the last change and that bound, so a tol below the bound
+    is reported, not raised.  ``extra`` also holds the term count of each
+    component and each grid's dimension.  A NaN or negative tol raises
+    DomainError before any level runs, a crossing component of more than
+    5 pairs raises SizeError before any work, and an exhausted level
+    budget raises with the best value.
     """
     return _factored(partition, h, "adaptive", tol, max_level)
 

@@ -186,10 +186,20 @@ def test_eval_nested_matching_is_exact(pairs, h, method):
     assert result["extra"]["factor_tree"]
 
 
+def test_eval_crossing_near_half():
+    # a sum of four gamma-product terms that cancel by a factor of 6e5 here
+    out = CliRunner().invoke(cli.main, ["eval", "--pairs", "1-3,2-5,4-6", "--H", "0.51"])
+    assert out.exit_code == 0, out.output
+    result = json.loads(out.output)["result"]
+    assert abs(result["value"] - 0.131004441040988) <= result["tol"] < 1e-8
+    assert result["cells"] == 0 and result["extra"]["terms"] == [4]
+
+
 def test_eval_wide_crossing_component_exit_3():
-    out = CliRunner().invoke(cli.main, ["eval", "--pairs", "1-5,2-6,3-7,4-8", "--H", "0.8"])
+    out = CliRunner().invoke(
+        cli.main, ["eval", "--pairs", "1-7,2-8,3-9,4-10,5-11,6-12", "--H", "0.8"])
     assert out.exit_code == 3
-    assert "at most 3 pairs" in out.output
+    assert "at most 5 pairs" in out.output
 
 
 @pytest.mark.parametrize("args", [
@@ -399,6 +409,7 @@ EXACT_COMMANDS = [
     ("poles", "--pairs", "1-7,2-8,3-5,4-6"),
     ("poles", "--word", "1,2,1,2,1,2"),
     ("eval", "--pairs", "1-2,3-4", "--H", "0.8", "--method", "closed-form"),
+    ("eval", "--pairs", "1-3,2-4", "--H", "0.8"),
     ("mean-sig", "--word", "1,1", "--H", "0.8"),
     ("gamma-table", "--k", "1", "--d", "3", "--H", "0.8"),
     ("verify", "poles", "--quick"),
@@ -446,11 +457,14 @@ def test_cli_import_loads_no_scipy():
     # no thread pool)
     assert loaded_at_exit("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
                           "--samples", "100") == ["numpy"]
+    # many batches start threads, and concurrent.futures stays unloaded
+    assert loaded_at_exit("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
+                          "--samples", "100000") == ["numpy"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_bad_tolerance_exit_3(tol):
-    # refused before any level runs: the 4-D grid of 1-4,2-5,3-6 never starts
+    # refused before any level runs: the grid term of 1-4,2-5,3-6 never starts
     out = run_cli("eval", "--pairs", "1-4,2-5,3-6", "--H", "0.8", "--tol", tol, timeout=10)
     assert out.returncode == 3, out.stderr
     assert "tolerance must be a nonnegative number" in out.stderr
@@ -507,8 +521,9 @@ def test_evaluation_commands_share_one_option_set():
 # sha256 of the stdout of each command, with its exit code, recorded before the
 # three commands shared one option set and one runner
 PINNED_STDOUT = [
+    # re-recorded when 1-3,2-4 became a sum of two gamma-product terms
     (("mean-sig", "--word", "1,2,1,2", "--H", "0.8"), 0,
-     "49ff1a740b266c9da72613a48cd42dba25568337ce62c4ece370382afbdf1438"),
+     "d3c10d4b1e76a4f773e0bfe9f9bbc5396d5618ebb1abe43835869bb5371a5bc1"),
     (("mean-sig", "--word", "1,1,1,1", "--H", "0.8", "--method", "direct-mc",
       "--samples", "4000", "--workers", "2"), 0,
      "b07eef25cba254b38e9595edbb46b222fd3d7d51a61e9ffe953b14a83540abc8"),

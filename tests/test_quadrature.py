@@ -1,12 +1,12 @@
 """Quadrature routes and the deterministic moment oracle."""
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +20,8 @@ from sigpole.quadrature import (
     DEFAULT_SEED,
     EvalResult,
     FbmCovariance,
+    _crossing_terms,
+    _factorize,
     _increasing_pair_sum,
     _merge_network,
     _sorted_rows,
@@ -96,12 +98,20 @@ def is_crossing(partition: PairPartition) -> bool:
 
 @pytest.mark.parametrize("h", [0.501, 0.51])
 def test_adaptive_k2_near_half(h):
-    # the node span widens as H approaches 1/2, keeping the crossing k=2
-    # matching convergent within the level budget; the other two are exact
+    # all three k=2 matchings are sums of gamma products, with no grid
     for p in (ADJ2, CROSS2, NEST2):
         r = l_adaptive(p, h, tol=1e-6)
         assert r.value == pytest.approx(k2_exact(p, h), rel=1e-6), p
-        assert bool(r.extra["levels"]) == is_crossing(p), p
+        assert r.cells == 0, p
+
+
+def test_adaptive_terms_cancel_to_zero():
+    # at H = 1/2 + 1e-15 the two terms of 1-3,2-4 round to the same float:
+    # the sum is 0, and the reported tol still covers the limit pi^2 / 12
+    r = l_adaptive(CROSS2, 0.5 + 1e-15)
+    assert r.value == 0.0 and r.extra["cancellation"] == [None]
+    assert r.tol >= math.pi ** 2 / 12
+    json.dumps(r.to_json_dict(), allow_nan=False)
 
 
 REDUCIBLE6 = (
@@ -111,20 +121,27 @@ REDUCIBLE6 = (
 
 
 def test_adaptive_level_trace():
-    for p in (CROSS2,) + REDUCIBLE6 + (PairPartition([(1, 5), (2, 3), (4, 6)]),):
-        r = l_adaptive(p, 0.8, tol=1e-6)
+    # each of these has one term whose intervals cross, left on a 2-D grid
+    for spec, terms in (("1-4,2-6,3-5", 4), ("1-4,2-5,3-6", 5)):
+        r = l_adaptive(parse_pairs(spec), 0.8, tol=1e-6)
         values = r.extra["level_values"]
         assert len(values) == len(r.extra["levels"]) >= 2
         assert abs(values[-1] - values[-2]) == r.tol
         assert values[-1] == r.value
+        assert r.extra["terms"] == [terms] and r.extra["grid_dims"] == [2]
     assert l_adaptive(CROSS2, 0.8, tol=1e-6).value == pytest.approx(
         k2_exact(CROSS2, 0.8), rel=1e-9
     )
-    for p in (PAIR, ADJ2, NEST2, PairPartition([(1, 6), (2, 3), (4, 5)])):
+    # every term of these nests: exact, crossing or not
+    laminar = (CROSS2,) + REDUCIBLE6 + (parse_pairs("1-5,2-3,4-6"),)
+    for p in (PAIR, ADJ2, NEST2, PairPartition([(1, 6), (2, 3), (4, 5)])) + laminar:
         r = l_adaptive(p, 0.8, tol=1e-6)
         assert r.extra["levels"] == r.extra["level_values"] == [] and r.cells == 0
         if p.k == 2:
             assert r.value == pytest.approx(k2_exact(p, 0.8), rel=1e-12)
+    r = l_adaptive(parse_pairs("1-3,2-5,4-6"), 0.8)
+    assert r.extra["terms"] == [4] and r.extra["grid_dims"] == []
+    assert r.extra["cancellation"][0] == pytest.approx(42.04, rel=1e-3)
 
 
 @pytest.mark.parametrize("h", [0.7, 0.8, 0.9])
@@ -139,16 +156,16 @@ def test_adaptive_reducible_crossing(h):
     for p in REDUCIBLE6:
         r = l_adaptive(p, h, tol=1e-12)
         assert r.value == pytest.approx(exact, rel=1e-10), p
-        assert r.extra["levels"]
+        assert r.cells == 0, p
 
 
 def test_adaptive_guards(monkeypatch):
     with pytest.raises(DomainError):
         l_adaptive(PAIR, 0.5)
-    with pytest.raises(SizeError):
-        l_adaptive(PairPartition([(1, 5), (2, 6), (3, 7), (4, 8)]), 0.8)
+    with pytest.raises(SizeError, match="at most 5 pairs"):
+        l_adaptive(parse_pairs("1-7,2-8,3-9,4-10,5-11,6-12"), 0.8)
     with pytest.raises(NumericError) as err:
-        l_adaptive(CROSS2, 0.75, tol=1e-12, max_level=2)
+        l_adaptive(parse_pairs("1-4,2-6,3-5"), 0.75, tol=1e-12, max_level=2)
     assert "best" in err.value.diagnostics
 
     # a NaN or negative tol is refused before any level runs
@@ -163,14 +180,69 @@ def test_adaptive_guards(monkeypatch):
 
 
 def test_adaptive_tolerance_extremes():
-    # levels 257 and 513 of CROSS2 agree to the bit: tol = 0 stops there, and
-    # the reported tol is the rounding bound of the gamma product, never 0
+    # a tol below the rounding bound of the terms is reported, not raised:
+    # tol = 0 stops once a level changes L by less than that bound (at 129
+    # nodes a side here), and the reported tol is the bound, never 0
+    p = parse_pairs("1-4,2-6,3-5")
     for tol in (0.0, 1e-300):
-        r = l_adaptive(CROSS2, 0.8, tol=tol)
-        assert r.extra["levels"] == [17, 33, 65, 129, 257, 513]
-        assert r.extra["level_values"][-1] == r.extra["level_values"][-2]
-        assert 0 < r.tol < 1e-13
-    assert l_adaptive(CROSS2, 0.8, tol=math.inf).extra["levels"] == [17, 33]
+        r = l_adaptive(p, 0.8, tol=tol)
+        values = r.extra["level_values"]
+        assert r.extra["levels"] == [17, 33, 65, 129]
+        assert abs(values[-1] - values[-2]) < r.tol < 1e-13
+    assert l_adaptive(p, 0.8, tol=math.inf).extra["levels"] == [17, 33]
+
+
+def test_crossing_term_census():
+    # symbolic: every crossing component at 2k <= 10 and the terms its
+    # elimination order gives; every gamma argument, the divisors' among
+    # them, is (c, p) with c >= p and c >= 1, so c + p (2H - 2) > 0 for all
+    # H > 1/2, reaching 0 only at H = 1/2
+    most = {}
+    for size in (4, 6, 8, 10):
+        terms_max = dim_max = 0
+        for p in all_pair_partitions(size):
+            for _, count, factors in _factorize(p)[3]:
+                terms = _crossing_terms(factors, 2 * count)
+                terms_max = max(terms_max, len(terms))
+                for _, numer, denom, grid in terms:
+                    assert all(c >= max(q, 1) for c, q in numer + denom), p
+                    if grid is not None:
+                        dim_max = max(dim_max, grid[1] - 2)
+        most[size] = (terms_max, dim_max)
+    assert most == {4: (2, 0), 6: (5, 2), 8: (17, 3), 10: (56, 4)}
+
+
+def term_sum_exact(partition: PairPartition, h: float):
+    """50-digit value of the gamma product of ``_factorize`` times the term
+    sum of each crossing component, for a P whose terms all nest."""
+    import mpmath
+
+    _tree, numer, denom, crossing = _factorize(partition)
+    with mpmath.workdps(50):
+        alpha = 2 * mpmath.mpf(h) - 2
+
+        def ratio(top, bottom):
+            gamma = [mpmath.gamma(c + q * alpha) for c, q in top + bottom]
+            return mpmath.fprod(gamma[: len(top)]) / mpmath.fprod(gamma[len(top):])
+
+        value = ratio(numer, denom)
+        for _, count, factors in crossing:
+            terms = _crossing_terms(factors, 2 * count)
+            assert all(grid is None for *_, grid in terms)
+            value *= mpmath.fsum(s * ratio(top, bottom) for s, top, bottom, _ in terms)
+        return value
+
+
+@pytest.mark.parametrize("h", [0.501, 0.51])
+def test_laminar_crossing_near_half_against_mpmath(h):
+    # the terms cancel by a factor up to 6e8 at H = 0.501; the reported tol
+    # must carry that
+    laminar = [p for p in all_pair_partitions(6) if is_crossing(p)
+               and l_adaptive(p, 0.8).cells == 0]
+    assert len(laminar) == 6
+    for p in laminar:
+        r = l_adaptive(p, h)
+        assert abs(r.value - term_sum_exact(p, h)) <= r.tol, p
 
 
 def test_closed_form_adjacent():
@@ -234,7 +306,8 @@ def test_noncrossing_exact_against_mpmath(h):
 def test_factorization_against_direct_mc():
     # H > 3/4, so the Monte Carlo variance is finite
     h = 0.85
-    some8 = ("1-2,3-8,4-5,6-7", "1-8,2-7,3-6,4-5", "1-4,2-3,5-8,6-7")
+    some8 = ("1-2,3-8,4-5,6-7", "1-8,2-7,3-6,4-5", "1-4,2-3,5-8,6-7",
+             "1-5,2-6,3-7,4-8", "1-3,2-5,4-7,6-8")
     for p in all_pair_partitions(6) + [parse_pairs(s) for s in some8]:
         a = l_adaptive(p, h, tol=1e-7)
         mc = l_direct_mc(p, h, samples=200_000, seed=85)
@@ -325,25 +398,41 @@ def test_direct_mc_threads_stress(monkeypatch):
 
 
 def test_direct_mc_thread_pool_bounds(monkeypatch):
-    def refuse(max_workers):
-        raise AssertionError(f"pool of {max_workers} started")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread started")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    real = threading.Thread
+    monkeypatch.setattr(threading, "Thread", refuse)
     # one batch, then one CPU: both run in the calling thread
     l_direct_mc(PAIR, 0.8, samples=quadrature._DIRECT_BATCH, seed=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     l_direct_mc(PAIR, 0.8, samples=100_000, seed=1, workers=4)
-    asked = []
-    real = concurrent.futures.thread.ThreadPoolExecutor
+    started = []
 
-    def spy(max_workers):
-        asked.append(max_workers)
-        return real(max_workers)
+    class Spy(real):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(threading, "Thread", Spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     l_direct_mc(PAIR, 0.8, samples=100_000, seed=1, workers=4)
-    assert asked == [2]
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+def test_direct_mc_thread_error_reaches_caller(monkeypatch):
+    calls = []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("batch failed")
+        return _sorted_rows(*args)
+
+    monkeypatch.setattr("sigpole.quadrature._sorted_rows", fail_second)
+    monkeypatch.setattr("sigpole.quadrature._thread_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        l_direct_mc(PAIR, 0.8, samples=100_000, seed=1)
 
 
 def test_thread_count_fallbacks(monkeypatch):
