@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""Command-line front end, on argparse from the standard library.
 
-Subcommands: poles, eval, mean-sig, gamma-table, verify.  Output is JSON by
-default (csv/text where meaningful); every payload embeds the package
-version, the run configuration and the provenance of each number.  Exit
-codes: 0 success, 1 verification failure, 2 usage or parse error, 3 domain
-error (for instance a Hurst parameter outside the convergent region).
+Subcommands: poles, eval, mean-sig, gamma-table, verify; ``sigpole <command>
+--help`` lists the options of each.  Output is JSON by default (csv/text
+where meaningful); every payload embeds the package version, the run
+configuration and the provenance of each number.  Exit codes: 0 success, 1
+verification failure, 2 usage or parse error, 3 domain error (for instance a
+Hurst parameter outside the convergent region).  No option name may be
+abbreviated, and a number after an option name is its value even when it
+starts with "-" (``--tol -1e-3``).
 
 eval, mean-sig and gamma-table share one option set (--H, --method,
 --samples, --seed, --tol, --workers) and one runner.  The seed is --seed,
@@ -14,11 +17,10 @@ and worker count included) produce byte identical output.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-
-import click
 
 from . import __version__
 from .errors import DimensionError, DomainError, NumericError, ParseError, SizeError
@@ -34,24 +36,27 @@ from .signature import (
 )
 
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+_SHOW_DEFAULT = "default: %(default)s"
+
+
+def _fail(message: str) -> None:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(EXIT_DOMAIN)
 
 
 def _emit(payload: dict, output: str) -> None:
     payload = {"version": __version__, **payload}
-    if output == "json":
-        try:
-            text = json.dumps(payload, sort_keys=True, allow_nan=False)
-        except ValueError:  # NaN or an infinity somewhere in the payload
-            click.echo("error: result is not a finite number", err=True)
-            sys.exit(EXIT_DOMAIN)
-        click.echo(text)
-    elif output == "text":
+    if output == "text":
         for key, value in payload.items():
-            click.echo(f"{key}: {value}")
-    else:
-        raise click.UsageError(f"unsupported output format {output!r}")
+            print(f"{key}: {value}")
+        return
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or an infinity somewhere in the payload
+        _fail("result is not a finite number")
+    print(text)
 
 
 def _compute(fn, *args, **kwargs):
@@ -60,8 +65,7 @@ def _compute(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except (DomainError, SizeError, NumericError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+        _fail(str(exc))
 
 
 def _provenance(results) -> str:
@@ -69,193 +73,111 @@ def _provenance(results) -> str:
     return "stochastic" if stochastic else "deterministic"
 
 
-def _parse(parse, spec: str):
-    try:
-        return parse(spec)
-    except ParseError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _evaluate(fn, args, config, method, samples, seed, tol, workers):
-    """fn(*args, **route kwargs) through _compute, with the run
+def _evaluate(fn, inputs, config, args):
+    """fn(*inputs, **route kwargs) through _compute, with the run
     configuration: config followed by the shared route options."""
+    seed = args.seed
     if seed is None:
         env = os.environ.get("SIGPOLE_SEED")
         try:
             seed = DEFAULT_SEED if env is None else int(env, 0)
         except ValueError:
-            raise click.UsageError(f"SIGPOLE_SEED={env!r} is not an integer")
-    if method in STOCHASTIC_METHODS:
-        kwargs = {"samples": samples, "seed": seed, "workers": workers}
+            args.parser.error(f"SIGPOLE_SEED={env!r} is not an integer")
+    if args.method in STOCHASTIC_METHODS:
+        kwargs = {"samples": args.samples, "seed": seed, "workers": args.workers}
     else:
-        kwargs = {"tol": tol} if method == "adaptive" else {}
-    result = _compute(fn, *args, **kwargs)
-    config = {**config, "method": method, "samples": samples, "seed": seed,
-              "tol": tol, "workers": workers}
+        kwargs = {"tol": args.tol} if args.method == "adaptive" else {}
+    result = _compute(fn, *inputs, **kwargs)
+    config = {**config, "method": args.method, "samples": args.samples, "seed": seed,
+              "tol": args.tol, "workers": args.workers}
     return result, config
 
 
-def route_options(methods):
-    """The options of eval, mean-sig and gamma-table, declared once."""
-    options = [
-        click.option("--H", "hurst", type=float, required=True),
-        click.option("--method", type=click.Choice(methods), default="adaptive",
-                     show_default=True),
-        click.option("--samples", type=int, default=1_000_000, show_default=True),
-        click.option("--seed", type=int, default=None,
-                     help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)"),
-        click.option("--tol", type=float, default=1e-8, show_default=True,
-                     help="adaptive stop rule: level change <= max(tol, tol*|L|) "
-                     "or the rounding bound, so tol is absolute when |L| < 1"),
-        click.option("--workers", type=int, default=1, show_default=True),
-    ]
-
-    def decorate(f):
-        for option in reversed(options):
-            f = option(f)
-        return f
-
-    return decorate
-
-
-output_option = click.option(
-    "--output", type=click.Choice(["json", "text"]), default="json", show_default=True
-)
-mode_option = click.option(
-    "--mode", type=click.Choice(NORMALIZATION_MODES), default=DEFAULT_MODE,
-    show_default=True,
-)
-
-
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Candidate pole sets and numeric evaluation for pair-partition
-    simplex integrals."""
-
-
-@main.command("poles")
-@click.option("--pairs", "pairs_spec", default=None, help="pair partition, e.g. '1-2,3-4'")
-@click.option("--word", "word_spec", default=None, help="word, e.g. '1,2,1,2'")
-@click.option("--set", "set_spec", default=None, help="position set, e.g. '2-8,10-11'")
-@output_option
-def cmd_poles(pairs_spec, word_spec, set_spec, output) -> None:
+def cmd_poles(args) -> None:
     """Exact candidate pole report for a partition or a word.
 
     With --set (and --pairs), reports the single progression contributed by
     that position set.  Rationals print as p/q, never as floats.
     """
-    if (pairs_spec is None) == (word_spec is None):
-        raise click.UsageError("give exactly one of --pairs or --word")
-    if set_spec is not None and pairs_spec is None:
-        raise click.UsageError("--set needs --pairs")
-    try:
-        if pairs_spec is not None:
-            partition = parse_pairs(pairs_spec)
-            if set_spec is not None:
-                s = parse_position_set(set_spec)
-                pr = progression_of_set(partition, s)
-                payload = {
-                    "config": {"pairs": pairs_spec, "set": set_spec},
-                    "set": format_position_set(s),
-                    "set_size": len(s),
-                    "progression": None if pr is None else pr.as_record(),
-                    "note": "zero bracket count" if pr is None else None,
-                }
-                _emit(payload, output)
-                return
-            # a partition of more than 128 positions exits 3
-            ps = _compute(candidate_poles, partition)
-            payload = {
-                "config": {"pairs": pairs_spec},
-                "progressions": ps.as_records(),
-                "contributions": ps.contribution_records(),
-                "max_offset": None if ps.max_offset is None else str(ps.max_offset),
-                "provenance": "exact-rational",
-            }
-            _emit(payload, output)
-            return
-        word = parse_word(word_spec)
+    if args.word is not None:
+        if args.set is not None:
+            args.parser.error("--set needs --pairs")
         # a word with more refining matchings than are enumerated exits 3
-        report = _compute(candidate_pole_report, word)
+        report = _compute(candidate_pole_report, parse_word(args.word))
         payload = {
-            "config": {"word": word_spec},
+            "config": {"word": args.word},
             "refining_partitions": report["refining_count"],
             "progressions": report["union"].as_records(),
             "contributions": report["contributions"],
             "note": report["note"],
             "provenance": "exact-rational",
         }
-        _emit(payload, output)
-    except (ParseError, DimensionError) as exc:
-        raise click.UsageError(str(exc))
+    elif args.set is not None:
+        partition = parse_pairs(args.pairs)
+        s = parse_position_set(args.set)
+        pr = progression_of_set(partition, s)
+        payload = {
+            "config": {"pairs": args.pairs, "set": args.set},
+            "set": format_position_set(s),
+            "set_size": len(s),
+            "progression": None if pr is None else pr.as_record(),
+            "note": "zero bracket count" if pr is None else None,
+        }
+    else:
+        # a partition of more than 128 positions exits 3
+        ps = _compute(candidate_poles, parse_pairs(args.pairs))
+        payload = {
+            "config": {"pairs": args.pairs},
+            "progressions": ps.as_records(),
+            "contributions": ps.contribution_records(),
+            "max_offset": None if ps.max_offset is None else str(ps.max_offset),
+            "provenance": "exact-rational",
+        }
+    _emit(payload, args.output)
 
 
-@main.command("eval")
-@click.option("--pairs", "pairs_spec", required=True)
-@route_options(list(ROUTES))
-@output_option
-def cmd_eval(pairs_spec, hurst, method, output, **route) -> None:
+def cmd_eval(args) -> None:
     """Numerically evaluate the integral attached to one pair partition."""
-    partition = _parse(parse_pairs, pairs_spec)
-    result, config = _evaluate(ROUTES[method], (partition, hurst),
-                               {"pairs": pairs_spec, "H": hurst}, method, **route)
+    result, config = _evaluate(ROUTES[args.method], (parse_pairs(args.pairs), args.hurst),
+                               {"pairs": args.pairs, "H": args.hurst}, args)
     _emit({"config": config, "result": result.to_json_dict(),
-           "provenance": _provenance([result])}, output)
+           "provenance": _provenance([result])}, args.output)
 
 
-@main.command("mean-sig")
-@click.option("--word", "word_spec", required=True)
-@mode_option
-@route_options(list(ROUTES))
-@output_option
-def cmd_mean_sig(word_spec, hurst, mode, method, output, **route) -> None:
+def cmd_mean_sig(args) -> None:
     """Mean iterated integral of a word (prefactor times the partition sum)."""
-    word = _parse(parse_word, word_spec)
-    result, config = _evaluate(mean_iterated_integral, (word, hurst, mode, method),
-                               {"word": word_spec, "H": hurst, "mode": mode},
-                               method, **route)
-    _emit({"config": config, "result": result.to_json_dict(), "mode": mode,
-           "provenance": _provenance([result])}, output)
+    word = parse_word(args.word)
+    result, config = _evaluate(mean_iterated_integral,
+                               (word, args.hurst, args.mode, args.method),
+                               {"word": args.word, "H": args.hurst, "mode": args.mode},
+                               args)
+    _emit({"config": config, "result": result.to_json_dict(), "mode": args.mode,
+           "provenance": _provenance([result])}, args.output)
 
 
-@main.command("gamma-table")
-@click.option("--k", "order", type=int, required=True)
-@click.option("--d", "alphabet", type=int, required=True)
-@mode_option
-@route_options([m for m in ROUTES if m != "pullback-mc"])
-@click.option(
-    "--output", type=click.Choice(["json", "csv"]), default="json", show_default=True
-)
-def cmd_gamma_table(order, alphabet, hurst, mode, method, output, **route) -> None:
+def cmd_gamma_table(args) -> None:
     """Coefficient table over all words of length 2k on d letters."""
-    table, config = _evaluate(gamma_table, (order, alphabet, hurst, mode, method),
-                              {"k": order, "d": alphabet, "H": hurst, "mode": mode},
-                              method, **route)
-    if output == "csv":
-        click.echo(table.to_csv(), nl=False)
+    table, config = _evaluate(gamma_table, (args.k, args.d, args.hurst, args.mode, args.method),
+                              {"k": args.k, "d": args.d, "H": args.hurst, "mode": args.mode},
+                              args)
+    if args.output == "csv":
+        print(table.to_csv(), end="")
         return
     _emit({"config": config, "table": table.to_json_dict(),
            "provenance": _provenance(table.entries.values())}, "json")
 
 
-@main.command("verify")
-@click.argument("suite", default="all")
-@click.option("--quick", is_flag=True, help="reduced sizes for a fast pass")
-@output_option
-def cmd_verify(suite, quick, output) -> None:
+def cmd_verify(args) -> None:
     """Run a module's invariant suite (or all of them)."""
     from .verify import available_suites, run_suite
 
-    if suite not in available_suites():
-        raise click.UsageError(
-            f"unknown suite {suite!r}; choose from {available_suites()}"
-        )
-    results = run_suite(suite, quick=quick)
+    if args.suite not in available_suites():
+        args.parser.error(f"unknown suite {args.suite!r}; choose from {available_suites()}")
+    results = run_suite(args.suite, quick=args.quick)
     failed = [r for r in results if not r.ok]
-    if output == "json":
+    if args.output == "json":
         payload = {
-            "config": {"suite": suite, "quick": quick},
+            "config": {"suite": args.suite, "quick": args.quick},
             "checks": [
                 {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
                 for r in results
@@ -266,10 +188,102 @@ def cmd_verify(suite, quick, output) -> None:
         _emit(payload, "json")
     else:
         for r in results:
-            click.echo(f"[{'PASS' if r.ok else 'FAIL'}] {r.suite}.{r.name}: {r.detail}")
-        click.echo(f"{len(results) - len(failed)}/{len(results)} checks passed")
+            print(f"[{'PASS' if r.ok else 'FAIL'}] {r.suite}.{r.name}: {r.detail}")
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
+
+
+def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> None:
+    """The options of eval, mean-sig and gamma-table, declared once."""
+    parser.add_argument("--H", dest="hurst", type=float, required=True)
+    parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
+    parser.add_argument("--samples", type=int, default=1_000_000, help=_SHOW_DEFAULT)
+    parser.add_argument("--seed", type=int,
+                        help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)")
+    parser.add_argument("--tol", type=float, default=1e-8,
+                        help="adaptive stop rule: level change <= max(tol, tol*|L|) "
+                        "or the rounding bound, so tol is absolute when |L| < 1; "
+                        + _SHOW_DEFAULT)
+    parser.add_argument("--workers", type=int, default=1, help=_SHOW_DEFAULT)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the five commands; each sets ``run`` to its command
+    function and ``parser`` to its own parser, for usage errors."""
+    parser = argparse.ArgumentParser(
+        prog="sigpole", allow_abbrev=False,
+        description="Candidate pole sets and numeric evaluation for pair-partition "
+        "simplex integrals.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(name, run, outputs=("json", "text")) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, allow_abbrev=False, help=run.__doc__.splitlines()[0],
+                                  description=run.__doc__)
+        sub.set_defaults(run=run, parser=sub)
+        sub.add_argument("--output", choices=outputs, default="json", help=_SHOW_DEFAULT)
+        return sub
+
+    poles = command("poles", cmd_poles)
+    source = poles.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pairs", help="pair partition, e.g. '1-2,3-4'")
+    source.add_argument("--word", help="word, e.g. '1,2,1,2'")
+    poles.add_argument("--set", help="position set, e.g. '2-8,10-11'")
+
+    evaluate = command("eval", cmd_eval)
+    evaluate.add_argument("--pairs", required=True)
+    add_route_options(evaluate, list(ROUTES))
+
+    mean_sig = command("mean-sig", cmd_mean_sig)
+    mean_sig.add_argument("--word", required=True)
+    add_route_options(mean_sig, list(ROUTES))
+
+    table = command("gamma-table", cmd_gamma_table, outputs=("json", "csv"))
+    table.add_argument("--k", type=int, required=True)
+    table.add_argument("--d", type=int, required=True)
+    add_route_options(table, [m for m in ROUTES if m != "pullback-mc"])
+
+    for sub in (mean_sig, table):
+        sub.add_argument("--mode", choices=NORMALIZATION_MODES, default=DEFAULT_MODE,
+                         help=_SHOW_DEFAULT)
+
+    verify = command("verify", cmd_verify)
+    verify.add_argument("suite", nargs="?", default="all")
+    verify.add_argument("--quick", action="store_true", help="reduced sizes for a fast pass")
+    return parser
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """argv with each number that starts with "-" attached to the option
+    name before it, ``--tol -1e-3`` as ``--tol=-1e-3``: argparse takes a
+    token such as -1e-3 or -inf for an option name, not a value."""
+    out: list[str] = []
+    for arg in argv:
+        if (arg.startswith("-") and _is_number(arg) and out and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command in argv (default ``sys.argv[1:]``)."""
+    args = build_parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
+    try:
+        args.run(args)
+    except (ParseError, DimensionError) as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -245,15 +245,22 @@ def _require_convergent(h: float) -> None:
         )
 
 
-def _require_counts(samples: int, workers: int) -> None:
-    """Both Monte Carlo routes need at least one sample, and at least one
-    and at most ``samples`` workers; checked before any seed is built."""
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
+def _require_mc_args(samples: int, seed: int, workers: int) -> None:
+    """Both Monte Carlo routes need at least one sample, at least one and
+    at most ``samples`` workers, and a nonnegative seed; checked before any
+    seed sequence is built."""
     if samples < 1 or workers < 1:
         raise SizeError(
             f"need samples >= 1 and workers >= 1, got {samples} and {workers}"
         )
     if workers > samples:
         raise SizeError(f"{workers} workers refused for {samples} samples")
+    _require_seed(seed)
 
 
 def _require_tol(tol: float) -> None:
@@ -263,13 +270,14 @@ def _require_tol(tol: float) -> None:
 
 def check_route_args(method: str, **kwargs) -> None:
     """The argument guards a named route runs before any work: the tol of
-    ``adaptive`` and the sample and worker counts of the Monte Carlo
-    routes.  An argument not given passes, as the route's default does."""
+    ``adaptive`` and the sample count, seed and worker count of the Monte
+    Carlo routes.  An argument not given passes, as the route's default
+    does."""
     if method == "adaptive":
         _require_tol(kwargs.get("tol", 0.0))
     elif method in STOCHASTIC_METHODS:
-        samples = kwargs.get("samples", _DEFAULT_SAMPLES)
-        _require_counts(samples, kwargs.get("workers", 1))
+        _require_mc_args(kwargs.get("samples", _DEFAULT_SAMPLES),
+                         kwargs.get("seed", DEFAULT_SEED), kwargs.get("workers", 1))
 
 
 def _thread_count() -> int:
@@ -310,7 +318,7 @@ def l_direct_mc(
     import numpy as np
 
     _require_convergent(h)
-    _require_counts(samples, workers)
+    _require_mc_args(samples, seed, workers)
     n = partition.size
     pairs = [(a - 1, b - 1) for a, b in partition.pairs]
     network = _merge_network(n)
@@ -421,7 +429,7 @@ def l_pullback_mc(
     from .blowup import EXACT_R_MAX_DIM, BlowupChart
 
     _require_convergent(h)
-    _require_counts(samples, workers)
+    _require_mc_args(samples, seed, workers)
     n = partition.size
     if n > EXACT_R_MAX_DIM:
         # the limit of flag-range probing, checked before any probing
@@ -829,18 +837,20 @@ def _factored(
             f"pairs; crossing pairs {labels}"
         )
     exact, err = _gamma_product(numer, denom, h)
-    # per component, (signed value, rounding bound, grid or None) per term
-    comps = []
+    # per component, (signed value, rounding bound, grid key or None) per
+    # term; each distinct grid (factors, n) is evaluated once per level
+    comps, grids = [], {}
     for _, count, factors in crossing:
         terms = []
         for sign, tn, td, grid in _crossing_terms(factors, 2 * count):
             value, bound = _gamma_product(tn, td, h)
             if grid is not None:
                 f, n = grid
-                grid = ([(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f], n)
+                grid = (tuple(f), n)
+                grids[grid] = ([(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f], n)
             terms.append((sign * value, bound, grid))
         comps.append(terms)
-    dims = [grid[1] - 2 for terms in comps for *_, grid in terms if grid]
+    dims = [n - 2 for _, n in grids]
 
     def level(m: int | None) -> tuple[float, float, list[float | None]]:
         """L with every leftover grid at m nodes a side, its rounding bound
@@ -848,11 +858,12 @@ def _factored(
         (None where the terms sum to 0: all underflow, or all cancel).
         The bound is err for the gamma product plus, per component, the sum
         over its terms of |term| times the term's own rounding bound."""
+        scales = {key: _reduced_level_sum(*grid, m) for key, grid in grids.items()}
         sums, floors, ratios = [], [], []
         for terms in comps:
             vals, bounds = [], []
             for value, bound, grid in terms:
-                scale = 1.0 if grid is None else _reduced_level_sum(*grid, m)
+                scale = 1.0 if grid is None else scales[grid]
                 vals.append(value * scale)
                 bounds.append(bound * scale)
             sums.append(math.fsum(vals))
@@ -910,11 +921,12 @@ def l_adaptive(
     rounding bound, which carries the cancellation between terms
     (``extra["cancellation"]`` is sum |term| / |J_C|); the reported tol is
     the larger of the last change and that bound, so a tol below the bound
-    is reported, not raised.  ``extra`` also holds the term count of each
-    component and each grid's dimension.  A NaN or negative tol raises
-    DomainError before any level runs, a crossing component of more than
-    5 pairs raises SizeError before any work, and an exhausted level
-    budget raises with the best value.
+    is reported, not raised.  Terms that leave the same grid share one
+    evaluation per level, and ``cells`` and ``extra["grid_dims"]`` count
+    each distinct grid once; ``extra`` also holds the term count of each
+    component.  A NaN or negative tol raises DomainError before any level
+    runs, a crossing component of more than 5 pairs raises SizeError before
+    any work, and an exhausted level budget raises with the best value.
     """
     return _factored(partition, h, "adaptive", tol, max_level)
 

@@ -31,6 +31,7 @@ from .quadrature import (
     ROUTES,
     STOCHASTIC_METHODS,
     EvalResult,
+    _require_seed,
     check_route_args,
 )
 
@@ -88,10 +89,10 @@ def mean_iterated_integral(
     named stochastic route, the i-th matching in ``enumerate_refining``
     order runs on its own seed, drawn from ``SeedSequence(seed,
     spawn_key=(i,))``, so that the estimates are independent; the result
-    reports that seed.  A callable given no seed gets the keyword arguments
-    unchanged.  When every matching's result reports
-    ``extra["finite_variance"]``, the word's result reports whether all of
-    them are finite.
+    reports that seed; a negative seed raises DomainError, for a callable
+    too.  A callable given no seed gets the keyword arguments unchanged.
+    When every matching's result reports ``extra["finite_variance"]``, the
+    word's result reports whether all of them are finite.
     """
     refining = enumerate_refining(word)
     k = word.k
@@ -104,6 +105,8 @@ def mean_iterated_integral(
     seed = evaluator_kwargs.get("seed")
     if callable(evaluator):
         fn = evaluator
+        if seed is not None:  # refused before any matching seed derives from it
+            _require_seed(seed)
     elif evaluator in ROUTES:
         fn = ROUTES[evaluator]
         # the route's own guards, which the exact zero below would skip

@@ -2,16 +2,18 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 from sigpole import cli, verify
 from sigpole.quadrature import ROUTES
@@ -35,6 +37,20 @@ def run_cli(*args: str, env_extra: dict | None = None, timeout: float | None = N
         env=env,
         timeout=timeout,
     )
+
+
+def invoke(*args: str) -> subprocess.CompletedProcess:
+    """``cli.main(args)`` in this process with SIGPOLE_SEED unset, as
+    ``run_cli`` runs it: the exit code (of SystemExit, else 0), stdout and
+    stderr, each read with universal newlines."""
+    stdout, stderr, code = io.StringIO(newline=None), io.StringIO(newline=None), 0
+    with mock.patch.dict(os.environ), redirect_stdout(stdout), redirect_stderr(stderr):
+        os.environ.pop("SIGPOLE_SEED", None)
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
 
 def test_poles_pair_golden():
@@ -110,8 +126,8 @@ def test_poles_parse_error_exit_2():
     ("--word", "1,1", "--set", "1"),  # --set applies to one partition only
 ])
 def test_poles_bad_set_usage_error(args):
-    out = CliRunner().invoke(cli.main, ["poles", *args])
-    assert out.exit_code == 2, out.output
+    out = invoke("poles", *args)
+    assert out.returncode == 2, out.stderr
 
 
 def test_eval_adaptive_pair():
@@ -167,11 +183,10 @@ def test_huge_gamma_table_exit_3():
 
 
 def test_eval_closed_form_declines_crossing():
-    args = ["eval", "--pairs", "1-3,2-4", "--H", "0.8", "--method", "closed-form"]
-    out = CliRunner().invoke(cli.main, args)
-    assert out.exit_code == 3
-    assert "crossing pairs 1-3,2-4" in out.output
-    assert "convergent" not in out.output
+    out = invoke("eval", "--pairs", "1-3,2-4", "--H", "0.8", "--method", "closed-form")
+    assert out.returncode == 3
+    assert "crossing pairs 1-3,2-4" in out.stderr
+    assert "convergent" not in out.stderr
 
 
 @pytest.mark.parametrize("pairs, h, method", [
@@ -179,27 +194,26 @@ def test_eval_closed_form_declines_crossing():
     ("1-4,2-3", "0.8", "closed-form"),
 ])
 def test_eval_nested_matching_is_exact(pairs, h, method):
-    out = CliRunner().invoke(cli.main, ["eval", "--pairs", pairs, "--H", h, "--method", method])
-    assert out.exit_code == 0, out.output
-    result = json.loads(out.output)["result"]
+    out = invoke("eval", "--pairs", pairs, "--H", h, "--method", method)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)["result"]
     assert result["value"] > 0 and result["cells"] == 0
     assert result["extra"]["factor_tree"]
 
 
 def test_eval_crossing_near_half():
     # a sum of four gamma-product terms that cancel by a factor of 6e5 here
-    out = CliRunner().invoke(cli.main, ["eval", "--pairs", "1-3,2-5,4-6", "--H", "0.51"])
-    assert out.exit_code == 0, out.output
-    result = json.loads(out.output)["result"]
+    out = invoke("eval", "--pairs", "1-3,2-5,4-6", "--H", "0.51")
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)["result"]
     assert abs(result["value"] - 0.131004441040988) <= result["tol"] < 1e-8
     assert result["cells"] == 0 and result["extra"]["terms"] == [4]
 
 
 def test_eval_wide_crossing_component_exit_3():
-    out = CliRunner().invoke(
-        cli.main, ["eval", "--pairs", "1-7,2-8,3-9,4-10,5-11,6-12", "--H", "0.8"])
-    assert out.exit_code == 3
-    assert "at most 5 pairs" in out.output
+    out = invoke("eval", "--pairs", "1-7,2-8,3-9,4-10,5-11,6-12", "--H", "0.8")
+    assert out.returncode == 3
+    assert "at most 5 pairs" in out.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -213,17 +227,16 @@ def test_eval_wide_crossing_component_exit_3():
     ("mean-sig", "--word", "1,1,1,2", "--H", "1e308"),
 ])
 def test_non_finite_result_exit_3(args):
-    out = CliRunner().invoke(cli.main, list(args))
-    assert out.exit_code == 3, out.output
+    out = invoke(*args)
+    assert out.returncode == 3, out.stdout
 
 
 @pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
 @pytest.mark.parametrize("count", [("--samples", "0"), ("--workers", "0"),
                                    ("--workers", "-1")])
 def test_mc_counts_below_one_exit_3(method, count):
-    args = ["eval", "--pairs", "1-2", "--H", "0.8", "--method", method, *count]
-    out = CliRunner().invoke(cli.main, args)
-    assert out.exit_code == 3, out.output
+    out = invoke("eval", "--pairs", "1-2", "--H", "0.8", "--method", method, *count)
+    assert out.returncode == 3, out.stdout
 
 
 @pytest.mark.parametrize("args", [
@@ -241,8 +254,35 @@ def test_mc_counts_below_one_exit_3(method, count):
 def test_route_guards_before_exact_zero_exit_3(args):
     # a word with no refining matching still runs the named route's guards,
     # and no route takes more workers than samples
-    out = CliRunner().invoke(cli.main, list(args))
-    assert out.exit_code == 3, out.output
+    out = invoke(*args)
+    assert out.returncode == 3, out.stdout
+
+
+@pytest.mark.parametrize("args, env", [
+    (("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc", "--samples", "1000",
+      "--seed", "-5"), {}),
+    (("eval", "--pairs", "1-2", "--H", "0.8", "--method", "pullback-mc", "--samples", "1000",
+      "--seed", "-5"), {}),
+    (("mean-sig", "--word", "1,1", "--H", "0.8", "--method", "direct-mc", "--samples", "100",
+      "--seed", "-1"), {}),
+    (("mean-sig", "--word", "1,2", "--H", "0.8", "--method", "direct-mc", "--seed", "-1"), {}),
+    (("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc", "--samples", "1000"),
+     {"SIGPOLE_SEED": "-7"}),
+])
+def test_negative_seed_exit_3(args, env):
+    # refused before any seed sequence is built, for a word with no refining
+    # matching too
+    out = run_cli(*args, env_extra=env, timeout=30)
+    assert out.returncode == 3, out.stderr
+    assert "seed must be nonnegative" in out.stderr
+
+
+def test_unused_negative_seed_passes():
+    # adaptive and closed-form take no seed, so theirs is not checked
+    for method in ("adaptive", "closed-form"):
+        out = invoke("eval", "--pairs", "1-2", "--H", "0.8", "--method", method, "--seed", "-5")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["config"]["seed"] == -5
 
 
 def test_mean_sig_pair_word():
@@ -261,11 +301,9 @@ def test_mean_sig_zero_word():
 
 def test_word_results_carry_finite_variance():
     def extra(command, h, method, *more):
-        out = CliRunner().invoke(
-            cli.main, [command, *more, "--H", h, "--method", method, "--samples", "1000"]
-        )
-        assert out.exit_code == 0, out.output
-        payload = json.loads(out.output)
+        out = invoke(command, *more, "--H", h, "--method", method, "--samples", "1000")
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
         if command == "gamma-table":
             return [e["extra"] for e in payload["table"]["entries"]]
         return payload["result"]["extra"]
@@ -341,9 +379,9 @@ def test_verify_failure_path(monkeypatch):
     results = verify.run_suite("demo")
     assert [(r.name, r.ok) for r in results] == [("wrong", False), ("crashes", False)]
     assert results[1].detail == "raised ZeroDivisionError: boom"
-    out = CliRunner().invoke(cli.main, ["verify", "demo"])
-    assert out.exit_code == cli.EXIT_VERIFY_FAILED
-    assert json.loads(out.output)["failed"] == 2
+    out = invoke("verify", "demo")
+    assert out.returncode == cli.EXIT_VERIFY_FAILED
+    assert json.loads(out.stdout)["failed"] == 2
 
 
 def _latest_schemas() -> dict:
@@ -417,12 +455,12 @@ EXACT_COMMANDS = [
 
 
 def loaded_at_exit(*args: str) -> list[str]:
-    """Which of numpy, scipy, sigpole.blowup and concurrent.futures a fresh
-    interpreter holds when the CLI run with ``args`` exits (printed as the
-    last stdout line)."""
+    """Which of numpy, scipy, sigpole.blowup, concurrent.futures and click
+    a fresh interpreter holds when the CLI run with ``args`` exits (printed
+    as the last stdout line)."""
     code = (
         "import atexit, json, sys\n"
-        "watch = ('numpy', 'scipy', 'sigpole.blowup', 'concurrent.futures')\n"
+        "watch = ('numpy', 'scipy', 'sigpole.blowup', 'concurrent.futures', 'click')\n"
         "atexit.register(lambda: print(json.dumps([m for m in watch if m in sys.modules])))\n"
         "from sigpole.cli import main\n"
         "main(sys.argv[1:])\n"
@@ -439,9 +477,10 @@ def loaded_at_exit(*args: str) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
+    # nor click: the parser is argparse
     code = (
         "import sys, sigpole.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -460,6 +499,21 @@ def test_cli_import_loads_no_scipy():
     # many batches start threads, and concurrent.futures stays unloaded
     assert loaded_at_exit("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
                           "--samples", "100000") == ["numpy"]
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (("--H", "-1e-3"), 3, "outside convergent region"),
+    (("--H", "-inf"), 3, "outside convergent region"),
+    (("--H", "0.8", "--tol", "-1e-3"), 3, "tolerance must be a nonnegative number"),
+    (("--H", "0.8", "--tol", "-inf"), 3, "tolerance must be a nonnegative number"),
+    (("--H", "0.8", "--to", "1e-3"), 2, ""),  # no option is abbreviated
+])
+def test_option_values_starting_with_dash(args, code, message):
+    # a number after an option is its value, not an option name
+    out = run_cli("eval", "--pairs", "1-2", *args, timeout=10)
+    assert out.returncode == code, out.stderr
+    assert message in out.stderr
+    assert out.stdout == ""
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -500,22 +554,39 @@ def test_poles_pairs_size_limit_exit_3():
 
 
 def test_evaluation_commands_share_one_option_set():
+    parser = cli.build_parser()
     shared = ("hurst", "method", "samples", "seed", "tol", "workers")
+    given = ["--H", "0.7", "--samples", "5", "--seed", "-3", "--tol", "-1e-3",
+             "--workers", "2"]
+    commands = {
+        "eval": ["--pairs", "1-2"],
+        "mean-sig": ["--word", "1,1"],
+        "gamma-table": ["--k", "1", "--d", "2"],
+    }
 
-    def options(command):
-        params = {p.name: p for p in cli.main.commands[command].params}
-        return {
-            name: (tuple(params[name].opts), type(params[name].type),
-                   params[name].default)
-            for name in shared
-        }, params["method"].type.choices
+    def parsed(command, *args):
+        ns = parser.parse_args(cli._attach_numbers([command, *commands[command], *args]))
+        return {name: getattr(ns, name) for name in shared}
 
-    eval_options, eval_methods = options("eval")
-    for command in ("mean-sig", "gamma-table"):
-        command_options, methods = options(command)
-        assert command_options == eval_options
-        assert set(methods) <= set(ROUTES)
-    assert set(eval_methods) <= set(ROUTES)
+    def accepts(command, method):
+        with redirect_stderr(io.StringIO()):
+            try:
+                parsed(command, "--H", "0.8", "--method", method)
+            except SystemExit as exc:
+                assert exc.code == 2
+                return False
+        return True
+
+    defaults = {"hurst": 0.8, "method": "adaptive", "samples": 1_000_000, "seed": None,
+                "tol": 1e-8, "workers": 1}
+    values = {"hurst": 0.7, "method": "adaptive", "samples": 5, "seed": -3, "tol": -1e-3,
+              "workers": 2}
+    for command in commands:
+        assert parsed(command, "--H", "0.8") == defaults
+        assert parsed(command, *given) == values
+        assert type(parsed(command, *given)["samples"]) is int
+        methods = {m for m in [*ROUTES, "nope"] if accepts(command, m)}
+        assert methods == set(ROUTES) - ({"pullback-mc"} if command == "gamma-table" else set())
 
 
 # sha256 of the stdout of each command, with its exit code, recorded before the
@@ -554,6 +625,6 @@ PINNED_STDOUT = [
 @pytest.mark.parametrize("args, code, digest", PINNED_STDOUT,
                          ids=[" ".join(a) for a, _, _ in PINNED_STDOUT])
 def test_word_command_stdout_pinned(args, code, digest):
-    out = CliRunner().invoke(cli.main, list(args), env={"SIGPOLE_SEED": None})
-    assert out.exit_code == code, out.output
+    out = invoke(*args)
+    assert out.returncode == code, out.stderr
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest

@@ -179,6 +179,24 @@ def test_adaptive_guards(monkeypatch):
                 l_adaptive(p, 0.8, tol=tol)
 
 
+def test_adaptive_evaluates_each_distinct_grid_once(monkeypatch):
+    # the crossing component 1-7,4-10,5-9,6-8 leaves 6 terms on grids of up
+    # to 3 dimensions, 5 of them distinct
+    calls = []
+
+    def counted(factors, n, m, real=quadrature._reduced_level_sum):
+        calls.append(m)
+        return real(factors, n, m)
+
+    monkeypatch.setattr(quadrature, "_reduced_level_sum", counted)
+    r = l_adaptive(parse_pairs("1-7,2-3,4-10,5-9,6-8"), 0.8, tol=1e-6)
+    levels = r.extra["levels"]
+    assert len(levels) >= 2
+    assert calls == [m for m in levels for _ in range(5)]
+    assert r.extra["grid_dims"] == [2, 2, 3, 3, 2]
+    assert r.cells == sum(m ** d for m in levels for d in r.extra["grid_dims"])
+
+
 def test_adaptive_tolerance_extremes():
     # a tol below the rounding bound of the terms is reported, not raised:
     # tol = 0 stops once a level changes L by less than that bound (at 129
@@ -453,6 +471,18 @@ def test_more_workers_than_samples_refused(route, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
     with pytest.raises(SizeError, match="4 workers refused for 3 samples"):
         route(PAIR, 0.8, samples=3, workers=4)
+
+
+@pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
+def test_negative_seed_refused(method, monkeypatch):
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("a seed sequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+        quadrature.ROUTES[method](PAIR, 0.8, samples=100, seed=-1)
+    with pytest.raises(DomainError, match="seed must be nonnegative"):
+        quadrature.check_route_args(method, seed=-1)
 
 
 def test_merge_network_sorts():

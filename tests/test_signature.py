@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from sigpole import quadrature
+from sigpole import quadrature, signature
 from sigpole.errors import DomainError, SizeError
 from sigpole.pairings import Word, enumerate_refining, parse_word
 from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, wick_grid_oracle
@@ -79,6 +79,19 @@ def test_vanishing_word():
 def test_vanishing_word_runs_the_route_guards(evaluator, kwargs, error):
     with pytest.raises(error):
         mean_iterated_integral(Word([1, 2]), 0.8, evaluator=evaluator, **kwargs)
+
+
+@pytest.mark.parametrize("word", [Word([1, 2]), Word([1, 1])])
+def test_negative_seed_refused(word, monkeypatch):
+    # for a named route and for a callable, before any matching seed is
+    # derived, whether or not the word has a refining matching
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(signature, "_matching_seed", never)
+    for evaluator in ("direct-mc", "pullback-mc", never):
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            mean_iterated_integral(word, 0.8, evaluator=evaluator, samples=100, seed=-1)
 
 
 def test_vanishing_word_guards_use_the_route_defaults():
