@@ -11,7 +11,8 @@ starts with "-" (``--tol -1e-3``).
 
 eval, mean-sig and gamma-table share one option set (--H, --method,
 --samples, --seed, --tol, --workers) and one runner.  The seed is --seed,
-else SIGPOLE_SEED, else the FBM0 default; a stochastic route gets the
+else SIGPOLE_SEED, else the FBM0 default, both spellings read as decimal
+integers; a stochastic route gets the
 samples, seed and workers, adaptive gets tol.  Identical configurations (seed
 and worker count included) produce byte identical output.
 """
@@ -80,7 +81,7 @@ def _evaluate(fn, inputs, config, args):
     if seed is None:
         env = os.environ.get("SIGPOLE_SEED")
         try:
-            seed = DEFAULT_SEED if env is None else int(env, 0)
+            seed = DEFAULT_SEED if env is None else int(env)
         except ValueError:
             args.parser.error(f"SIGPOLE_SEED={env!r} is not an integer")
     if args.method in STOCHASTIC_METHODS:

@@ -87,6 +87,7 @@ _MC_BATCH = 1 << 18
 # direct-MC rows per batch: the (n, batch) working set stays in cache
 _DIRECT_BATCH = 1 << 13
 _GRID_CHUNK = 1 << 19  # grid nodes per slab, and at least one last-axis slice
+_WICK_MAX_ENTRIES = 1 << 24  # largest Wick oracle array, 128 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -941,53 +942,56 @@ def l_closed_form(partition: PairPartition, h: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 # Wick grid oracle
 
-def _open_close_pattern(partition: PairPartition) -> list[tuple[str, int]]:
-    pattern: list[tuple[str, int]] = []
-    for p in range(1, partition.size + 1):
-        q = partition.partner(p)
-        if q > p:
-            pattern.append(("open", p))
-        else:
-            pattern.append(("close", q))
-    return pattern
+def _most_open(word: Word) -> int:
+    """Most pairs open at once over the pair partitions refining ``word``:
+    across a cut, each letter can keep open min(its count before, after)."""
+    w = word.letters
+    return max(sum(min(w[:c].count(a), w[c:].count(a)) for a in set(w))
+               for c in range(1, len(w)))
 
 
 def _increasing_pair_sum(partition: PairPartition, cov: np.ndarray) -> float:
     """Sum over strictly increasing grid multi-indices of the product of
     cov[t_a, t_b] over the pairs.
 
-    Positions are processed left to right.  The state tensor carries one
-    axis per currently open pair (the grid time it opened at) plus a final
-    frontier axis (the time of the last processed position); opening a pair
-    ties a fresh axis to the frontier, closing one contracts its axis
-    against the covariance row at the new frontier.
+    Positions are processed left to right.  The state holds one axis per
+    open pair, oldest first, indexed by the grid time the pair opened at.
+    Right after an open the newest pair's axis is also the frontier (the
+    time of the last processed position); after a close the frontier is one
+    more axis at the end.  So no value sits on a diagonal, and the largest
+    array has m^(most pairs open at once) entries: m^2 for every k = 2
+    matching.
     """
     import numpy as np
 
     m = cov.shape[0]
-    idx = np.arange(m)
-    state: np.ndarray | None = None
-    open_axis: dict[int, int] = {}
-    for kind, pos in _open_close_pattern(partition):
-        if state is None:
-            # first position always opens: open time equals the frontier
-            state = np.eye(m)
-            open_axis = {pos: 0}
-            continue
-        # exclusive prefix sum: the frontier advances strictly
-        pref = np.zeros_like(state)
-        np.cumsum(state[..., :-1], axis=-1, out=pref[..., 1:])
-        if kind == "open":
-            new = np.zeros(state.shape + (m,))
-            new[..., idx, idx] = pref
-            state = new
-            open_axis[pos] = state.ndim - 2
+    after = np.triu(np.ones((m, m)), 1)  # after[o, t] = [o < t]
+    state = np.ones(m)
+    opened = [1]  # the position that opened each pair axis
+    merged = True  # the last pair axis is the frontier
+    for pos in range(2, partition.size + 1):
+        if not merged:  # exclusive prefix sum: the new time passes the frontier
+            pref = np.zeros_like(state)
+            np.cumsum(state[..., :-1], axis=-1, out=pref[..., 1:])
+            state = pref
+        partner = partition.partner(pos)
+        n = state.ndim
+        if partner > pos:  # an open: after a close, the frontier axis is its own
+            if merged:
+                state = state[..., None] * after
+            opened.append(pos)
         else:
-            ax = open_axis.pop(pos)
-            moved = np.moveaxis(pref, ax, -2)  # (..., open, frontier)
-            state = np.einsum("...of,of->...f", moved, cov)
-            open_axis = {p: (a if a < ax else a - 1) for p, a in open_axis.items()}
-    assert state is not None and state.ndim == 1
+            ax = opened.index(partner)
+            keep = [a for a in range(n) if a != ax]
+            if not merged:  # the summed frontier axis is now the new time
+                state = np.einsum(state, list(range(n)), cov, [ax, n - 1], keep)
+            elif ax == n - 1:  # closes the pair opened just before
+                state = np.einsum(state, list(range(n)), cov * after, [ax, n], keep + [n])
+            else:
+                state = np.einsum(state, list(range(n)), cov, [ax, n], keep + [n])
+                state *= after
+            del opened[ax]
+        merged = partner > pos
     return float(state.sum())
 
 
@@ -1000,22 +1004,25 @@ def wick_grid_oracle(
 
     Riemann sum over strictly increasing multi-indices of the Wick expansion
     of the increment moments: for each refining pair partition, the product
-    of increment covariances.  Letters with odd multiplicity give exactly 0.
+    of increment covariances, summed by ``_increasing_pair_sum`` with one
+    array axis per open pair.  Letters with odd multiplicity give exactly 0.
     Richardson extrapolation over {m, 2m} removes the leading defect, which
-    scales like m^(1-2H).
+    scales like m^(1-2H).  The largest array has (2m)^max(2, p) entries, p
+    the most pairs open at once over the refining matchings: 2k = 4 runs at
+    the default m = 64 and 2k = 6 at m = 32 in well under a second.  Arrays
+    over ``_WICK_MAX_ENTRIES`` = 2^24 entries (128 MiB of float64) raise
+    SizeError before any is built.
     """
     if m < 8:
         raise DomainError(f"grid size must be at least 8, got {m}")
     refining = enumerate_refining(word)
     if not refining:
-        return EvalResult(
-            value=0.0,
-            method="wick-grid",
-            tol=0.0,
-            cells=0,
-            h=h,
-            extra={"refining_partitions": 0},
-        )
+        return EvalResult(value=0.0, method="wick-grid", tol=0.0, cells=0, h=h,
+                          extra={"refining_partitions": 0})
+    entries = (2 * m) ** max(2, _most_open(word))
+    if entries > _WICK_MAX_ENTRIES:
+        raise SizeError(f"Wick grid oracle would build arrays of {entries} entries, "
+                        f"over the limit of {_WICK_MAX_ENTRIES}")
 
     def level(mm: int) -> float:
         cov = FbmCovariance(h).increment_cov(mm)
@@ -1025,18 +1032,9 @@ def wick_grid_oracle(
     v2 = level(2 * m)
     theta = 2.0 ** (1 - 2 * h)
     value = (v2 - theta * v1) / (1 - theta) if theta != 1 else v2
-    return EvalResult(
-        value=value,
-        method="wick-grid",
-        tol=abs(v2 - v1),
-        cells=m,
-        h=h,
-        extra={
-            "refining_partitions": len(refining),
-            "grid_values": [v1, v2],
-            "richardson_theta": theta,
-        },
-    )
+    return EvalResult(value=value, method="wick-grid", tol=abs(v2 - v1), cells=m, h=h,
+                      extra={"refining_partitions": len(refining), "grid_values": [v1, v2],
+                             "richardson_theta": theta})
 
 
 # route name -> evaluator, the one table of the names a caller may pass

@@ -354,6 +354,23 @@ def test_seed_env_override():
     assert json.loads(explicit.stdout)["config"]["seed"] == 99
 
 
+@pytest.mark.parametrize("spelling", ["flag", "env"])
+def test_seed_parses_as_decimal(spelling):
+    # --seed and SIGPOLE_SEED read a seed by one rule: decimal int
+    args = ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
+            "--samples", "1000")
+
+    def run(seed):
+        if spelling == "flag":
+            return run_cli(*args, "--seed", seed, timeout=30)
+        return run_cli(*args, env_extra={"SIGPOLE_SEED": seed}, timeout=30)
+
+    assert run("0x10").returncode == 2
+    out = run("010")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["config"]["seed"] == 10
+
+
 def test_verify_single_suite():
     out = run_cli("verify", "combinatorics", "--quick", "--output", "text")
     assert out.returncode == 0

@@ -618,6 +618,18 @@ def test_increasing_sum_matches_enumeration():
     )
 
 
+@pytest.mark.parametrize("h", [0.6, 0.8, 1.0])
+def test_increasing_sum_matches_enumeration_on_fbm_grid(h):
+    # every matching with 2k <= 6 against the explicit sum over increasing
+    # index tuples, on the increment covariance the oracle uses
+    c = FbmCovariance(h).increment_cov(10)
+    for size in (2, 4, 6):
+        for p in all_pair_partitions(size):
+            assert _increasing_pair_sum(p, c) == pytest.approx(
+                naive_increasing_sum(p, c), rel=1e-12
+            ), p.pairs
+
+
 def test_fbm_covariance():
     cov = FbmCovariance(0.75)
     assert cov.cov(1.0, 1.0) == pytest.approx(1.0)
@@ -661,6 +673,28 @@ def test_oracle_rank_one_limit():
     expected = 3 * math.comb(m, 4) / m**4
     assert r.extra["grid_values"][0] == pytest.approx(expected, rel=1e-12)
     json.dumps(r.to_json_dict(), allow_nan=False)
+
+
+def test_oracle_rank_one_limit_sixth_moment():
+    # 2k = 6: 15 matchings, each counting the increasing 6-tuples
+    m = 32
+    r = wick_grid_oracle(Word([1] * 6), 1.0, m=m)
+    expected = 15 * math.comb(m, 6) / m**6
+    assert r.extra["grid_values"][0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_oracle_refuses_oversized_arrays(monkeypatch):
+    # four pairs open at once at 2m = 128 would need 2^28-entry arrays; the
+    # guard runs before any covariance matrix is built
+    def no_arrays(self, m):
+        raise AssertionError("covariance built before the size check")
+
+    monkeypatch.setattr(FbmCovariance, "increment_cov", no_arrays)
+    with pytest.raises(SizeError, match="268435456 entries"):
+        wick_grid_oracle(Word([1] * 8), 0.8, m=64)
+    # a single pair still needs the (2m)^2 covariance matrix
+    with pytest.raises(SizeError, match="over the limit of 16777216"):
+        wick_grid_oracle(Word([1, 1]), 0.8, m=1 << 12)
 
 
 def test_eval_result_validation():

@@ -256,6 +256,17 @@ def test_oracle_agreement_all_small_words():
                 assert abs(assembled.value - oracle.value) <= budget, (canon, h)
 
 
+@pytest.mark.parametrize("h", [0.75, 1.0])
+@pytest.mark.parametrize("letters", [(1, 2, 3, 1, 2, 3), (1, 2, 1, 3, 2, 3), (1, 2, 3, 2, 1, 3)])
+def test_oracle_agreement_crossing_sixth_level(letters, h):
+    # each word has one refining matching, a crossing component of 3 pairs:
+    # the adaptive route's crossing terms against the grid oracle
+    w = Word(letters)
+    assembled = mean_iterated_integral(w, h, tol=1e-8)
+    oracle = wick_grid_oracle(w, h, m=32)
+    assert abs(assembled.value - oracle.value) <= 2 * oracle.tol
+
+
 def test_named_stochastic_route_derives_seeds_without_a_seed(monkeypatch):
     word = Word([1] * 4)
     r = mean_iterated_integral(word, 0.8, evaluator="direct-mc", samples=2000)
