@@ -1,6 +1,10 @@
 """Orthant blowup machinery: the gap weights q(r) = 3^r, the region Omega,
 the polynomial map F, Jacobian identities, boundary witness points,
-numerical inversion and the pullback integrand.
+numerical inversion and the pulled-back integrand.
+
+The pulled-back integrand has one implementation, the batch method
+``BlowupChart.log_pullback_batch``: the pullback Monte Carlo route runs it,
+and the pullback identity check (criterion 6) checks it.
 
 Scalar entry points accept plain Python sequences and are generic over the
 scalar type, so they run exactly on ``fractions.Fraction`` inputs; sign
@@ -12,19 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericError, SizeError
-from .pairings import PairPartition, PositionSet
+from .pairings import PositionSet
 
 __all__ = [
     "MonotoneList",
     "BlowupChart",
-    "ExponentAssignment",
     "all_monotone_lists",
     "exact_det",
 ]
@@ -148,26 +150,6 @@ def all_monotone_lists(n: int) -> list[MonotoneList]:
     return out
 
 
-@dataclass(frozen=True)
-class ExponentAssignment:
-    """One complex exponent per nonempty subset (zero where unspecified)."""
-
-    n: int
-    values: Mapping[frozenset[int], complex]
-
-    @classmethod
-    def from_partition(cls, partition: PairPartition, h) -> ExponentAssignment:
-        """Exponent 2H - 2 on the interval image of the partition."""
-        acc: dict[frozenset[int], complex] = {}
-        for iv in partition.interval_image:
-            s = frozenset(iv.members())
-            acc[s] = acc.get(s, 0) + (2 * h - 2)
-        return cls(partition.size, acc)
-
-    def get(self, s: frozenset[int]):
-        return self.values.get(s, 0)
-
-
 class BlowupChart:
     """The blowup chart of dimension n; hosts all blowup evaluations.
 
@@ -282,17 +264,6 @@ class BlowupChart:
             return exact_det(jac)
         return float(np.linalg.det(np.array(jac, dtype=float)))
 
-    def r_interior(self, y: Sequence) -> float:
-        """R = det(A) * product of all affine forms, in floats with A from
-        ``gram_batch``; needs every form nonzero (``r_exact`` works anywhere)."""
-        f = self.f_all([float(v) for v in y])
-        if any(v == 0 for v in f):
-            raise DomainError("interior R needs all affine forms nonzero")
-        prod = float(np.linalg.det(self.gram_batch(np.array([f]))[0]))
-        for v in f:
-            prod = prod * v
-        return prod
-
     def _r_exact_precompute(self) -> list[tuple[int, list[int]]]:
         if self._r_exact_terms is None:
             if self.n > EXACT_R_MAX_DIM:
@@ -387,35 +358,6 @@ class BlowupChart:
         pairs = zip(self.members, self.f_all(y))
         return [frozenset(i + 1 for i in mem) for mem, v in pairs if v == 0]
 
-    def pullback_integrand(self, lam: ExponentAssignment, y: Sequence):
-        """Integrand of the pulled-back simplex integral at an interior point.
-
-        Product over nonempty S of f_S^(|S| - 1 + sum of exponents on subsets
-        of S) * P_S^(lambda_S), times the positive factor R.  All bases must
-        be positive, which holds strictly inside the pulled-back simplex.
-        """
-        if lam.n != self.n:
-            raise DomainError(f"exponents for n={lam.n}, chart has n={self.n}")
-        yf = [float(v) for v in y]
-        f = self.f_all(yf)
-        if any(v <= 0 for v in f):
-            raise DomainError("nonpositive affine form: point not interior")
-        if sum(self.F_eval(yf)) >= 1:
-            raise DomainError("coordinate sum of F at least 1: point not interior")
-        # exponent on f_S accumulates lambdas of all subsets of S
-        total: complex | float = self.r_interior(yf)
-        for j, m in enumerate(self.masks):
-            expo = self.sizes[j] - 1 + sum(
-                lam.get(self.subset_of(t)) for t in self.masks if t & m == t
-            )
-            total = total * _positive_power(f[j], expo)
-        for s, v in lam.values.items():
-            if v != 0:
-                total = total * _positive_power(self.p_s_eval(s, yf), v)
-        if isinstance(total, complex) and total.imag == 0:
-            return total.real
-        return total
-
     # -- batch evaluations ---------------------------------------------------
 
     def f_batch(self, ys: np.ndarray) -> np.ndarray:
@@ -447,6 +389,38 @@ class BlowupChart:
         for idx in self._ps_idx[si]:
             total += f[:, idx].prod(axis=1) if len(idx) else 1.0
         return total
+
+    def log_pullback_batch(
+        self, f: np.ndarray, lam: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Log of the pulled-back integrand at rows of positive form values.
+
+        ``f`` holds (N, 2^n - 1) form values and ``lam`` one exponent per
+        subset, both in mask order, real or complex.  The integrand is the
+        product over nonempty S of f_S^(|S| - 1 + sum of lam_T over the
+        subsets T of S) * P_S^(lam_S), times the positive factor R = det(A) *
+        product of all f_S.  Returns its log on the rows where det(A) > 0,
+        and the mask of those rows: det(A) loses its sign to roundoff only
+        in the far tail, where the integrand mass vanishes.
+        """
+        f = np.asarray(f, dtype=float)
+        if not (f > 0).all():
+            raise DomainError("nonpositive affine form: point not in the region")
+        lam = np.asarray(lam)
+        # sums over subsets: one cumulative sum per mask bit, over all 2^n
+        # masks with the empty set's zero first
+        sums = np.concatenate([np.zeros(1, lam.dtype), lam]).reshape((2,) * self.n)
+        for axis in range(self.n):
+            sums = sums.cumsum(axis=axis)
+        # one more power of every form for the product in R
+        expo = self.sizes - 1 + sums.reshape(-1)[1:] + 1.0
+        sign, log_det = np.linalg.slogdet(self.gram_batch(f))
+        usable = sign > 0
+        fu = f[usable]
+        log_g = np.log(fu) @ expo + log_det[usable]
+        for j in np.flatnonzero(lam):
+            log_g += lam[j] * np.log(self.p_s_batch(self.subset_of(self.masks[j]), fu))
+        return log_g, usable
 
     # -- inversion -----------------------------------------------------------
 
@@ -757,12 +731,3 @@ def _orthant_targets(xs: np.ndarray) -> np.ndarray:
         raise DomainError("targets must lie in the open positive orthant")
     return xs
 
-
-def _positive_power(base, expo):
-    """base^expo for strictly positive real base and real/complex exponent."""
-    if base <= 0:
-        raise DomainError(f"expected positive base, got {base}")
-    ce = complex(expo)
-    if ce.imag == 0:
-        return math.exp(ce.real * math.log(base))
-    return complex(math.e) ** (ce * math.log(base))

@@ -27,7 +27,7 @@ from . import __version__
 from .errors import DimensionError, DomainError, NumericError, ParseError, SizeError
 from .pairings import format_position_set, parse_pairs, parse_position_set, parse_word
 from .poles import candidate_poles, progression_of_set
-from .quadrature import DEFAULT_SEED, ROUTES, STOCHASTIC_METHODS
+from .quadrature import DEFAULT_SEED, MAX_SAMPLES, ROUTES, STOCHASTIC_METHODS
 from .signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -199,7 +199,8 @@ def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> No
     """The options of eval, mean-sig and gamma-table, declared once."""
     parser.add_argument("--H", dest="hurst", type=float, required=True)
     parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
-    parser.add_argument("--samples", type=int, default=1_000_000, help=_SHOW_DEFAULT)
+    parser.add_argument("--samples", type=int, default=1_000_000,
+                        help=f"at most {MAX_SAMPLES} (2^28); " + _SHOW_DEFAULT)
     parser.add_argument("--seed", type=int,
                         help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)")
     parser.add_argument("--tol", type=float, default=1e-8,

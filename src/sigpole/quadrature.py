@@ -50,14 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DimensionError, DomainError, NumericError, SizeError
-from .pairings import (
-    PairPartition,
-    PositionSet,
-    Word,
-    bracket_count,
-    enumerate_refining,
-    format_pairs,
-)
+from .pairings import PairPartition, Word, enumerate_refining, format_pairs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,6 +76,9 @@ DEFAULT_SEED = int.from_bytes(b"FBM0", "big")
 STOCHASTIC_METHODS = frozenset({"direct-mc", "pullback-mc"})
 DETERMINISTIC_METHODS = frozenset({"adaptive", "closed-form", "wick-grid"})
 _DEFAULT_SAMPLES = 1_000_000
+# most samples per Monte Carlo call: direct MC keeps one float64 per
+# sample, so 2^28 of them take 2 GiB
+MAX_SAMPLES = 1 << 28
 _MC_BATCH = 1 << 18
 # direct-MC rows per batch: the (n, batch) working set stays in cache
 _DIRECT_BATCH = 1 << 13
@@ -252,13 +248,15 @@ def _require_seed(seed: int) -> None:
 
 
 def _require_mc_args(samples: int, seed: int, workers: int) -> None:
-    """Both Monte Carlo routes need at least one sample, at least one and
-    at most ``samples`` workers, and a nonnegative seed; checked before any
-    seed sequence is built."""
+    """Both Monte Carlo routes need from 1 to ``MAX_SAMPLES`` samples, at
+    least one and at most ``samples`` workers, and a nonnegative seed;
+    checked before any seed sequence or array is built."""
     if samples < 1 or workers < 1:
         raise SizeError(
             f"need samples >= 1 and workers >= 1, got {samples} and {workers}"
         )
+    if samples > MAX_SAMPLES:
+        raise SizeError(f"{samples} samples refused: at most {MAX_SAMPLES} per call")
     if workers > samples:
         raise SizeError(f"{workers} workers refused for {samples} samples")
     _require_seed(seed)
@@ -423,7 +421,10 @@ def l_pullback_mc(
     top-form boundary exponentially tightly.  A proposal fixes the sorted
     point; a uniform random slot permutation then covers the whole region,
     and all affine forms are evaluated from the flag data so that forms far
-    below the coordinate scale keep full relative accuracy.
+    below the coordinate scale keep full relative accuracy.  The integrand
+    at the accepted points is ``BlowupChart.log_pullback_batch`` with
+    exponent 2H - 2 on the interval image, the method that the pullback
+    identity check (criterion 6) covers.
     """
     import numpy as np
 
@@ -441,12 +442,11 @@ def l_pullback_mc(
     lo, hi = chart.flag_ranges()
     xi_lo, xi_hi = np.log(lo), np.log(hi)
     widths = xi_hi - xi_lo
-    # exponent on each affine form: |S| - 1 + 2(H-1)[S|P], plus one for the
-    # forms folded out of the positive factor R = det(A) * prod f_S
-    brackets = np.array(
-        [bracket_count(PositionSet.from_mask(m), partition) for m in chart.masks]
-    )
-    f_expo = chart.sizes - 1 + 2 * (h - 1) * brackets + 1.0
+    # exponent 2H - 2 on each interval of the interval image, in mask order
+    lam = np.zeros(len(chart.masks))
+    for iv in partition.interval_image:
+        lam[iv.mask - 1] += 2 * h - 2
+
     def evaluate(
         xi: np.ndarray, perms: np.ndarray, log_q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -467,24 +467,9 @@ def l_pullback_mc(
         f = chart.forms_from_flag(perms[ok], ff[ok])
         pos = (f > 0).all(axis=1)
         fo = f[pos]
-        log_f = np.log(fo) if len(fo) else fo
-        inside = (
-            np.exp(log_f @ chart.M).sum(axis=1) < 1
-            if len(fo)
-            else np.zeros(0, bool)
-        )
-        fi = fo[inside]
-        # det(A) loses its sign to roundoff only in the far tail where the
-        # integrand mass vanishes; such points contribute zero
-        if len(fi):
-            sign, log_det = np.linalg.slogdet(chart.gram_batch(fi))
-        else:
-            sign = log_det = np.zeros(0)
-        usable = sign > 0
-        fu = fi[usable]
-        log_g = log_f[inside][usable] @ f_expo + log_det[usable]
-        for iv in partition.interval_image:
-            log_g += (2 * h - 2) * np.log(chart.p_s_batch(iv.members(), fu))
+        # inside the pulled-back simplex: the coordinates of F sum below 1
+        inside = np.exp(np.log(fo) @ chart.M).sum(axis=1) < 1
+        log_g, usable = chart.log_pullback_batch(fo[inside], lam)
         keep = xi[ok][pos][inside][usable]
         log_g += keep.sum(axis=1) + math.log(math.factorial(n))
         log_g -= log_q[ok][pos][inside][usable]

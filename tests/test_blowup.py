@@ -11,7 +11,6 @@ import pytest
 
 from sigpole.blowup import (
     BlowupChart,
-    ExponentAssignment,
     MonotoneList,
     _solve_exact,
     all_monotone_lists,
@@ -27,6 +26,15 @@ def omega_samples(chart: BlowupChart, count: int, seed: int = 77) -> np.ndarray:
     rng = np.random.default_rng(seed)
     base = chart.q(chart.n) / chart.n + 1.0
     return base + rng.random((count, chart.n)) * 4.0
+
+
+def log_integrand(chart: BlowupChart, ys, lam=None) -> np.ndarray:
+    """log_pullback_batch at points, zero exponents by default; every row
+    must be usable."""
+    lam = np.zeros(len(chart.masks)) if lam is None else lam
+    log_g, usable = chart.log_pullback_batch(chart.f_batch(np.atleast_2d(ys)), lam)
+    assert usable.all()
+    return log_g
 
 
 def test_gap_weights_admissible_up_to_rank_13():
@@ -122,7 +130,7 @@ def test_witness_rejects_bad_lists():
 def test_jacobian_n1():
     chart = BlowupChart(1)
     assert chart.det_jacobian([7.0]) == pytest.approx(1.0)
-    assert chart.r_interior([7.0]) == pytest.approx(1.0)
+    assert np.exp(log_integrand(chart, [7.0])) == pytest.approx([1.0])
     assert chart.r_exact([7.0]) == pytest.approx(1.0)
 
 
@@ -156,10 +164,12 @@ def test_det_jacobian_positive_on_omega():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_r_interior_matches_exact(n):
+def test_pullback_r_matches_exact(n):
+    # at zero exponents the integrand is R times prod f^(|S|-1)
     chart = BlowupChart(n)
-    for y in omega_samples(chart, 30):
-        a = chart.r_interior(list(y))
+    ys = omega_samples(chart, 30)
+    log_r = log_integrand(chart, ys) - np.log(chart.f_batch(ys)) @ (chart.sizes - 1)
+    for a, y in zip(np.exp(log_r), ys):
         b = chart.r_exact(list(y))
         assert abs(a - b) <= 1e-9 * abs(b)
 
@@ -198,13 +208,16 @@ def test_positivity_near_every_stratum_sampled():
         chart = BlowupChart(n)
         interior = [chart.interior_seed()] * n
         lists = all_monotone_lists(n)
+        points = []
         for flags in lists[:: max(1, len(lists) // 60)]:
             y = [float(v) for v in chart.witness_point(flags)]
             moved = [(1 - 1e-3) * a + 1e-3 * b for a, b in zip(y, interior)]
             assert chart.omega_contains(moved)
-            assert chart.r_interior(moved) > 0
             for mask in chart.masks:
                 assert chart.p_s_eval(chart.subset_of(mask), moved) > 0
+            points.append(moved)
+        # every row is usable: det(A) > 0
+        assert np.isfinite(log_integrand(chart, points)).all()
 
 
 def test_p_s_formulas():
@@ -406,41 +419,48 @@ def test_flag_ranges_never_retries_a_failed_step(monkeypatch):
 def test_pullback_zero_exponent_equals_jacobian():
     for n in (2, 3):
         chart = BlowupChart(n)
-        lam = ExponentAssignment(n, {})
         e = np.random.default_rng(3).standard_exponential((5, n + 1))
         xs = e[:, :n] / e.sum(axis=1, keepdims=True)
-        for y in chart.F_inverse_batch(xs, tol=1e-10):
-            got = chart.pullback_integrand(lam, list(y))
+        ys = chart.F_inverse_batch(xs, tol=1e-10)
+        for got, y in zip(np.exp(log_integrand(chart, ys)), ys):
             want = chart.det_jacobian(list(y))
             assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_pullback_specialized_exponent_bookkeeping():
-    # exponent on each form under the diagonal assignment is
-    # |S| - 1 + 2(H-1) * (bracket count of S)
+    # with exponent 2H - 2 on the interval image, as the pullback route
+    # builds it, the exponent on each form grows by 2(H-1) * (bracket count
+    # of S); the P_S powers are taken out with p_s_batch
     partition = PairPartition([(1, 4), (2, 3)])
     h = 0.8
     chart = BlowupChart(4)
-    lam = ExponentAssignment.from_partition(partition, h)
-    for mask in chart.masks:
-        s = chart.subset_of(mask)
-        total = sum(
-            lam.get(chart.subset_of(t)) for t in chart.masks if t & mask == t
-        )
-        expected = 2 * (h - 1) * bracket_count(PositionSet(s), partition)
-        assert abs(total - expected) < 1e-12
+    lam = np.zeros(len(chart.masks))
+    for iv in partition.interval_image:
+        lam[iv.mask - 1] += 2 * h - 2
+    ys = omega_samples(chart, 20)
+    f = chart.f_batch(ys)
+    log_p = sum(
+        v * np.log(chart.p_s_batch(chart.subset_of(m), f))
+        for m, v in zip(chart.masks, lam) if v
+    )
+    grown = log_integrand(chart, ys, lam) - log_integrand(chart, ys) - log_p
+    brackets = [bracket_count(PositionSet.from_mask(m), partition) for m in chart.masks]
+    expected = np.log(f) @ (2 * (h - 1) * np.array(brackets))
+    assert np.abs(grown - expected).max() <= 1e-10
 
 
 def test_pullback_rejects_exterior_points():
     chart = BlowupChart(2)
-    lam = ExponentAssignment(2, {})
+    lam = np.zeros(3)
+    for f in ([[-1.0, 2.0, 3.0]], [[1.0, 0.0, 3.0]]):
+        with pytest.raises(DomainError):
+            chart.log_pullback_batch(np.array(f), lam)
     with pytest.raises(DomainError):
-        chart.pullback_integrand(lam, [0.1, 0.1])
-    # inside the region but past the unit image-sum surface
+        log_integrand(chart, [0.1, 0.1])
+    # past the unit image-sum surface the identity still holds: no refusal
     y = [chart.q(2) / 2 + 2.0] * 2
-    assert chart.omega_contains(y)
-    with pytest.raises(DomainError):
-        chart.pullback_integrand(lam, y)
+    assert chart.omega_contains(y) and sum(chart.F_eval(y)) >= 1
+    assert np.exp(log_integrand(chart, y)) == pytest.approx([chart.det_jacobian(y)])
 
 
 def test_chart_guards():

@@ -258,6 +258,29 @@ def test_route_guards_before_exact_zero_exit_3(args):
     assert out.returncode == 3, out.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc"),
+    ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "pullback-mc"),
+    ("mean-sig", "--word", "1,1", "--H", "0.8", "--method", "direct-mc"),
+    ("mean-sig", "--word", "1,2", "--H", "0.8", "--method", "direct-mc"),
+])
+def test_oversized_sample_count_exit_3(args, monkeypatch):
+    # refused before any seed sequence exists, for a word with no refining
+    # matching (1,2) too
+    def no_seeds(*a, **k):
+        raise AssertionError("a seed sequence was built")
+
+    import numpy as np
+
+    from sigpole import quadrature
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    monkeypatch.setattr(quadrature, "worker_seeds", no_seeds)
+    out = invoke(*args, "--samples", "10000000000")
+    assert out.returncode == 3, out.stdout
+    assert "10000000000 samples refused" in out.stderr
+
+
 @pytest.mark.parametrize("args, env", [
     (("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc", "--samples", "1000",
       "--seed", "-5"), {}),

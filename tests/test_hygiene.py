@@ -1,0 +1,103 @@
+"""Module hygiene, checked with ``ast``: in every module of the package each
+``__all__`` name is bound at module level, and every module-level import is
+used (a name in an annotation counts as used).  An import whose first line
+says ``noqa: F401`` is a declared re-export."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sigpole"
+
+
+def module_level(body: list[ast.stmt]):
+    """The module's statements, with those under a top-level if or try."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from module_level(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            handlers = [s for h in node.handlers for s in h.body]
+            yield from module_level(node.body + handlers + node.orelse + node.finalbody)
+
+
+def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Module-level imported names and their lines, without re-exports."""
+    out = {}
+    for node in module_level(tree.body):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in module_level(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, including inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in filter(None, annotations):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names.update(
+                        n.id
+                        for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                        if isinstance(n, ast.Name)
+                    )
+    return names
+
+
+def dunder_all(tree: ast.Module) -> list[str]:
+    for node in module_level(tree.body):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_exports_resolve_and_imports_are_used(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    exported = dunder_all(tree)
+    missing = sorted(set(exported) - bound_names(tree))
+    assert not missing, f"__all__ names not bound in {path.name}: {missing}"
+    used = used_names(tree) | set(exported)
+    unused = {
+        name: line
+        for name, line in imported_names(tree, source.splitlines()).items()
+        if name not in used
+    }
+    assert not unused, f"unused imports in {path.name} (name: line): {unused}"

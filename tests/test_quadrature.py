@@ -473,6 +473,21 @@ def test_more_workers_than_samples_refused(route, monkeypatch):
         route(PAIR, 0.8, samples=3, workers=4)
 
 
+@pytest.mark.parametrize("route", [l_direct_mc, l_pullback_mc])
+def test_oversized_sample_count_refused(route, monkeypatch):
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("a seed sequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    monkeypatch.setattr(quadrature, "worker_seeds", no_seeds)
+    for samples in (quadrature.MAX_SAMPLES + 1, 10**10, 10**13):
+        with pytest.raises(SizeError, match=f"{samples} samples refused"):
+            route(PAIR, 0.8, samples=samples)
+    with pytest.raises(SizeError, match="samples refused"):
+        quadrature.check_route_args("direct-mc", samples=quadrature.MAX_SAMPLES + 1)
+    quadrature.check_route_args("direct-mc", samples=quadrature.MAX_SAMPLES)
+
+
 @pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
 def test_negative_seed_refused(method, monkeypatch):
     def no_seeds(*args, **kwargs):
