@@ -20,8 +20,10 @@ resolved.
 
 ``wick_grid_oracle`` is the independent deterministic oracle for mean
 iterated integrals: a Riemann sum over strictly increasing grid indices of
-pair-covariance products of fractional Gaussian increments.  It shares no
-evaluation logic with the routes above.
+pair-covariance products of fractional Gaussian increments.  Their
+covariance depends on the lag alone, and a pair closed right after an open
+is summed out by one BLAS matrix product.  It shares no evaluation logic
+with the routes above.
 
 All stochastic estimators split their sample budget over workers with seeds
 ``SeedSequence(entropy=seed, spawn_key=(w,))`` and reduce in worker order,
@@ -44,6 +46,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -83,7 +86,10 @@ _MC_BATCH = 1 << 18
 # direct-MC rows per batch: the (n, batch) working set stays in cache
 _DIRECT_BATCH = 1 << 13
 _GRID_CHUNK = 1 << 19  # grid nodes per slab, and at least one last-axis slice
-_WICK_MAX_ENTRIES = 1 << 24  # largest Wick oracle array, 128 MiB of float64
+# largest Wick oracle array, 128 MiB of float64; a contraction over a pair
+# axis that is not the last makes tensordot copy the state transposed, so the
+# old state, the copy and the result peak at three such arrays, 384 MiB
+_WICK_MAX_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -167,12 +173,18 @@ class FbmCovariance:
         return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(s - t) ** h2)
 
     def increment_cov(self, m: int) -> np.ndarray:
-        """Covariance matrix of the m unit-grid increments on [0, 1]."""
+        """Covariance matrix of the m unit-grid increments on [0, 1].
+
+        The increments are stationary, so entry (i, j) depends on the lag
+        d = |i - j| alone: r(d) = (|d+1|^2H - 2|d|^2H + |d-1|^2H) / (2 m^2H).
+        That takes m + 2 powers, and at H = 1 every entry is exactly 1/m^2.
+        """
         import numpy as np
 
-        edges = np.arange(m + 1) / m
-        r = self.cov(edges[:, None], edges[None, :])
-        return r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
+        p = np.abs(np.arange(-1, m + 1)) ** (2 * self.h)  # |d|^2H, d = -1..m
+        r = (p[2:] - 2 * p[1:-1] + p[:-2]) / (2 * m ** (2 * self.h))
+        i = np.arange(m)
+        return r[np.abs(i[:, None] - i)]
 
 
 def worker_seeds(seed: int, workers: int) -> list[np.random.SeedSequence]:
@@ -946,11 +958,17 @@ def _increasing_pair_sum(partition: PairPartition, cov: np.ndarray) -> float:
     more axis at the end.  So no value sits on a diagonal, and the largest
     array has m^(most pairs open at once) entries: m^2 for every k = 2
     matching.
+
+    A close right after an open contracts the closed pair's axis with cov
+    (masked to later times when that axis is the frontier) into a new
+    time axis at the end: one ``tensordot``, a BLAS matrix product that
+    leaves the other axes in order.  A close after a close weighs the
+    frontier axis by cov and sums the closed pair's axis, O(state).
     """
     import numpy as np
 
     m = cov.shape[0]
-    after = np.triu(np.ones((m, m)), 1)  # after[o, t] = [o < t]
+    after = 1.0 - np.tri(m)  # after[o, t] = [o < t]
     state = np.ones(m)
     opened = [1]  # the position that opened each pair axis
     merged = True  # the last pair axis is the frontier
@@ -967,13 +985,13 @@ def _increasing_pair_sum(partition: PairPartition, cov: np.ndarray) -> float:
             opened.append(pos)
         else:
             ax = opened.index(partner)
-            keep = [a for a in range(n) if a != ax]
             if not merged:  # the summed frontier axis is now the new time
+                keep = [a for a in range(n) if a != ax]
                 state = np.einsum(state, list(range(n)), cov, [ax, n - 1], keep)
             elif ax == n - 1:  # closes the pair opened just before
-                state = np.einsum(state, list(range(n)), cov * after, [ax, n], keep + [n])
+                state = np.tensordot(state, cov * after, axes=([ax], [0]))
             else:
-                state = np.einsum(state, list(range(n)), cov, [ax, n], keep + [n])
+                state = np.tensordot(state, cov, axes=([ax], [0]))
                 state *= after
             del opened[ax]
         merged = partner > pos
@@ -990,16 +1008,23 @@ def wick_grid_oracle(
     Riemann sum over strictly increasing multi-indices of the Wick expansion
     of the increment moments: for each refining pair partition, the product
     of increment covariances, summed by ``_increasing_pair_sum`` with one
-    array axis per open pair.  Letters with odd multiplicity give exactly 0.
-    Richardson extrapolation over {m, 2m} removes the leading defect, which
-    scales like m^(1-2H).  The largest array has (2m)^max(2, p) entries, p
-    the most pairs open at once over the refining matchings: 2k = 4 runs at
-    the default m = 64 and 2k = 6 at m = 32 in well under a second.  Arrays
-    over ``_WICK_MAX_ENTRIES`` = 2^24 entries (128 MiB of float64) raise
-    SizeError before any is built.
+    array axis per open pair, mostly by BLAS matrix products.
+    The covariance is the lag-only (Toeplitz) matrix of
+    ``FbmCovariance.increment_cov``.  Letters with odd multiplicity give
+    exactly 0.  Richardson extrapolation over {m, 2m} removes the leading
+    defect, which scales like m^(1-2H).  The largest array has
+    (2m)^max(2, p) entries, p the most pairs open at once over the refining
+    matchings: 2k = 4 runs at the default m = 64 and 2k = 6 at m = 32 in
+    well under a second.  Arrays over ``_WICK_MAX_ENTRIES`` = 2^24 entries
+    (128 MiB of float64) raise SizeError before any is built.  H must be a
+    finite number above 1/2, as for the routes (at H = 1/2 the strictly
+    increasing sum misses the Ito diagonal, below it the sum diverges like
+    m^(1-2H)), and m an integer of at least 8; either raises DomainError
+    before any array is built.
     """
-    if m < 8:
-        raise DomainError(f"grid size must be at least 8, got {m}")
+    _require_convergent(h)
+    if not isinstance(m, numbers.Integral) or m < 8:
+        raise DomainError(f"grid size must be an integer of at least 8, got {m!r}")
     refining = enumerate_refining(word)
     if not refining:
         return EvalResult(value=0.0, method="wick-grid", tol=0.0, cells=0, h=h,

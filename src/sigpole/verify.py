@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .errors import DomainError
 from .pairings import (
     PairPartition,
     PositionSet,
@@ -431,7 +432,13 @@ def _check_wick_limits(quick: bool):
         return False, f"fourth moment off: {r.value}"
     if wick_grid_oracle(Word([1, 2, 2, 3]), 0.8).value != 0.0:
         return False, "odd multiplicities must give exact zero"
-    return True, f"grid {m} with extrapolation"
+    for h in (0.5, 0.3):  # the grid sum misses the Ito diagonal, or diverges
+        try:
+            r = wick_grid_oracle(Word([1, 1]), h, m=m)
+        except DomainError:
+            continue
+        return False, f"H={h} not refused: {r.value}"
+    return True, f"grid {m} with extrapolation, H <= 1/2 refused"
 
 
 def _check_reflection_symmetry(quick: bool):

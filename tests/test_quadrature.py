@@ -635,10 +635,11 @@ def test_increasing_sum_matches_enumeration():
 
 @pytest.mark.parametrize("h", [0.6, 0.8, 1.0])
 def test_increasing_sum_matches_enumeration_on_fbm_grid(h):
-    # every matching with 2k <= 6 against the explicit sum over increasing
-    # index tuples, on the increment covariance the oracle uses
+    # every matching with 2k <= 8 against the explicit sum over increasing
+    # index tuples, on the increment covariance the oracle uses; 2k = 8
+    # reaches 3- and 4-axis states that close a pair in a middle axis
     c = FbmCovariance(h).increment_cov(10)
-    for size in (2, 4, 6):
+    for size in (2, 4, 6, 8):
         for p in all_pair_partitions(size):
             assert _increasing_pair_sum(p, c) == pytest.approx(
                 naive_increasing_sum(p, c), rel=1e-12
@@ -659,6 +660,25 @@ def test_fbm_covariance():
         FbmCovariance(1.5)
 
 
+@pytest.mark.parametrize("h", [0.6, 0.8, 1.0])
+@pytest.mark.parametrize("m", [16, 128])
+def test_increment_cov_is_toeplitz(h, m):
+    # stationary increments: entry (i, j) depends on |i - j| alone, and
+    # agrees with the second difference of the covariance over grid edges
+    cov = FbmCovariance(h)
+    inc = cov.increment_cov(m)
+    idx = np.arange(m)
+    lag = np.abs(idx[:, None] - idx[None, :])
+    assert np.array_equal(inc, inc[0][lag])
+    edges = np.arange(m + 1) / m
+    r = cov.cov(edges[:, None], edges[None, :])
+    edge_form = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
+    assert np.max(np.abs(inc - edge_form)) <= 1e-15
+    if h == 1.0:
+        assert np.all(inc == 1 / m**2)
+    assert inc.sum() == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("h", [0.6, 0.75, 0.9, 1.0])
 def test_oracle_second_moment(h):
     r = wick_grid_oracle(Word([1, 1]), h, m=64)
@@ -677,6 +697,20 @@ def test_oracle_empty_sum_and_guards():
     assert wick_grid_oracle(Word([1, 2, 2, 3]), 0.8).value == 0.0
     with pytest.raises(DomainError):
         wick_grid_oracle(Word([1, 1]), 0.8, m=4)
+
+
+@pytest.mark.parametrize("h, m", [(0.5, 64), (0.3, 64), (0.8, 8.5)],
+                         ids=["H=1/2", "H=0.3", "m=8.5"])
+def test_oracle_refuses_divergent_h_and_fractional_grid(monkeypatch, h, m):
+    # at H = 1/2 the strictly increasing sum misses the Ito diagonal (value
+    # 0 against 1/2), below it the grid sum diverges like m^(1-2H), and a
+    # fractional m sets no grid; each is refused before any array exists
+    def no_arrays(self, m):
+        raise AssertionError("covariance built before the argument check")
+
+    monkeypatch.setattr(FbmCovariance, "increment_cov", no_arrays)
+    with pytest.raises(DomainError):
+        wick_grid_oracle(Word([1, 1]), h, m=m)
 
 
 def test_oracle_rank_one_limit():
