@@ -83,7 +83,26 @@ class Interval:
         return ((1 << len(self)) - 1) << (self.lo - 1)
 
     def __str__(self) -> str:
-        return str(self.lo) if self.lo == self.hi else f"{self.lo}-{self.hi}"
+        return _format_run(self.lo, self.hi)
+
+
+def _format_run(lo: int, hi: int) -> str:
+    return str(lo) if lo == hi else f"{lo}-{hi}"
+
+
+def _mask_runs(mask: int) -> list[tuple[int, int]]:
+    """The maximal runs (lo, hi) of positions in a mask, in increasing order."""
+    # character i of the reversed binary string is bit i, position i + 1; the
+    # search is linear in the mask's length however many runs it has
+    bits = f"{mask:b}"[::-1]
+    runs = []
+    hi = 0
+    while (lo := bits.find("1", hi)) >= 0:
+        hi = bits.find("0", lo)
+        if hi < 0:
+            hi = len(bits)
+        runs.append((lo + 1, hi))
+    return runs
 
 
 class Word:
@@ -258,13 +277,7 @@ class PositionSet:
 
     @property
     def maximal_intervals(self) -> tuple[Interval, ...]:
-        runs: list[list[int]] = []
-        for p in self:
-            if runs and p == runs[-1][1] + 1:
-                runs[-1][1] = p
-            else:
-                runs.append([p, p])
-        return tuple(Interval(lo, hi) for lo, hi in runs)
+        return tuple(Interval(lo, hi) for lo, hi in _mask_runs(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -481,4 +494,4 @@ def format_pairs(partition: PairPartition) -> str:
 
 
 def format_position_set(s: PositionSet) -> str:
-    return ",".join(str(iv) for iv in s.maximal_intervals)
+    return ",".join(_format_run(lo, hi) for lo, hi in _mask_runs(s.mask))

@@ -15,6 +15,11 @@ Each realized pair is witnessed by its least position set in the bitmask
 order (position p is bit p-1), so witnesses do not depend on how the sets
 were enumerated.  The enumerator works on those masks, which are the storage
 format of PositionSet, so each witness is wrapped in O(1) with no conversion.
+
+The layer works on plain ints until output time: the enumerator keys each
+pair by one int, merging and absorption compare integer ranks over a common
+denominator, and records reduce offsets with math.gcd.  Fractions appear
+only where a caller reads ``offset`` or ``step`` or asks a membership query.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ from .pairings import (
 __all__ = [
     "RationalProgression",
     "PoleSet",
+    "union_with_sources",
     "HyperplaneFamily",
     "progression_of_set",
     "candidate_poles",
@@ -86,10 +92,18 @@ class RationalProgression:
         )
 
     def as_record(self) -> dict[str, str]:
-        return {"offset": str(self.offset), "step": str(self.step)}
+        """The strings of ``offset`` and ``step``, reduced on ints."""
+        num = self.denom - self.size
+        g = math.gcd(num, self.denom)
+        return {"offset": _ratio(num // g, self.denom // g), "step": _ratio(1, self.denom)}
 
     def __str__(self) -> str:
         return f"{{{self.offset} - {self.step}*l}}"
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a reduced num/den with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class PoleSet:
@@ -101,26 +115,32 @@ class PoleSet:
     absorbed, so no stored progression is a subset of another.  Both are
     sorted by descending offset, then ascending step.  Equality compares the
     merged form (the two views describe the same set of numbers).
+
+    Both views come from one sort on integer tuples: over one common
+    denominator L, offsets compare as the ranks size * (L // denom), and
+    (rank, -denom) is distinct for distinct progressions.
     """
 
     __slots__ = ("progressions", "contributions", "witnesses")
 
     def __init__(self, witnesses: Mapping[RationalProgression, PositionSet]):
-        # over one common denominator, offsets compare as integer ranks
         lcm = math.lcm(*(pr.denom for pr in witnesses))
-        rank = {pr: pr.size * (lcm // pr.denom) for pr in witnesses}
-        contributions = tuple(
-            sorted(witnesses.items(), key=lambda kv: (rank[kv[0]], -kv[0].denom))
+        order = sorted(
+            (pr.size * (lcm // pr.denom), -pr.denom, pr, w) for pr, w in witnesses.items()
         )
-        kept: list[RationalProgression] = []
-        # finest steps first so any potential absorber is already kept
-        for pr in sorted(witnesses, key=lambda pr: (-pr.denom, rank[pr])):
-            if not any(pr.is_subset_of(a) for a in kept):
-                kept.append(pr)
-        kept_set = set(kept)
-        object.__setattr__(
-            self, "progressions", tuple(pr for pr, _ in contributions if pr in kept_set)
-        )
+        # every absorber of a progression comes before it in this order: its
+        # offset is higher, or equal with a finer step.  So an earlier
+        # progression absorbs a later one exactly when the later denom divides
+        # the earlier denom, and since absorption is transitive, testing the
+        # kept denoms suffices.
+        kept_denoms: list[int] = []
+        progressions = []
+        for _rank, _neg, pr, _w in order:
+            if all(d % pr.denom for d in kept_denoms):
+                kept_denoms.append(pr.denom)
+                progressions.append(pr)
+        contributions = tuple((pr, w) for _rank, _neg, pr, w in order)
+        object.__setattr__(self, "progressions", tuple(progressions))
         object.__setattr__(self, "contributions", contributions)
         object.__setattr__(self, "witnesses", dict(contributions))
 
@@ -156,10 +176,8 @@ class PoleSet:
 
     def union(self, *others: PoleSet) -> PoleSet:
         """One merge of this set with the others; the earliest witness wins."""
-        witnesses: dict[RationalProgression, PositionSet] = {}
-        for ps in reversed((self, *others)):
-            witnesses.update(ps.witnesses)
-        return PoleSet(witnesses)
+        pole_sets = (self, *others)
+        return union_with_sources(pole_sets, range(len(pole_sets)))[0]
 
     def as_records(self) -> list[dict[str, str]]:
         return [pr.as_record() for pr in self.progressions]
@@ -172,6 +190,24 @@ class PoleSet:
 
     def __repr__(self) -> str:
         return f"PoleSet({len(self.progressions)} progressions, max={self.max_offset})"
+
+
+def union_with_sources(
+    pole_sets: Sequence[PoleSet], sources: Sequence
+) -> tuple[PoleSet, dict[RationalProgression, object]]:
+    """The union of the pole sets, and the source of each progression.
+
+    One earliest-wins pass: each progression keeps the witness, and the
+    entry of ``sources``, of the first pole set that holds it.  The pass
+    runs backwards so that earlier sets overwrite later ones; dict updates
+    from dicts reuse the stored key hashes.
+    """
+    witnesses: dict[RationalProgression, PositionSet] = {}
+    source: dict[RationalProgression, object] = {}
+    for ps, src in zip(reversed(pole_sets), reversed(sources)):
+        witnesses.update(ps.witnesses)
+        source.update(dict.fromkeys(ps.witnesses, src))
+    return PoleSet(witnesses), source
 
 
 def progression_of_set(
@@ -192,11 +228,14 @@ def progression_of_set(
 def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
     """(|S|, 2[S|P]) -> least witness bitmask, over sets with [S|P] > 0.
 
-    reach[p] maps (size, weight) to the least mask over families of pairwise
-    nonadjacent intervals inside [p, n], the empty family included.  A family
-    either skips p or starts with an interval [p, b] followed by a family
-    inside [b+2, n]; the interval's bits lie below the tail's, so the least
-    mask of such a family is the interval's mask plus the least tail mask.
+    reach[p] maps the key size * (n+1) + weight to the least mask over
+    families of pairwise nonadjacent intervals inside [p, n], the empty
+    family included.  A family's weight is at most n, so the keys of an
+    interval and a tail family add with no carry; divmod decodes them once
+    at the end.  A family either skips p or starts with an interval [p, b]
+    followed by a family inside [b+2, n]; the interval's bits lie below the
+    tail's, so the least mask of such a family is the interval's mask plus
+    the least tail mask.
     """
     n = partition.size
     # weight[a][b] = 2[[a, b]|P] = 2 * #{pair intervals inside [a, b]}
@@ -207,21 +246,28 @@ def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
         row, inner = weight[a], weight[a + 1]
         for b in range(a + 1, n + 1):
             row[b] += row[b - 1] + inner[b] - inner[b - 1]
-    empty = {(0, 0): 0}
-    reach = [empty] * (n + 3)
+    base = n + 1
+    above = 1 << n  # exceeds every mask
+    reach = [{0: 0}] * (n + 3)
     for p in range(n, 0, -1):
         here = dict(reach[p + 1])
+        get, row = here.get, weight[p]
         for b in range(p, n + 1):
-            size, w = b - p + 1, weight[p][b]
+            size = b - p + 1
+            head = size * base + row[b]
             ivmask = ((1 << size) - 1) << (p - 1)
-            for (s2, c2), m2 in reach[b + 2].items():
-                key = (size + s2, w + c2)
-                mask = ivmask | m2
-                old = here.get(key)
-                if old is None or mask < old:
+            for key, mask in reach[b + 2].items():
+                key += head
+                mask |= ivmask
+                if mask < get(key, above):
                     here[key] = mask
         reach[p] = here
-    return {key: mask for key, mask in reach[1].items() if key[1] > 0}
+    realized = {}
+    for key, mask in reach[1].items():
+        size, w = divmod(key, base)
+        if w:
+            realized[size, w] = mask
+    return realized
 
 
 # the enumeration costs about (2k)^4: 2k = 128 takes seconds, 256 a minute
@@ -242,12 +288,12 @@ def candidate_poles(partition: PairPartition) -> PoleSet:
             f"more than {_MAX_POLE_POSITIONS}"
         )
     ps = PoleSet({
-        RationalProgression(*key): PositionSet.from_mask(mask)
-        for key, mask in _realized(partition).items()
+        RationalProgression(size, denom): PositionSet.from_mask(mask)
+        for (size, denom), mask in _realized(partition).items()
     })
     # [S|P] <= |S| for pair partitions: each pair interval inside S has its
     # right end in S, so no offset 1 - |S|/(2[S|P]) exceeds 1/2
-    if ps and ps.max_offset > Fraction(1, 2):
+    if ps and 2 * ps.progressions[0].size < ps.progressions[0].denom:
         raise DomainError(f"candidate offset {ps.max_offset} exceeds 1/2")
     return ps
 

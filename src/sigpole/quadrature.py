@@ -890,13 +890,18 @@ def _factored(
     if not done:
         raise NumericError("quadrature tolerance not reached within the level budget",
                            best=values[-1] if values else None, tol=tol, levels=levels)
+    reported = max(change, rounding)
+    # L > 0 for every H > 1/2, so a tol of at least |L| leaves no correct digit
+    if reported >= abs(value):
+        raise NumericError(f"no correct digit at H={h}: value {value:.6g}, "
+                           f"tol {reported:.3g} >= |value|", best=value, tol=reported)
     extra = {"factor_tree": tree}
     if method == "adaptive":
         extra.update(levels=levels[: len(values)], level_values=values)
     if comps:
         extra.update(terms=[len(terms) for terms in comps], grid_dims=dims,
                      cancellation=ratios)
-    return EvalResult(value=value, method=method, tol=max(change, rounding), cells=cells,
+    return EvalResult(value=value, method=method, tol=reported, cells=cells,
                       h=h, partition=format_pairs(partition), extra=extra)
 
 
@@ -925,6 +930,9 @@ def l_adaptive(
     component.  A NaN or negative tol raises DomainError before any level
     runs, a crossing component of more than 5 pairs raises SizeError before
     any work, and an exhausted level budget raises with the best value.
+    L > 0 for every H > 1/2, so a reported tol of at least |L| (close to
+    H = 1/2, where the terms cancel) raises NumericError carrying the value
+    and that tol.
     """
     return _factored(partition, h, "adaptive", tol, max_level)
 
@@ -1019,10 +1027,13 @@ def wick_grid_oracle(
     (128 MiB of float64) raise SizeError before any is built.  H must be a
     finite number above 1/2, as for the routes (at H = 1/2 the strictly
     increasing sum misses the Ito diagonal, below it the sum diverges like
-    m^(1-2H)), and m an integer of at least 8; either raises DomainError
-    before any array is built.
+    m^(1-2H)), and at most 1, where fBm ends; m must be an integer of at
+    least 8.  Each raises DomainError before any array is built, also for a
+    word with no refining matching.
     """
     _require_convergent(h)
+    if h > 1:
+        raise DomainError(f"Hurst parameter must lie in (0, 1], got {h}")
     if not isinstance(m, numbers.Integral) or m < 8:
         raise DomainError(f"grid size must be an integer of at least 8, got {m!r}")
     refining = enumerate_refining(word)

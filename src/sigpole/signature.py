@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericError, SizeError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
-from .poles import PoleSet, candidate_poles
+from .poles import candidate_poles, union_with_sources
 from .quadrature import (
     DEFAULT_SEED,
     ROUTES,
@@ -252,21 +252,17 @@ def gamma_table(
 def candidate_pole_report(word: Word) -> dict:
     """Candidate pole locations for a word with per-partition breakdowns.
 
-    Each refining partition's pole set is computed once; the union merges
-    them in one pass, the earliest partition's witness winning.
-    ``contributions`` lists the union's contributions, each with the
-    ``pairs`` of the partition its witness set was computed on: the first
-    one that contributes the progression.
+    Each refining partition's pole set is computed once.  One earliest-wins
+    pass (``union_with_sources``) merges them: it yields the union, each
+    progression witnessed by the first partition that contributes it, and
+    that partition's ``pairs``, which ``contributions`` lists beside each of
+    the union's contribution records.
     """
     refining = enumerate_refining(word)
     pole_sets = [candidate_poles(p) for p in refining]
-    union = PoleSet({}).union(*pole_sets)
-    source: dict = {}
-    for p, ps in zip(refining, pole_sets):
-        for pr, _w in ps.contributions:
-            source.setdefault(pr, p)
+    union, source = union_with_sources(pole_sets, [format_pairs(p) for p in refining])
     contributions = [
-        {**rec, "pairs": format_pairs(source[pr])}
+        {**rec, "pairs": source[pr]}
         for (pr, _w), rec in zip(union.contributions, union.contribution_records())
     ]
     return {

@@ -432,13 +432,15 @@ def _check_wick_limits(quick: bool):
         return False, f"fourth moment off: {r.value}"
     if wick_grid_oracle(Word([1, 2, 2, 3]), 0.8).value != 0.0:
         return False, "odd multiplicities must give exact zero"
-    for h in (0.5, 0.3):  # the grid sum misses the Ito diagonal, or diverges
+    # the grid sum misses the Ito diagonal, or diverges; fBm ends at H = 1,
+    # also for a word whose sum is an exact zero
+    for letters, h in (([1, 1], 0.5), ([1, 1], 0.3), ([1, 2], 1.5)):
         try:
-            r = wick_grid_oracle(Word([1, 1]), h, m=m)
+            r = wick_grid_oracle(Word(letters), h, m=m)
         except DomainError:
             continue
         return False, f"H={h} not refused: {r.value}"
-    return True, f"grid {m} with extrapolation, H <= 1/2 refused"
+    return True, f"grid {m} with extrapolation, H <= 1/2 and H > 1 refused"
 
 
 def _check_reflection_symmetry(quick: bool):

@@ -210,6 +210,13 @@ def test_eval_crossing_near_half():
     assert result["cells"] == 0 and result["extra"]["terms"] == [4]
 
 
+def test_eval_without_a_correct_digit_exit_3():
+    # closer to 1/2 the terms cancel to a tol far beyond |L|
+    out = invoke("eval", "--pairs", "1-4,2-5,3-6", "--H", "0.50001")
+    assert out.returncode == 3, out.stdout
+    assert "no correct digit" in out.stderr and not out.stdout
+
+
 def test_eval_wide_crossing_component_exit_3():
     out = invoke("eval", "--pairs", "1-7,2-8,3-9,4-10,5-11,6-12", "--H", "0.8")
     assert out.returncode == 3

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,12 +15,15 @@ from hypothesis import strategies as st
 from sigpole import poles, signature
 from sigpole.errors import DimensionError, DomainError
 from sigpole.pairings import (
+    Interval,
     PairPartition,
     PositionSet,
     Word,
     all_pair_partitions,
     bracket_count,
     enumerate_refining,
+    format_pairs,
+    format_position_set,
     parse_position_set,
 )
 from sigpole.poles import (
@@ -286,6 +291,59 @@ def test_pole_outputs_pinned():
     assert h.hexdigest() == (
         "3e1320ceef4c30af4cf765afd46c7b31c965a3d0aa545d09c078bc1180085a4c"
     )
+
+
+def test_large_matching_poles_pinned():
+    # the enumerator's integer keys matter most past 2k = 10: sha256 over the
+    # records of seeded random matchings at 2k = 18, 20, 22
+    rng = random.Random(2018)
+    h = hashlib.sha256()
+    for size in (18, 20, 22):
+        for _ in range(4):
+            perm = list(range(1, size + 1))
+            rng.shuffle(perm)
+            ps = candidate_poles(PairPartition(zip(perm[::2], perm[1::2])))
+            h.update(repr((ps.as_records(), ps.contribution_records())).encode())
+    assert h.hexdigest() == (
+        "92e0290895e3bdd2edfd1ce7087c3c4cdf5aeaa45fcea9e63f1e56d457e7f8ae"
+    )
+
+
+def test_as_record_is_the_fraction_strings():
+    for denom in range(1, 65):
+        for size in range(129):
+            pr = RationalProgression(size, denom)
+            assert pr.as_record() == {"offset": str(pr.offset), "step": str(pr.step)}
+
+
+def test_format_position_set_is_the_interval_join():
+    def runs_of(s):
+        # consecutive members share p - index
+        groups = itertools.groupby(enumerate(s), key=lambda ip: ip[1] - ip[0])
+        return [[p for _, p in g] for _, g in groups]
+
+    masks = list(range(1 << 12)) + [
+        1 << 65535, (1 << 65536) - 1, (0b1011 << 65530) | 0b110101, int("10" * 32768, 2)
+    ]
+    for mask in masks:
+        s = PositionSet.from_mask(mask)
+        text = ",".join(str(Interval(run[0], run[-1])) for run in runs_of(s))
+        assert format_position_set(s) == text, mask
+        assert parse_position_set(text) == s
+
+
+def test_report_pairs_are_the_first_contributing_matching():
+    for letters in restricted_growth_words(8):
+        word = Word(letters)
+        report = candidate_pole_report(word)
+        refining = enumerate_refining(word)
+        sets = [candidate_poles(p) for p in refining]
+        union = report["union"]
+        assert len(report["contributions"]) == len(union.contributions)
+        for row, (pr, w) in zip(report["contributions"], union.contributions):
+            first = next(i for i, ps in enumerate(sets) if pr in ps.witnesses)
+            assert row["pairs"] == format_pairs(refining[first])
+            assert w == sets[first].witnesses[pr]
 
 
 def test_candidate_poles_wraps_witness_masks(monkeypatch):

@@ -107,11 +107,22 @@ def test_adaptive_k2_near_half(h):
 
 def test_adaptive_terms_cancel_to_zero():
     # at H = 1/2 + 1e-15 the two terms of 1-3,2-4 round to the same float:
-    # the sum is 0, and the reported tol still covers the limit pi^2 / 12
-    r = l_adaptive(CROSS2, 0.5 + 1e-15)
-    assert r.value == 0.0 and r.extra["cancellation"] == [None]
-    assert r.tol >= math.pi ** 2 / 12
-    json.dumps(r.to_json_dict(), allow_nan=False)
+    # the sum is 0, the tol still covers the limit pi^2 / 12, and since
+    # L > 0 a tol of at least |L| is refused with both carried
+    with pytest.raises(NumericError, match="no correct digit") as exc:
+        l_adaptive(CROSS2, 0.5 + 1e-15)
+    assert exc.value.diagnostics["best"] == 0.0
+    assert exc.value.diagnostics["tol"] >= math.pi ** 2 / 12
+
+
+@pytest.mark.parametrize("h", [0.5000001, 0.50001])
+def test_adaptive_refuses_value_without_a_digit(h):
+    # near H = 1/2 the crossing terms cancel to a tol far beyond |L|
+    with pytest.raises(NumericError, match="no correct digit") as exc:
+        l_adaptive(parse_pairs("1-4,2-5,3-6"), h)
+    assert exc.value.diagnostics["tol"] >= abs(exc.value.diagnostics["best"])
+    r = l_adaptive(parse_pairs("1-4,2-5,3-6"), 0.51)
+    assert 0 < r.tol < 1e-6 * r.value
 
 
 REDUCIBLE6 = (
@@ -711,6 +722,18 @@ def test_oracle_refuses_divergent_h_and_fractional_grid(monkeypatch, h, m):
     monkeypatch.setattr(FbmCovariance, "increment_cov", no_arrays)
     with pytest.raises(DomainError):
         wick_grid_oracle(Word([1, 1]), h, m=m)
+
+
+@pytest.mark.parametrize("letters", [[1, 2], [1, 1]], ids=["1,2", "1,1"])
+def test_oracle_refuses_h_above_one(monkeypatch, letters):
+    # fBm has no H > 1: a word with no refining matching, whose sum is an
+    # exact 0, is refused like one that would build a covariance
+    def no_arrays(self, m):
+        raise AssertionError("covariance built before the argument check")
+
+    monkeypatch.setattr(FbmCovariance, "increment_cov", no_arrays)
+    with pytest.raises(DomainError, match="got 1.5"):
+        wick_grid_oracle(Word(letters), 1.5)
 
 
 def test_oracle_rank_one_limit():
