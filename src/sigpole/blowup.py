@@ -37,8 +37,13 @@ EXACT_R_MAX_DIM = 4
 # once while searching them
 _STEP_LADDER = 0.5 ** np.arange(40)
 _TRIAL_ROWS = 1 << 16
-# float inverse: homotopy stages, then Newton iterations at the target
+# float inverse: the homotopy path in floor stages of 1/_FLOW_STEPS, the
+# first stage of a row in floor stages, and the Newton iterations of a longer
+# stage, of a floor stage and at the target
 _FLOW_STEPS = 64
+_FIRST_STAGE = 8
+_STAGE_ITER = 6
+_FLOOR_ITER = 30
 _POLISH_ITER = 200
 # exact polish: Newton steps on the dyadic grid of spacing 2^-_GRID_BITS
 _EXACT_STEPS = 10
@@ -460,29 +465,33 @@ class BlowupChart:
         ys: np.ndarray,
         log_targets: np.ndarray,
         log_tol: np.ndarray,
-        max_iter: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        max_iter: int | np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Damped Newton for log F(y) = log target in log-flag coordinates.
 
         Each row takes the first step length of the ladder 2^0 ... 2^-39
         that keeps it inside Omega and strictly lowers its log-residual.
         The ladder is searched in two batched passes: the full step on every
         row, then all shorter lengths at once on the rows it did not accept.
-        A row that no length improves is frozen for the rest of the call:
-        its point, target and residual stay as they are, so every later
-        iteration would try the same steps and fail again.  The iteration
-        ends when no unfrozen row is above its tolerance.
+        A row stalls when no length improves it, or when a flag form rounds
+        to zero or below so that its Jacobian is singular or not finite.  A
+        stalled row is frozen for the rest of the call: its point, target
+        and residual stay as they are, so every later iteration would try
+        the same steps and fail again.  The iteration ends when no unfrozen
+        row is above its tolerance; ``max_iter`` caps the iterations of
+        each row (one cap, or one per row).
 
-        Returns updated points and the log-residual norms; callers decide
-        whether the norms are acceptable.  Points must start inside Omega
-        and never leave it.
+        Returns updated points, the log-residual norms and the mask of
+        stalled rows; callers decide whether the norms are acceptable.
+        Points must start inside Omega and never leave it.
         """
         ys = ys.copy()
         f = self.f_batch(ys)
         err = np.abs(self._log_F_batch(f) - log_targets).max(axis=1)
         stalled = np.zeros(len(ys), dtype=bool)
-        for _ in range(max_iter):
-            idx = np.nonzero((err > log_tol) & ~stalled)[0]
+        caps = np.broadcast_to(max_iter, err.shape)
+        for it in range(int(caps.max(initial=0))):
+            idx = np.nonzero((err > log_tol) & ~stalled & (caps > it))[0]
             if not len(idx):
                 break
             ya = ys[idx]
@@ -497,6 +506,15 @@ class BlowupChart:
             jg = cols.copy()
             jg[:, :, :-1] -= cols[:, :, 1:]
             jg *= ff[:, None, :]
+            # the forms are positive, but their flag sums round on their own
+            sound = (ff > 0).all(axis=1) & np.isfinite(jg).all(axis=(1, 2))
+            if not sound.all():
+                stalled[idx[~sound]] = True
+                idx, order, ff, jg, g = (
+                    v[sound] for v in (idx, order, ff, jg, g)
+                )
+                if not len(idx):
+                    continue
             dphi = np.linalg.solve(jg, -g[..., None])[..., 0]
             rows = (order, ff, dphi, log_targets[idx], err[idx])
             best, best_err, found = self._first_step(*rows, _STEP_LADDER[:1])
@@ -508,7 +526,7 @@ class BlowupChart:
             stalled[idx[~found]] = True
             ys[idx[found]] = best[found]
             err[idx[found]] = best_err[found]
-        return ys, err
+        return ys, err, stalled
 
     def _first_step(
         self,
@@ -560,22 +578,34 @@ class BlowupChart:
         """Preimages in Omega of (N, n) orthant points.
 
         Walks a homotopy from the image of a fixed interior point to the
-        target in a fixed number of steps, correcting onto the path with
-        damped Newton at every stage, then polishes at the true target.
-        The path interpolates the image points geometrically: it stays in
-        the orthant (so its preimage stays in Omega) and each stage moves
-        every image coordinate by a bounded ratio, which keeps the stage
-        Jacobians well conditioned across the many decades the image of the
-        start point may sit away from the target.
+        target, correcting onto the path with damped Newton at every stage
+        (``_inverse_float_best``), then polishes at the true target.  The
+        path interpolates the image points geometrically: it stays in the
+        orthant (so its preimage stays in Omega) and each stage moves every
+        image coordinate by a bounded ratio, which keeps the stage Jacobians
+        well conditioned across the many decades the image of the start
+        point may sit away from the target.  A row whose polished point
+        misses the residual bound or leaves Omega is solved again from the
+        seed on the fixed schedule of ``_FLOW_STEPS`` stages before any
+        NumericError is raised.
         """
         xs = _orthant_targets(xs)
-        ys = self._inverse_float_best(xs, stage_tol=1e-8)
-        logx = np.log(xs)
         # a log-residual of eps forces the componentwise relative error of F
         # under roughly 2 eps, hence the absolute residual under the cap
         scale = np.maximum(np.abs(xs).max(axis=1), 1.0)
         log_tol = 0.5 * tol * scale / np.abs(xs).max(axis=1)
-        ys, err = self._newton_toward(ys, logx, log_tol, _POLISH_ITER)
+
+        def polished(rows: np.ndarray, first_stage: int) -> np.ndarray:
+            ys = self._inverse_float_best(xs[rows], first_stage, stage_tol=1e-8)
+            return self._newton_toward(
+                ys, np.log(xs[rows]), log_tol[rows], _POLISH_ITER
+            )[0]
+
+        ys = polished(np.arange(len(xs)), _FIRST_STAGE)
+        final = np.abs(self.F_batch(ys) - xs).max(axis=1)
+        redo = np.flatnonzero((final > tol * scale) | ~self.omega_mask(ys))
+        if len(redo):
+            ys[redo] = polished(redo, 1)
         final = np.abs(self.F_batch(ys) - xs).max(axis=1)
         if (final > tol * scale).any():
             raise NumericError(
@@ -588,11 +618,26 @@ class BlowupChart:
         return ys
 
     def _inverse_float_best(
-        self, xs: np.ndarray, flow_steps: int = _FLOW_STEPS, stage_tol: float = 1e-9
+        self,
+        xs: np.ndarray,
+        first_stage: int = _FIRST_STAGE,
+        flow_steps: int = _FLOW_STEPS,
+        stage_tol: float = 1e-9,
     ) -> np.ndarray:
         """Best float64 preimages without a tolerance guarantee: the
         homotopy of ``F_inverse_batch`` without its final polish, correcting
         each stage to the log-residual ``stage_tol``.
+
+        The path is measured in floor stages of 1/``flow_steps``, and each
+        row walks it with its own stage length, ``first_stage`` floor
+        stages at first.  A longer stage gets ``_STAGE_ITER`` Newton steps.
+        It is kept, and the length doubles, when the row reaches
+        ``stage_tol`` or stalls (the path saturates near the top-rank
+        boundary at n = 4, and a stall is the best float point there);
+        otherwise the row goes back to its last point and the length
+        halves.  A floor stage gets ``_FLOOR_ITER`` steps and is always
+        kept, and a row at the floor stays there, so ``first_stage=1`` is
+        the fixed schedule of ``flow_steps`` equal stages.
 
         Near the top-rank boundary the form values drop below the coordinate
         quantization of binary64 points, so the float path saturates; the
@@ -602,9 +647,24 @@ class BlowupChart:
         log0 = self._log_F_batch(self.f_batch(ys))
         logx = np.log(xs)
         tols = np.full(len(xs), stage_tol)
-        for step in range(1, flow_steps + 1):
-            s = step / flow_steps
-            ys, _ = self._newton_toward(ys, (1 - s) * log0 + s * logx, tols, 30)
+        done = np.zeros(len(xs), dtype=np.intp)
+        length = np.full(len(xs), first_stage, dtype=np.intp)
+        while len(live := np.flatnonzero(done < flow_steps)):
+            to = np.minimum(done[live] + length[live], flow_steps)
+            s = (to / flow_steps)[:, None]
+            floor = length[live] == 1
+            moved, err, stalled = self._newton_toward(
+                ys[live],
+                (1 - s) * log0[live] + s * logx[live],
+                tols[live],
+                np.where(floor, _FLOOR_ITER, _STAGE_ITER),
+            )
+            kept = floor | stalled | (err <= tols[live])
+            ys[live[kept]] = moved[kept]
+            done[live[kept]] = to[kept]
+            length[live] = np.where(
+                floor, 1, np.where(kept, 2 * length[live], length[live] // 2)
+            )
         return ys
 
     def F_inverse_exact_batch(
@@ -614,16 +674,24 @@ class BlowupChart:
 
         Floating point cannot certify (or even represent) preimages once the
         top-rank form falls under the coordinate quantization, so after one
-        float stage shared by all targets each point is polished with Newton
-        steps in exact rational arithmetic, its iterates rounded to a dyadic
-        grid to keep the arithmetic bounded.  Each returned point satisfies
-        max_i |F(y)_i - x_i| <= tol exactly and lies in the open region
-        (exact sign checks).
+        float homotopy shared by all targets each point is polished with
+        Newton steps in exact rational arithmetic, its iterates rounded to a
+        dyadic grid to keep the arithmetic bounded.  A point whose polish
+        fails starts again from the fixed schedule of ``_FLOW_STEPS`` float
+        stages before any NumericError is raised.  Each returned point
+        satisfies max_i |F(y)_i - x_i| <= tol exactly and lies in the open
+        region (exact sign checks).
         """
         xs = _orthant_targets(xs)
         tol = Fraction(tol)
-        starts = self._inverse_float_best(xs)
-        return [self._polish_exact(x, start, tol) for x, start in zip(xs, starts)]
+        out = []
+        for x, start in zip(xs, self._inverse_float_best(xs)):
+            try:
+                out.append(self._polish_exact(x, start, tol))
+            except NumericError:
+                fixed = self._inverse_float_best(x[None], first_stage=1)[0]
+                out.append(self._polish_exact(x, fixed, tol))
+        return out
 
     def _polish_exact(
         self, x: np.ndarray, start: np.ndarray, tol: Fraction
@@ -710,7 +778,7 @@ class BlowupChart:
             g = rng.gamma(alpha, size=(_PROBES // share, self.n + 1))
             blocks.append(g[:, : self.n] / g.sum(axis=1, keepdims=True))
         xs = np.clip(np.vstack(blocks), 1e-12, None)
-        ys = self._inverse_float_best(xs, flow_steps=16)
+        ys = self._inverse_float_best(xs, first_stage=1, flow_steps=16)
         _, ff = self._flag_coordinates(ys)
         ok = (ff > 0).all(axis=1)
         if ok.sum() < 0.9 * len(xs):

@@ -63,6 +63,13 @@ class RationalProgression:
     denom: int
 
     def __post_init__(self) -> None:
+        if type(self.size) is not int or type(self.denom) is not int:
+            raise DomainError(
+                f"progression size {self.size!r} and denominator {self.denom!r} "
+                "must be ints"
+            )
+        if self.size < 0:
+            raise DomainError(f"progression size {self.size} is negative")
         if self.denom < 1:
             raise DomainError(f"progression denominator {self.denom} is not positive")
 
@@ -79,7 +86,7 @@ class RationalProgression:
 
     def index_of(self, x) -> int | None:
         """The l with 1 - (size + l)/denom == x, or None."""
-        l = self.denom * (1 - Fraction(x)) - self.size
+        l = self.denom * (1 - _rational(x)) - self.size
         if l >= 0 and l.denominator == 1:
             return int(l)
         return None
@@ -99,6 +106,14 @@ class RationalProgression:
 
     def __str__(self) -> str:
         return f"{{{self.offset} - {self.step}*l}}"
+
+
+def _rational(x) -> Fraction:
+    """x as an exact Fraction; DomainError when x names no rational number."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{x!r} is not a rational number") from None
 
 
 def _ratio(num: int, den: int) -> str:
@@ -160,10 +175,12 @@ class PoleSet:
         return isinstance(other, PoleSet) and self.progressions == other.progressions
 
     def __contains__(self, x) -> bool:
+        x = _rational(x)
         return any(x in pr for pr in self.progressions)
 
     def locate(self, x) -> tuple[RationalProgression, int] | None:
         """The first contributed progression containing x, with its index l."""
+        x = _rational(x)
         for pr, _ in self.contributions:
             l = pr.index_of(x)
             if l is not None:
@@ -307,7 +324,7 @@ def is_candidate(
     partition: PairPartition, h0, pole_set: PoleSet | None = None
 ) -> tuple[bool, dict | None]:
     """Exact membership query, with a witness (S, l) when the answer is yes."""
-    h0 = Fraction(h0)
+    h0 = _rational(h0)
     ps = pole_set if pole_set is not None else candidate_poles(partition)
     hit = ps.locate(h0)
     if hit is None:

@@ -55,6 +55,45 @@ def test_progression_membership():
         RationalProgression(0, 0)
 
 
+@pytest.mark.parametrize(
+    "size,denom", [(-1, 2), (1.5, 2), (1, 2.0), (True, 2), (1, True), (1, 0), (F(1), 2)]
+)
+def test_progression_refuses_sizes_no_set_has(size, denom):
+    # RationalProgression(-1, 2) would be {3/2 - l/2} and hold 0
+    with pytest.raises(DomainError):
+        RationalProgression(size, denom)
+
+
+def test_empty_set_size_is_a_progression():
+    assert RationalProgression(0, 2).offset == 1 and 1 in RationalProgression(0, 2)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), None, "abc", 1j, [0]])
+def test_membership_queries_refuse_non_rationals(x):
+    p = adjacent_partition(2)
+    ps = candidate_poles(p)
+    for query in (
+        lambda: is_candidate(p, x),
+        lambda: is_candidate(p, x, ps),
+        lambda: x in ps,
+        lambda: ps.locate(x),
+        lambda: RationalProgression(1, 2).index_of(x),
+        lambda: x in RationalProgression(1, 2),
+    ):
+        with pytest.raises(DomainError, match="not a rational"):
+            query()
+
+
+def test_membership_queries_take_strings_floats_and_fractions():
+    p = adjacent_partition(1)
+    ps = candidate_poles(p)
+    for x in ("1/2", 0.5, F(1, 2), "0", 0, -1):
+        assert x in ps and is_candidate(p, x)[0]
+    for x in ("1/4", 0.25, F(1, 4)):
+        assert x not in ps and not is_candidate(p, x)[0]
+    assert RationalProgression(1, 2).index_of("-1") == 3
+
+
 def test_progression_subset_relation():
     fine = RationalProgression(14, 16)
     coarse = RationalProgression(12, 4)
