@@ -330,6 +330,13 @@ def refines(partition: PairPartition, word: Word) -> bool:
 _MAX_REFINING = 135_135
 
 
+def _over_refining_limit(factors: Iterable[int]) -> bool:
+    """True when the product of the factors exceeds _MAX_REFINING."""
+    # the running product stops at the limit: the full count can have
+    # thousands of digits
+    return any(c > _MAX_REFINING for c in itertools.accumulate(factors, operator.mul))
+
+
 def _pairings_of(block: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
     """All perfect matchings of an even-sized block, smallest element leading."""
     if not block:
@@ -352,10 +359,7 @@ def enumerate_refining(word: Word) -> list[PairPartition]:
     blocks = [sorted(b) for b in word.level_sets]
     if any(len(b) % 2 for b in blocks):
         return []
-    # the running product stops at the limit: the full count can have
-    # thousands of digits
-    factors = (f for b in blocks for f in range(len(b) - 1, 1, -2))
-    if any(c > _MAX_REFINING for c in itertools.accumulate(factors, operator.mul)):
+    if _over_refining_limit(f for b in blocks for f in range(len(b) - 1, 1, -2)):
         raise SizeError(f"word has more than {_MAX_REFINING} refining pair partitions")
     out = [
         PairPartition(itertools.chain.from_iterable(choice))
@@ -366,9 +370,17 @@ def enumerate_refining(word: Word) -> list[PairPartition]:
 
 
 def all_pair_partitions(size: int) -> list[PairPartition]:
-    """All (size-1)!! pair partitions of [1, size], canonical order."""
+    """All (size-1)!! pair partitions of [1, size], canonical order.
+
+    SizeError refuses a count above 13!! = 135,135, that is a size above 14,
+    before any is built.
+    """
     if size < 2 or size % 2:
         raise DimensionError(f"size must be even and >= 2, got {size}")
+    if _over_refining_limit(range(size - 1, 1, -2)):
+        raise SizeError(
+            f"{size} positions have more than {_MAX_REFINING} pair partitions"
+        )
     return [PairPartition(m) for m in _pairings_of(list(range(1, size + 1)))]
 
 
@@ -426,14 +438,27 @@ def bracket_count_via_aug_def(s: PositionSet, partition: PairPartition) -> int:
 # ---------------------------------------------------------------------------
 # Text formats
 
+def _items(text: str, what: str) -> list[str]:
+    """The comma-separated items of a spec, stripped of whitespace.
+
+    ParseError names the spec when it is blank or has an empty item, as in
+    "1,,2" or a trailing comma.
+    """
+    if not text.strip():
+        raise ParseError(f"empty {what} {text!r}")
+    items = [tok.strip() for tok in text.split(",")]
+    if "" in items:
+        raise ParseError(f"empty item in {what} {text!r}")
+    return items
+
+
 def parse_word(text: str) -> Word:
     """Parse "6,3,1,3,6,6,1,5,6,5" into a Word."""
+    items = _items(text, "word spec")
     try:
-        letters = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        letters = [int(tok) for tok in items]
     except ValueError as exc:
         raise ParseError(f"bad word spec {text!r}") from exc
-    if not letters:
-        raise ParseError(f"empty word spec {text!r}")
     try:
         return Word(letters)
     except (DimensionError, ParseError) as exc:
@@ -443,10 +468,7 @@ def parse_word(text: str) -> Word:
 def parse_pairs(text: str) -> PairPartition:
     """Parse "1-7,2-8,..." into a PairPartition."""
     pairs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _items(text, "pair spec"):
         parts = tok.split("-")
         if len(parts) != 2:
             raise ParseError(f"bad pair token {tok!r} in {text!r}")
@@ -454,8 +476,6 @@ def parse_pairs(text: str) -> PairPartition:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ParseError(f"bad pair token {tok!r} in {text!r}") from exc
-    if not pairs:
-        raise ParseError(f"empty pair spec {text!r}")
     try:
         return PairPartition(pairs)
     except (InvalidPairError, DimensionError) as exc:
@@ -463,12 +483,14 @@ def parse_pairs(text: str) -> PairPartition:
 
 
 def parse_position_set(text: str) -> PositionSet:
-    """Parse "2-8,10-11,13-17" (singletons bare, e.g. "12") into a PositionSet."""
+    """Parse "2-8,10-11,13-17" (singletons bare, e.g. "12") into a PositionSet.
+
+    A blank spec is the empty set.
+    """
+    if not text.strip():
+        return PositionSet.from_mask(0)
     mask = 0
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _items(text, "position set"):
         parts = tok.split("-")
         try:
             if len(parts) == 1:

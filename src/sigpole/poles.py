@@ -16,16 +16,20 @@ order (position p is bit p-1), so witnesses do not depend on how the sets
 were enumerated.  The enumerator works on those masks, which are the storage
 format of PositionSet, so each witness is wrapped in O(1) with no conversion.
 
-The layer works on plain ints until output time: the enumerator keys each
-pair by one int, merging and absorption compare integer ranks over a common
-denominator, and records reduce offsets with math.gcd.  Fractions appear
-only where a caller reads ``offset`` or ``step`` or asks a membership query.
+The layer works on plain ints until output time.  A progression is the int
+pair itself, a tuple subclass, so it is built, hashed and compared in C.  The
+enumerator keys each pair by one int; candidate_poles sorts its output once
+as int tuples, by integer ranks over a common denominator, tests absorption
+on the denominators, and wraps each progression and witness once, in final
+order.  Records reduce offsets with math.gcd.  Fractions appear only where a
+caller reads ``offset`` or ``step`` or asks a membership query.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, SizeError
@@ -52,57 +56,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalProgression:
+class RationalProgression(tuple):
     """The decreasing progression {1 - (size + l)/denom : l = 0, 1, 2, ...}.
 
     A set S gives size |S| and denom 2[S|P]; offset and step read as Fractions.
+    The value is the int pair itself: a tuple subclass over (size, denom), so
+    construction, hashing and equality run in C, and a progression compares
+    equal to, orders like and hashes like the plain pair (size, denom).  The
+    order is the pair's, not the offset's.
     """
 
-    size: int
-    denom: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.size) is not int or type(self.denom) is not int:
+    def __new__(cls, size: int, denom: int) -> RationalProgression:
+        if type(size) is not int or type(denom) is not int:
             raise DomainError(
-                f"progression size {self.size!r} and denominator {self.denom!r} "
-                "must be ints"
+                f"progression size {size!r} and denominator {denom!r} must be ints"
             )
-        if self.size < 0:
-            raise DomainError(f"progression size {self.size} is negative")
-        if self.denom < 1:
-            raise DomainError(f"progression denominator {self.denom} is not positive")
+        if size < 0:
+            raise DomainError(f"progression size {size} is negative")
+        if denom < 1:
+            raise DomainError(f"progression denominator {denom} is not positive")
+        return tuple.__new__(cls, (size, denom))
+
+    size = property(itemgetter(0), doc="|S|")
+    denom = property(itemgetter(1), doc="2[S|P]")
+
+    def __reduce__(self):
+        return RationalProgression, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"RationalProgression(size={self[0]}, denom={self[1]})"
 
     @property
     def offset(self) -> Fraction:
-        return Fraction(self.denom - self.size, self.denom)
+        return Fraction(self[1] - self[0], self[1])
 
     @property
     def step(self) -> Fraction:
-        return Fraction(1, self.denom)
+        return Fraction(1, self[1])
 
     def __contains__(self, x) -> bool:
         return self.index_of(x) is not None
 
     def index_of(self, x) -> int | None:
         """The l with 1 - (size + l)/denom == x, or None."""
-        l = self.denom * (1 - _rational(x)) - self.size
+        size, denom = self
+        l = denom * (1 - _rational(x)) - size
         if l >= 0 and l.denominator == 1:
             return int(l)
         return None
 
     def is_subset_of(self, other: RationalProgression) -> bool:
         """denom divides other.denom, and the offset is a member of other."""
-        return (
-            other.denom % self.denom == 0
-            and self.size * (other.denom // self.denom) >= other.size
-        )
+        (size, denom), (other_size, other_denom) = self, other
+        return other_denom % denom == 0 and size * (other_denom // denom) >= other_size
 
     def as_record(self) -> dict[str, str]:
         """The strings of ``offset`` and ``step``, reduced on ints."""
-        num = self.denom - self.size
-        g = math.gcd(num, self.denom)
-        return {"offset": _ratio(num // g, self.denom // g), "step": _ratio(1, self.denom)}
+        size, denom = self
+        g = math.gcd(denom - size, denom)
+        return {"offset": _ratio((denom - size) // g, denom // g), "step": _ratio(1, denom)}
 
     def __str__(self) -> str:
         return f"{{{self.offset} - {self.step}*l}}"
@@ -133,28 +147,43 @@ class PoleSet:
 
     Both views come from one sort on integer tuples: over one common
     denominator L, offsets compare as the ranks size * (L // denom), and
-    (rank, -denom) is distinct for distinct progressions.
+    (rank, -denom) is distinct for distinct progressions.  ``candidate_poles``
+    sorts the enumerator's ints so and wraps each progression and witness
+    once, in final order; this constructor sorts any mapping the same way.
     """
 
     __slots__ = ("progressions", "contributions", "witnesses")
 
     def __init__(self, witnesses: Mapping[RationalProgression, PositionSet]):
-        lcm = math.lcm(*(pr.denom for pr in witnesses))
+        lcm = math.lcm(*(pr[1] for pr in witnesses))
         order = sorted(
-            (pr.size * (lcm // pr.denom), -pr.denom, pr, w) for pr, w in witnesses.items()
+            (pr[0] * (lcm // pr[1]), -pr[1], pr, w) for pr, w in witnesses.items()
         )
-        # every absorber of a progression comes before it in this order: its
-        # offset is higher, or equal with a finer step.  So an earlier
-        # progression absorbs a later one exactly when the later denom divides
-        # the earlier denom, and since absorption is transitive, testing the
-        # kept denoms suffices.
-        kept_denoms: list[int] = []
+        contributions = tuple((pr, w) for _, _, pr, w in order)
+        self._fill(contributions, [-neg for _, neg, _, _ in order])
+
+    def _fill(
+        self,
+        contributions: tuple[tuple[RationalProgression, PositionSet], ...],
+        denoms: Sequence[int],
+    ) -> None:
+        """Store the three views, from the contributions in final order and
+        the denom of each.
+
+        Every absorber of a progression comes before it in that order: its
+        offset is higher, or equal with a finer step.  So a progression is
+        absorbed exactly when its denom divides the denom of an earlier kept
+        one.  A later progression of a denom is absorbed by the first one or
+        by what absorbs the first, so only the first of each denom is tested,
+        against the divisors of the kept denoms.
+        """
+        distinct = dict.fromkeys(denoms)
+        covered: set[int] = set()
         progressions = []
-        for _rank, _neg, pr, _w in order:
-            if all(d % pr.denom for d in kept_denoms):
-                kept_denoms.append(pr.denom)
-                progressions.append(pr)
-        contributions = tuple((pr, w) for _rank, _neg, pr, w in order)
+        for d in distinct:
+            if d not in covered:
+                covered.update(e for e in distinct if d % e == 0)
+                progressions.append(contributions[denoms.index(d)][0])
         object.__setattr__(self, "progressions", tuple(progressions))
         object.__setattr__(self, "contributions", contributions)
         object.__setattr__(self, "witnesses", dict(contributions))
@@ -287,6 +316,10 @@ def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
     return realized
 
 
+# PositionSet construction from a mask already in range, with no check
+_new_position_set = PositionSet.__new__
+_set_mask = PositionSet.mask.__set__
+
 # the enumeration costs about (2k)^4: 2k = 128 takes seconds, 256 a minute
 _MAX_POLE_POSITIONS = 128
 
@@ -304,14 +337,31 @@ def candidate_poles(partition: PairPartition) -> PoleSet:
             f"candidate poles of {partition.size} positions refused: "
             f"more than {_MAX_POLE_POSITIONS}"
         )
-    ps = PoleSet({
-        RationalProgression(size, denom): PositionSet.from_mask(mask)
-        for (size, denom), mask in _realized(partition).items()
-    })
+    realized = _realized(partition)
+    lcm = math.lcm(*(denom for _size, denom in realized))
+    # PoleSet's order on plain ints, distinct on (rank, -denom): no size or
+    # mask is compared
+    order = sorted(
+        (size * (lcm // denom), -denom, size, mask)
+        for (size, denom), mask in realized.items()
+    )
+    _ranks, neg_denoms, sizes, masks = zip(*order)
+    denoms = [-neg for neg in neg_denoms]
     # [S|P] <= |S| for pair partitions: each pair interval inside S has its
     # right end in S, so no offset 1 - |S|/(2[S|P]) exceeds 1/2
-    if ps and 2 * ps.progressions[0].size < ps.progressions[0].denom:
-        raise DomainError(f"candidate offset {ps.max_offset} exceeds 1/2")
+    if 2 * sizes[0] < denoms[0]:
+        raise DomainError(
+            f"candidate offset {Fraction(denoms[0] - sizes[0], denoms[0])} exceeds 1/2"
+        )
+    # each progression and witness is wrapped once, in final order, with no
+    # re-check: the enumerator's masks lie below 2^n with n <= 128, and its
+    # pairs have size >= 1 and denom >= 2
+    witnesses = list(map(_new_position_set, repeat(PositionSet, len(masks))))
+    for _ in map(_set_mask, witnesses, masks):  # stores each witness's mask
+        pass
+    progressions = map(tuple.__new__, repeat(RationalProgression), zip(sizes, denoms))
+    ps = PoleSet.__new__(PoleSet)
+    ps._fill(tuple(zip(progressions, witnesses)), denoms)
     return ps
 
 

@@ -122,6 +122,17 @@ def test_poles_parse_error_exit_2():
 
 
 @pytest.mark.parametrize("args", [
+    ("--word", "1,,2"), ("--word", "1,1,"), ("--pairs", "1-2,,3-4"),
+    ("--pairs", "1-2,3-4", "--set", "1,,2"),
+])
+def test_poles_empty_item_exit_2(args):
+    # a doubled or trailing comma is a typo, not a shorter spec
+    out = invoke("poles", *args)
+    assert out.returncode == 2 and not out.stdout, out.stderr
+    assert "empty item" in out.stderr
+
+
+@pytest.mark.parametrize("args", [
     ("--pairs", "1-2,3-4", "--set", "3-9"),  # positions past 2k
     ("--word", "1,1", "--set", "1"),  # --set applies to one partition only
 ])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpole.errors import DimensionError, InvalidPairError, ParseError
+from sigpole import pairings
+from sigpole.errors import DimensionError, InvalidPairError, ParseError, SizeError
 from sigpole.pairings import (
     Interval,
     PairPartition,
@@ -184,6 +185,39 @@ def test_parse_errors():
     for bad in ("x", "5-3"):
         with pytest.raises(ParseError):
             parse_position_set(bad)
+    # an empty item is a typo, never dropped: "1,,2" is not the word 1,2
+    for parse, bad in (
+        (parse_word, "1,,1"), (parse_word, "1,1,"), (parse_word, ",1,1"),
+        (parse_word, "1, ,1"), (parse_pairs, "1-2,,3-4"), (parse_pairs, "1-2,"),
+        (parse_pairs, ","), (parse_position_set, "1,,2"), (parse_position_set, "1,"),
+        (parse_position_set, ","),
+    ):
+        with pytest.raises(ParseError, match="empty item") as info:
+            parse(bad)
+        assert repr(bad) in str(info.value)
+    # whitespace around an item stays allowed, and a blank set is empty
+    assert parse_word(" 1 , 2,1 ,2 ") == Word([1, 2, 1, 2])
+    assert parse_pairs(" 1-3 ,2-4 ") == PairPartition([(1, 3), (2, 4)])
+    assert parse_position_set(" 1-2 , 4 ") == PositionSet([1, 2, 4])
+    assert parse_position_set("") == parse_position_set(" ") == PositionSet([])
+
+
+def test_all_pair_partitions_refuses_past_the_limit(monkeypatch):
+    # the limit is enumerate_refining's 13!! = 135,135, so [1,16] is refused,
+    # before any matching is built
+    def unbuilt(block):
+        raise AssertionError("a matching was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pairings, "_pairings_of", unbuilt)
+        for size in (16, 30, 10**9):
+            with pytest.raises(SizeError):
+                all_pair_partitions(size)
+    # at a limit of 5!! = 15 the 15 matchings of [1,6] pass and [1,8] does not
+    monkeypatch.setattr(pairings, "_MAX_REFINING", 15)
+    assert len(all_pair_partitions(6)) == 15
+    with pytest.raises(SizeError):
+        all_pair_partitions(8)
 
 
 def test_word_level_sets_and_relabel():

@@ -348,6 +348,29 @@ def test_large_matching_poles_pinned():
     )
 
 
+def test_exact_layer_pinned():
+    # sha256 over the census of [1,10] and the 379 length-8 word classes that
+    # have a refining matching: pole records, witnesses, max offsets, source
+    # pairs and every per-partition pole set, in the order printed
+    h = hashlib.sha256()
+    for p in all_pair_partitions(10):
+        ps = candidate_poles(p)
+        h.update(repr((ps.as_records(), ps.contribution_records(), ps.max_offset)).encode())
+    words = [Word(w) for w in restricted_growth_words(8)]
+    words = [w for w in words if enumerate_refining(w)]
+    assert len(words) == 379
+    for word in words:
+        report = candidate_pole_report(word)
+        per_partition = [row["pole_set"].contribution_records()
+                         for row in report["per_partition"]]
+        h.update(repr(
+            (report["union"].as_records(), report["contributions"], per_partition)
+        ).encode())
+    assert h.hexdigest() == (
+        "b9889ba8c19fb80bf9abd54e61942a4c7856deb830407e8adb68139a37c14f6f"
+    )
+
+
 def test_as_record_is_the_fraction_strings():
     for denom in range(1, 65):
         for size in range(129):
@@ -408,3 +431,57 @@ def test_pole_set_copy_and_pickle_round_trip():
     for twin in (copy.copy(ps), copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
         assert twin == ps
         assert twin.contributions == ps.contributions
+        assert twin.witnesses == ps.witnesses
+        assert all(type(pr) is RationalProgression for pr in twin.witnesses)
+    pr = RationalProgression(3, 8)
+    for twin in (copy.copy(pr), copy.deepcopy(pr), pickle.loads(pickle.dumps(pr))):
+        assert type(twin) is RationalProgression
+        assert twin == pr and hash(twin) == hash(pr) and twin.as_record() == pr.as_record()
+
+
+def test_enumerator_wraps_the_public_values():
+    # the unchecked wrapping of the enumerator's ints gives the objects the
+    # checked constructors give, for every key of the 2k <= 10 census
+    for size in (2, 4, 6, 8, 10):
+        for p in all_pair_partitions(size):
+            realized = poles._realized(p)
+            contributions = candidate_poles(p).contributions
+            assert len(contributions) == len(realized)
+            for pr, w in contributions:
+                key = pr.size, pr.denom
+                twin, set_twin = RationalProgression(*key), PositionSet.from_mask(realized[key])
+                assert type(pr) is RationalProgression and type(w) is PositionSet
+                assert pr == twin and hash(pr) == hash(twin)
+                assert w == set_twin and hash(w) == hash(set_twin)
+
+
+def test_merged_view_keeps_the_maximal_progressions():
+    # the merged view holds the progressions that lie in no other one, in
+    # descending offset then ascending step, for any mapping
+    rng = random.Random(23)
+    for _ in range(300):
+        prs = {RationalProgression(rng.randrange(40), rng.randrange(1, 25))
+               for _ in range(rng.randrange(1, 30))}
+        ps = PoleSet({pr: PositionSet.from_mask(i) for i, pr in enumerate(prs)})
+        order = sorted(prs, key=lambda pr: (-pr.offset, pr.step))
+        assert [pr for pr, _ in ps.contributions] == order
+        assert ps.progressions == tuple(
+            pr for pr in order if not any(pr != q and pr.is_subset_of(q) for q in prs)
+        )
+
+
+def test_progression_is_its_int_pair():
+    pr = RationalProgression(3, 8)
+    # a tuple subclass: equal to, and hashed as, the plain pair
+    assert pr == (3, 8) and hash(pr) == hash((3, 8)) and {pr: 1}[(3, 8)] == 1
+    assert pr != (3, 4) and pr != RationalProgression(3, 4)
+    assert (pr.size, pr.denom) == (3, 8)
+    assert (pr.offset, pr.step) == (F(5, 8), F(1, 8))
+    assert str(pr) == "{5/8 - 1/8*l}"
+    assert repr(pr) == "RationalProgression(size=3, denom=8)"
+    assert eval(repr(pr)) == pr
+    for name in ("size", "denom", "other"):
+        with pytest.raises(AttributeError):
+            setattr(pr, name, 1)
+    assert (pr.size, pr.denom) == (3, 8)
+    assert RationalProgression(size=3, denom=8) == pr
