@@ -27,7 +27,14 @@ from . import __version__
 from .errors import DimensionError, DomainError, NumericError, ParseError, SizeError
 from .pairings import format_position_set, parse_pairs, parse_position_set, parse_word
 from .poles import candidate_poles, progression_of_set
-from .quadrature import DEFAULT_SEED, MAX_SAMPLES, ROUTES, STOCHASTIC_METHODS
+from .quadrature import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    MAX_SAMPLES,
+    ROUTES,
+    STOCHASTIC_METHODS,
+)
 from .signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -199,11 +206,11 @@ def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> No
     """The options of eval, mean-sig and gamma-table, declared once."""
     parser.add_argument("--H", dest="hurst", type=float, required=True)
     parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
-    parser.add_argument("--samples", type=int, default=1_000_000,
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                         help=f"at most {MAX_SAMPLES} (2^28); " + _SHOW_DEFAULT)
     parser.add_argument("--seed", type=int,
                         help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="adaptive stop rule: level change <= max(tol, tol*|L|) "
                         "or the rounding bound, so tol is absolute when |L| < 1; "
                         + _SHOW_DEFAULT)

@@ -14,6 +14,10 @@ Four routes are provided and cross-checked against each other:
   intervals cross runs nested double-exponential quadrature, with level
   doubling, on a grid of at most 4 dimensions.
 
+The exact side of the last two, the factorization, the term sums and their
+gamma arguments, is ``gammaterms``; this module keeps the grids, the level
+loop and the rounding bounds.
+
 ``ROUTES`` maps the route names ``adaptive``, ``direct-mc``, ``pullback-mc``
 and ``closed-form`` to these functions; it is the only place a name is
 resolved.
@@ -38,13 +42,12 @@ two Monte Carlo routes and their sort network, the double-exponential grid
 of a crossing term, the Wick oracle, ``FbmCovariance`` and
 ``worker_seeds``; ``l_pullback_mc`` alone imports ``blowup``.  The gamma
 product of a non-crossing matching and the terms whose intervals nest are
-pure ``math``, so the CLI commands that need no array start without loading
-numpy.
+pure ``math`` in ``gammaterms``, so the CLI commands that need no array
+start without loading numpy.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 import os
@@ -53,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DimensionError, DomainError, NumericError, SizeError
+from .gammaterms import crossing_terms, factorize, gamma_product, grid_exponents
 from .pairings import PairPartition, Word, enumerate_refining, format_pairs
 
 if TYPE_CHECKING:
@@ -61,7 +65,9 @@ if TYPE_CHECKING:
     from .blowup import BlowupChart
 
 __all__ = [
+    "DEFAULT_SAMPLES",
     "DEFAULT_SEED",
+    "DEFAULT_TOL",
     "ROUTES",
     "EvalResult",
     "FbmCovariance",
@@ -78,7 +84,9 @@ DEFAULT_SEED = int.from_bytes(b"FBM0", "big")
 
 STOCHASTIC_METHODS = frozenset({"direct-mc", "pullback-mc"})
 DETERMINISTIC_METHODS = frozenset({"adaptive", "closed-form", "wick-grid"})
-_DEFAULT_SAMPLES = 1_000_000
+# default sample count of the Monte Carlo routes and tolerance of l_adaptive
+DEFAULT_SAMPLES = 1_000_000
+DEFAULT_TOL = 1e-8
 # most samples per Monte Carlo call: direct MC keeps one float64 per
 # sample, so 2^28 of them take 2 GiB
 MAX_SAMPLES = 1 << 28
@@ -254,11 +262,6 @@ def _require_convergent(h: float) -> None:
         )
 
 
-def _require_seed(seed: int) -> None:
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
-
-
 def _require_mc_args(samples: int, seed: int, workers: int) -> None:
     """Both Monte Carlo routes need from 1 to ``MAX_SAMPLES`` samples, at
     least one and at most ``samples`` workers, and a nonnegative seed;
@@ -271,7 +274,7 @@ def _require_mc_args(samples: int, seed: int, workers: int) -> None:
         raise SizeError(f"{samples} samples refused: at most {MAX_SAMPLES} per call")
     if workers > samples:
         raise SizeError(f"{workers} workers refused for {samples} samples")
-    _require_seed(seed)
+    require_seed(seed)
 
 
 def _require_tol(tol: float) -> None:
@@ -285,10 +288,16 @@ def check_route_args(method: str, **kwargs) -> None:
     Carlo routes.  An argument not given passes, as the route's default
     does."""
     if method == "adaptive":
-        _require_tol(kwargs.get("tol", 0.0))
+        _require_tol(kwargs.get("tol", DEFAULT_TOL))
     elif method in STOCHASTIC_METHODS:
-        _require_mc_args(kwargs.get("samples", _DEFAULT_SAMPLES),
+        _require_mc_args(kwargs.get("samples", DEFAULT_SAMPLES),
                          kwargs.get("seed", DEFAULT_SEED), kwargs.get("workers", 1))
+
+
+def require_seed(seed: int) -> None:
+    """A seed must be nonnegative; raises DomainError otherwise."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
 
 
 def _thread_count() -> int:
@@ -302,7 +311,7 @@ def _thread_count() -> int:
 def l_direct_mc(
     partition: PairPartition,
     h: float,
-    samples: int = _DEFAULT_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> EvalResult:
@@ -419,7 +428,7 @@ def l_direct_mc(
 def l_pullback_mc(
     partition: PairPartition,
     h: float,
-    samples: int = _DEFAULT_SAMPLES,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     chart: BlowupChart | None = None,
@@ -562,7 +571,7 @@ def l_pullback_mc(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic routes: nested quadrature and the nesting-forest factorization
+# Deterministic routes: nested quadrature on the gammaterms factorization
 
 def _de_nodes(m: int, worst: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Double-exponential nodes on (0, 1) in log form.
@@ -648,184 +657,20 @@ def _reduced_level_sum(
     return total
 
 
-# An exponent or gamma argument c + p alpha, alpha = 2H - 2, is kept as the
-# integer pair (c, p); a free gap has exponent (0, 0).
-_FREE = (0, 0)
 # the largest crossing component evaluated: at 2k <= 10 no term leaves a
 # grid of more than 4 dimensions
 _MAX_PAIRS = 5
+# nodes a side at each level; a d-dimensional grid runs the first 8 - d, up
+# to 513 nodes a side on 2-D grids, 257 on 3-D and 129 on 4-D
+_LEVELS = (17, 33, 65, 129, 257, 513)
 
 
-def _dirichlet(
-    parts: Sequence[tuple[int, int]], e: tuple[int, int], numer: list, denom: list
-) -> tuple[int, int]:
-    """The nested Dirichlet step, the one rule for every nesting.
-
-    An interval J of exponent e, split into its parts (its maximal
-    sub-intervals and the free gaps between them, in order) of exponents
-    gamma_i, integrates over the parts to prod Gamma(gamma_i + 1) /
-    Gamma(sum(gamma_i + 1)) times its span to the power
-    gamma_J = e + sum(gamma_i + 1) - 1, which is returned.  The gamma
-    arguments go to ``numer`` and ``denom``, leaving out those of value 1:
-    a free gap's, and both of a J of one part.
-    """
-    total = (sum(c + 1 for c, _ in parts), sum(p for _, p in parts))
-    if len(parts) > 1:
-        numer.extend((c + 1, p) for c, p in parts if (c, p) != _FREE)
-        denom.append(total)
-    return (e[0] + total[0] - 1, e[1] + total[1])
-
-
-def _factorize(partition: PairPartition):
-    """Split P into crossing-connected components, each nested in a gap
-    between consecutive positions of another or in the root gap [0, 1].
-
-    A gap is an interval of exponent 0 whose parts are its child
-    components, of span exponents beta_i, and the free gaps between them;
-    ``_dirichlet`` integrates it to prod Gamma(beta_i + 1) / Gamma(e + 1),
-    e = sum(beta_i + 2).  A component with q positions, p pairs and gap
-    exponents e_j has span exponent q - 2 + p alpha + sum e_j, all stored as
-    (c, p) for c + p alpha with alpha = 2H - 2.  Returns the factor tree,
-    the gamma arguments of the numerator and denominator, and per component
-    of two or more pairs its label, pair count and the (a, b, exponent)
-    factors of J_C on its local positions 1..q, a filled gap j adding the
-    factor (j, j + 1, e_j).
-    """
-    comp = {pair: (pair,) for pair in partition.pairs}
-    for p, q in itertools.combinations(partition.pairs, 2):
-        if p[0] < q[0] < p[1] < q[1] and comp[p] != comp[q]:
-            merged = tuple(sorted(comp[p] + comp[q]))
-            comp.update(dict.fromkeys(merged, merged))
-    at = {x: ps for ps in comp.values() for pair in ps for x in pair}
-    numer, denom, crossing = [], [], []
-
-    def gap(lo: int, hi: int) -> tuple[list[dict], tuple[int, int]]:
-        """The nodes strictly between positions lo and hi, and the gap exponent."""
-        nodes, x = [], lo + 1
-        while x < hi:
-            nodes.append(component(at[x]))
-            x = max(b for _, b in at[x]) + 1
-        parts = [_FREE]
-        for node in nodes:
-            parts += [tuple(node["exponent"]), _FREE]
-        return nodes, _dirichlet(parts, _FREE, numer, denom)
-
-    def component(ps: tuple[tuple[int, int], ...]) -> dict:
-        pos = sorted(x for pair in ps for x in pair)
-        gaps = [gap(a, b) for a, b in zip(pos, pos[1:])]
-        label = ",".join(f"{a}-{b}" for a, b in ps)
-        if len(ps) > 1:
-            local = {x: i for i, x in enumerate(pos, start=1)}
-            factors = [(local[a], local[b], (0, 1)) for a, b in ps]
-            factors += [(j, j + 1, e) for j, (kids, e) in enumerate(gaps, 1) if kids]
-            crossing.append((label, len(ps), factors))
-        c = len(pos) - 2 + sum(e[0] for _, e in gaps)
-        p = len(ps) + sum(e[1] for _, e in gaps)
-        return {"pairs": label, "exponent": [c, p], "gaps": [kids for kids, _ in gaps]}
-
-    tree, _ = gap(0, partition.size + 1)
-    return tree, numer, denom, crossing
-
-
-def _nested(fac: dict, a: int, b: int, numer: list, denom: list) -> tuple[int, int]:
-    """Integrate the intervals of a laminar term inside [a, b] by
-    ``_dirichlet``, innermost first; returns the exponent of [a, b]."""
-    parts, x = [], a
-    while x < b:
-        y = max((d for c, d in fac if c == x and d <= b and (c, d) != (a, b)), default=0)
-        parts.append(_nested(fac, x, y, numer, denom) if y else _FREE)
-        x = y or x + 1
-    return _dirichlet(parts, fac.get((a, b), _FREE), numer, denom)
-
-
-def _crossing_terms(factors: Sequence[tuple[int, int, tuple[int, int]]], q: int) -> list:
-    """J_C of a crossing component as a signed sum of terms.
-
-    ``factors`` are the (a, b, exponent) factors of ``_factorize`` on the
-    positions 1..q, s_1 = 0 and s_q = 1 pinned.  An inner position i in
-    exactly one factor (s_i - s_c)^e, c < i, integrates out between its
-    neighbouring positions lo < i < hi to
-    [(s_hi - s_c)^(e+1) - (s_lo - s_c)^(e+1)] / (e+1), the second term
-    absent when c = lo, and the mirror image for c > i.  Positions whose
-    partner is a neighbour go first, as they give one term.  Exponents on
-    the same two positions add, a factor on the two pinned positions is 1,
-    and the divisor e + 1 enters as Gamma(e + 1) / Gamma(e + 2).  A term
-    left with nesting intervals only is then exact by ``_dirichlet``.
-
-    Returns (sign, numer, denom, grid) per term: the term is sign times the
-    gamma product, times, where ``grid = (factors, n)`` is not None, the
-    integral of those crossing factors on positions 1..n that
-    ``_reduced_level_sum`` evaluates.  Everything is exact integer pairs.
-    """
-    # every pair of a crossing component has a position of it inside, so
-    # no two of the factors share both positions
-    todo = [(1, [], [], tuple(range(1, q + 1)), {(a, b): e for a, b, e in factors})]
-    terms = []
-    while todo:
-        sign, numer, denom, pos, fac = todo.pop()
-        count: dict = {}
-        for x in itertools.chain.from_iterable(fac):
-            count[x] = count.get(x, 0) + 1
-        steps = []
-        for k in range(1, len(pos) - 1):
-            if count.get(pos[k]) == 1:
-                ab = next(ab for ab in fac if pos[k] in ab)
-                steps.append((sum(ab) - pos[k] not in (pos[k - 1], pos[k + 1]), k, ab))
-        if not steps:
-            local = {x: j for j, x in enumerate(pos, start=1)}
-            fac = {(local[a], local[b]): e for (a, b), e in fac.items()}
-            grid = None
-            if any(a < c < b < d for (a, b), (c, d) in itertools.permutations(fac, 2)):
-                grid = (sorted((a, b, e) for (a, b), e in fac.items()), len(pos))
-            else:
-                _nested(fac, 1, len(pos), numer, denom)
-            terms.append((sign, numer, denom, grid))
-            continue
-        _, k, ab = min(steps)
-        lo, i, hi = pos[k - 1 : k + 2]
-        rest = {key: e for key, e in fac.items() if key != ab}
-        c, (e0, e1) = sum(ab) - i, fac[ab]
-        div = (e0 + 1, e1)
-        ends = ((hi, 1), (lo, -1)) if c < i else ((lo, 1), (hi, -1))
-        for end, s in ends:
-            if end == c:
-                continue
-            new = dict(rest)
-            key = (min(c, end), max(c, end))
-            if key != (pos[0], pos[-1]):
-                old = new.get(key, _FREE)
-                new[key] = (old[0] + div[0], old[1] + div[1])
-            todo.append((sign * s, numer + [div], denom + [(div[0] + 1, div[1])],
-                         pos[:k] + pos[k + 1:], new))
-    return terms
-
-
-def _gamma_product(numer: list, denom: list, h: float) -> tuple[float, float]:
-    """prod Gamma(numer) / prod Gamma(denom) at H, and its rounding bound.
-
-    Each argument c + p alpha is computed as (c - p) + p (2H - 1), a sum of
-    nonnegative terms, to a few ulps; the bound carries that through lgamma
-    and adds lgamma's and exp's own rounding.
-    """
-    g = 2 * h - 1
-    args = [(s, (c - p) + p * g) for s, a in ((1, numer), (-1, denom)) for c, p in a]
-    try:
-        logs = [(s, x, math.lgamma(x)) for s, x in args]
-        value = math.exp(sum(s * lg for s, _, lg in logs))
-    except OverflowError:
-        raise NumericError(f"gamma product out of float range at H={h}") from None
-    slack = sum(2 + abs(lg) + x * abs(math.log(x)) for _, x, lg in logs)
-    return value, 8 * math.ulp(1.0) * slack * value
-
-
-def _factored(
-    partition: PairPartition, h: float, method: str, tol: float, max_level: int
-) -> EvalResult:
-    """The gamma product of ``_factorize`` times the J_C of its crossing
+def _factored(partition: PairPartition, h: float, method: str, tol: float) -> EvalResult:
+    """The gamma product of ``factorize`` times the J_C of its crossing
     components as sums of terms, level by level (see ``l_adaptive``)."""
     _require_convergent(h)
     _require_tol(tol)
-    tree, numer, denom, crossing = _factorize(partition)
+    tree, numer, denom, crossing = factorize(partition)
     labels = "; ".join(label for label, _, _ in crossing)
     if crossing and method == "closed-form":
         raise DomainError(f"no closed form for crossing pairs {labels}")
@@ -834,18 +679,18 @@ def _factored(
             f"adaptive route limited to crossing components of at most {_MAX_PAIRS} "
             f"pairs; crossing pairs {labels}"
         )
-    exact, err = _gamma_product(numer, denom, h)
+    exact, err = gamma_product(numer, denom, h)
     # per component, (signed value, rounding bound, grid key or None) per
     # term; each distinct grid (factors, n) is evaluated once per level
     comps, grids = [], {}
     for _, count, factors in crossing:
         terms = []
-        for sign, tn, td, grid in _crossing_terms(factors, 2 * count):
-            value, bound = _gamma_product(tn, td, h)
+        for sign, tn, td, grid in crossing_terms(factors, 2 * count):
+            value, bound = gamma_product(tn, td, h)
             if grid is not None:
                 f, n = grid
                 grid = (tuple(f), n)
-                grids[grid] = ([(a, b, c + p * (2 * h - 2)) for a, b, (c, p) in f], n)
+                grids[grid] = (grid_exponents(f, h), n)
             terms.append((sign * value, bound, grid))
         comps.append(terms)
     dims = [n - 2 for _, n in grids]
@@ -873,8 +718,7 @@ def _factored(
         )
         return exact * math.prod(sums), rounding, ratios
 
-    # 513 nodes a side on 2-D grids, 257 on 3-D, 129 on 4-D
-    levels = [17, 33, 65, 129, 257, 513][: min(max_level, 8 - max(dims))] if dims else []
+    levels = list(_LEVELS[: 8 - max(dims)]) if dims else []
     values, cells, change, done = [], 0, 0.0, not dims
     if done:
         value, rounding, ratios = level(None)
@@ -905,17 +749,17 @@ def _factored(
                       h=h, partition=format_pairs(partition), extra=extra)
 
 
-def l_adaptive(
-    partition: PairPartition, h: float, tol: float = 1e-8, max_level: int = 6
-) -> EvalResult:
+def l_adaptive(partition: PairPartition, h: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Deterministic evaluation of L: the exact gamma product of
-    ``_factorize`` times the reduced integral J_C of each crossing component
-    C (none for a non-crossing P, which gives the float of
-    ``l_closed_form``).  Each J_C is a signed sum of terms: one-factor
-    positions integrate out in closed form (``_crossing_terms``), and a term
-    whose intervals nest is a gamma product (``_dirichlet``).  A term whose
-    intervals cross runs a nested rule on a grid of at most 4 dimensions,
-    node counts doubling per level; the error estimate is the change of L
+    ``gammaterms.factorize`` times the reduced integral J_C of each crossing
+    component C (none for a non-crossing P, which gives the float of
+    ``l_closed_form``).  Each J_C is a signed sum of terms
+    (``gammaterms.crossing_terms``): one-factor positions integrate out in
+    closed form, and a term whose intervals nest is a gamma product.  A term
+    whose intervals cross runs a nested rule on a grid of at most 4
+    dimensions, node counts doubling per level (``_LEVELS``, from 17 to at
+    most 513 nodes a side, fewer on grids of 3 and 4 dimensions); the error
+    estimate is the change of L
     between levels, and ``extra["level_values"]`` records L at each.
     Levels stop once that change is at most ``max(tol, tol * |L|)`` or the
     rounding bound, so tol is an absolute bound whenever |L| < 1 (L is
@@ -934,14 +778,14 @@ def l_adaptive(
     H = 1/2, where the terms cancel) raises NumericError carrying the value
     and that tol.
     """
-    return _factored(partition, h, "adaptive", tol, max_level)
+    return _factored(partition, h, "adaptive", tol)
 
 
 def l_closed_form(partition: PairPartition, h: float) -> EvalResult:
-    """The exact gamma product of ``_factorize`` for a non-crossing matching,
-    gamma(2H-1)^k / gamma(2kH + 1) for the all-adjacent one; raises
-    DomainError naming the crossing pairs of any other matching."""
-    return _factored(partition, h, "closed-form", 0.0, 0)
+    """The exact gamma product of ``gammaterms.factorize`` for a non-crossing
+    matching, gamma(2H-1)^k / gamma(2kH + 1) for the all-adjacent one;
+    raises DomainError naming the crossing pairs of any other matching."""
+    return _factored(partition, h, "closed-form", 0.0)
 
 
 # ---------------------------------------------------------------------------

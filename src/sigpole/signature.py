@@ -31,8 +31,8 @@ from .quadrature import (
     ROUTES,
     STOCHASTIC_METHODS,
     EvalResult,
-    _require_seed,
     check_route_args,
+    require_seed,
 )
 
 __all__ = [
@@ -106,7 +106,7 @@ def mean_iterated_integral(
     if callable(evaluator):
         fn = evaluator
         if seed is not None:  # refused before any matching seed derives from it
-            _require_seed(seed)
+            require_seed(seed)
     elif evaluator in ROUTES:
         fn = ROUTES[evaluator]
         # the route's own guards, which the exact zero below would skip

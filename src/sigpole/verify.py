@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError
+from .gammaterms import factorize, gamma_ratio_poles
 from .pairings import (
     PairPartition,
     PositionSet,
@@ -30,7 +31,6 @@ from .pairings import (
 )
 from .poles import candidate_poles, hyperplane_candidates, progression_of_set
 from .quadrature import (
-    _factorize,
     l_adaptive,
     l_closed_form,
     l_direct_mc,
@@ -184,32 +184,17 @@ def _non_crossing(p: PairPartition) -> bool:
 
 
 def _check_gamma_ratio_poles(quick: bool):
-    # a gamma argument c + b (2H - 2) is a non-positive integer -n at
-    # H0 = (2b - c - n) / (2b); the pole order there counts numerator
-    # arguments at non-positive integers minus denominator ones.  With
-    # H0 = t / d for a common denominator d, the argument is
-    # (c d + b (2t - 2d)) / d, so integer arithmetic decides it.
+    # every pole of the gamma ratio of a non-crossing P is a candidate
     lowest, top = (-29, 8) if quick else (-39, 12)  # lowest: twice the lowest H0
     checked = 0
     for size in range(2, top + 1, 2):
         for p in filter(_non_crossing, all_pair_partitions(size)):
-            _tree, numer, denom, _crossing = _factorize(p)
+            _tree, numer, denom, _crossing = factorize(p)
             checked += 1
             ps = candidate_poles(p)
-            d = 2 * math.lcm(*(b for _c, b in numer))
-            points = {
-                (2 * b - c - n) * (d // (2 * b))
-                for c, b in numer
-                for n in range(2 * b - c - b * lowest + 1)
-            }
-            for t in points:
-                order = 0
-                for sign, args in ((1, numer), (-1, denom)):
-                    for c, b in args:
-                        x = c * d + b * (2 * t - 2 * d)
-                        order += sign * (x <= 0 and x % d == 0)
-                if order > 0 and Fraction(t, d) not in ps:
-                    return False, f"gamma pole {Fraction(t, d)} missing for {p!r}"
+            for h0 in gamma_ratio_poles(numer, denom, lowest):
+                if h0 not in ps:
+                    return False, f"gamma pole {h0} missing for {p!r}"
     return True, f"{checked} non-crossing partitions, 2k <= {top}, H >= {lowest}/2"
 
 

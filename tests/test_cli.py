@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from sigpole import cli, verify
+from sigpole import cli, quadrature, verify
 from sigpole.quadrature import ROUTES
 from sigpole.pairings import parse_pairs, parse_position_set
 from sigpole.poles import progression_of_set
@@ -117,6 +118,10 @@ def test_poles_parse_error_exit_2():
     assert out.returncode == 2
     out = run_cli("poles", "--word", "1,2,x")
     assert out.returncode == 2
+    # int() would read 1_0 as 10
+    out = run_cli("poles", "--word", "1_0,1_0")
+    assert out.returncode == 2 and not out.stdout
+    assert "'1_0,1_0'" in out.stderr
     out = run_cli("poles")
     assert out.returncode == 2
 
@@ -289,8 +294,6 @@ def test_oversized_sample_count_exit_3(args, monkeypatch):
         raise AssertionError("a seed sequence was built")
 
     import numpy as np
-
-    from sigpole import quadrature
 
     monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
     monkeypatch.setattr(quadrature, "worker_seeds", no_seeds)
@@ -645,6 +648,18 @@ def test_evaluation_commands_share_one_option_set():
         assert type(parsed(command, *given)["samples"]) is int
         methods = {m for m in [*ROUTES, "nope"] if accepts(command, m)}
         assert methods == set(ROUTES) - ({"pullback-mc"} if command == "gamma-table" else set())
+
+
+def test_route_defaults_stated_once():
+    # the parser and the routes read the sample count and tol from quadrature
+    parser = cli.build_parser()
+    for command, args in (("eval", ["--pairs", "1-2"]), ("mean-sig", ["--word", "1,1"]),
+                          ("gamma-table", ["--k", "1", "--d", "2"])):
+        ns = parser.parse_args([command, *args, "--H", "0.8"])
+        assert (ns.samples, ns.tol) == (quadrature.DEFAULT_SAMPLES, quadrature.DEFAULT_TOL)
+    for route in (quadrature.l_direct_mc, quadrature.l_pullback_mc):
+        assert inspect.signature(route).parameters["samples"].default == ns.samples
+    assert inspect.signature(quadrature.l_adaptive).parameters["tol"].default == ns.tol
 
 
 # sha256 of the stdout of each command, with its exit code, recorded before the

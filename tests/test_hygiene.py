@@ -1,7 +1,8 @@
 """Module hygiene, checked with ``ast``: in every module of the package each
 ``__all__`` name is bound at module level, and every module-level import is
 used (a name in an annotation counts as used).  An import whose first line
-says ``noqa: F401`` is a declared re-export."""
+says ``noqa: F401`` is a declared re-export.  No module imports an
+underscore name from a sibling: what crosses modules is public."""
 from __future__ import annotations
 
 import ast
@@ -101,3 +102,24 @@ def test_exports_resolve_and_imports_are_used(path):
         if name not in used
     }
     assert not unused, f"unused imports in {path.name} (name: line): {unused}"
+
+
+def sibling_private_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Underscore names, dunders aside, imported anywhere in a module from a
+    sibling module of the package (a relative import or one from
+    ``sigpole``)."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "sigpole":
+            continue
+        out += [(node.lineno, a.name) for a in node.names
+                if a.name.startswith("_") and not a.name.endswith("__")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_from_siblings(path):
+    private = sibling_private_imports(ast.parse(path.read_text()))
+    assert not private, f"{path.name} imports private sibling names (line, name): {private}"

@@ -200,6 +200,23 @@ def test_parse_errors():
     assert parse_pairs(" 1-3 ,2-4 ") == PairPartition([(1, 3), (2, 4)])
     assert parse_position_set(" 1-2 , 4 ") == PositionSet([1, 2, 4])
     assert parse_position_set("") == parse_position_set(" ") == PositionSet([])
+    # a number is ASCII digits only: no sign, underscore or other script's
+    # digits, which int() would read as another spelling of a number
+    for parse, bad in (
+        (parse_word, "1_0,1_0"), (parse_word, "\uff11,\uff11"), (parse_word, "+1,+1"),
+        (parse_word, "1,\u0661"), (parse_word, "1 1,2"),
+        (parse_pairs, "1-1_0,2-3,4-5,6-7,8-9"), (parse_pairs, "+1-2"),
+        (parse_pairs, "1-\uff12"), (parse_pairs, "1 -2"),
+        (parse_position_set, "1_2"), (parse_position_set, "+1"),
+        (parse_position_set, "1-\uff12"), (parse_position_set, "-1"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert repr(bad) in str(info.value)
+    # leading zeros stay allowed
+    assert parse_word("01,1") == Word([1, 1])
+    assert parse_pairs("01-002") == PairPartition([(1, 2)])
+    assert parse_position_set("03-4") == PositionSet([3, 4])
 
 
 def test_all_pair_partitions_refuses_past_the_limit(monkeypatch):

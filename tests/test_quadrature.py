@@ -1,12 +1,14 @@
 """Quadrature routes and the deterministic moment oracle."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +17,12 @@ from scipy.special import gamma as gamma_fn
 from sigpole import quadrature
 from sigpole.blowup import BlowupChart
 from sigpole.errors import DimensionError, DomainError, NumericError, SizeError
+from sigpole.gammaterms import crossing_terms, factorize, gamma_ratio_poles
 from sigpole.pairings import PairPartition, Word, all_pair_partitions, parse_pairs
 from sigpole.quadrature import (
     DEFAULT_SEED,
     EvalResult,
     FbmCovariance,
-    _crossing_terms,
-    _factorize,
     _increasing_pair_sum,
     _merge_network,
     _sorted_rows,
@@ -175,8 +176,10 @@ def test_adaptive_guards(monkeypatch):
         l_adaptive(PAIR, 0.5)
     with pytest.raises(SizeError, match="at most 5 pairs"):
         l_adaptive(parse_pairs("1-7,2-8,3-9,4-10,5-11,6-12"), 0.8)
-    with pytest.raises(NumericError) as err:
-        l_adaptive(parse_pairs("1-4,2-6,3-5"), 0.75, tol=1e-12, max_level=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_LEVELS", (17, 33))
+        with pytest.raises(NumericError) as err:
+            l_adaptive(parse_pairs("1-4,2-6,3-5"), 0.75, tol=1e-12)
     assert "best" in err.value.diagnostics
 
     # a NaN or negative tol is refused before any level runs
@@ -230,8 +233,8 @@ def test_crossing_term_census():
     for size in (4, 6, 8, 10):
         terms_max = dim_max = 0
         for p in all_pair_partitions(size):
-            for _, count, factors in _factorize(p)[3]:
-                terms = _crossing_terms(factors, 2 * count)
+            for _, count, factors in factorize(p)[3]:
+                terms = crossing_terms(factors, 2 * count)
                 terms_max = max(terms_max, len(terms))
                 for _, numer, denom, grid in terms:
                     assert all(c >= max(q, 1) for c, q in numer + denom), p
@@ -241,12 +244,55 @@ def test_crossing_term_census():
     assert most == {4: (2, 0), 6: (5, 2), 8: (17, 3), 10: (56, 4)}
 
 
+# sha256 of the exact layer and the deterministic routes built on it
+EXACT_LAYER_BITS = "213e2bc9c7a63de9f1c7d30ed887590ec0012d65c42821cb431ef4629ab467bc"
+
+
+def test_exact_layer_bits_pinned():
+    # value and tol as float.hex, cells and the extra of l_adaptive for every
+    # matching with 2k <= 8 at H = 0.8 and 2k <= 6 at H = 0.51, and of
+    # l_closed_form for the non-crossing ones; then the integer output of
+    # factorize and crossing_terms for every matching with 2k <= 10
+    def fields(r):
+        return (f"{r.value.hex()} {r.tol.hex()} {r.cells} "
+                f"{json.dumps(r.extra, sort_keys=True)}\n").encode()
+
+    digest = hashlib.sha256()
+    for top, h in ((8, 0.8), (6, 0.51)):
+        for size in range(2, top + 1, 2):
+            for p in all_pair_partitions(size):
+                digest.update(fields(l_adaptive(p, h)))
+                if not is_crossing(p):
+                    digest.update(fields(l_closed_form(p, h)))
+    for size in range(2, 11, 2):
+        for p in all_pair_partitions(size):
+            out = factorize(p)
+            terms = [crossing_terms(f, 2 * count) for _, count, f in out[3]]
+            digest.update(repr((out, terms)).encode())
+    assert digest.hexdigest() == EXACT_LAYER_BITS
+
+
+def test_gamma_ratio_poles_by_hand():
+    # 1-2: G(2H-1) / G(2H+1); 1-2,3-4: G(2H-1)^2 / G(4H+1), whose poles
+    # from H = -1/2 down lose one order to the denominator; 1-4,2-3:
+    # G(2H-1) G(4H-1) / (G(2H+1) G(4H+1)), where they cancel from -1/4 down
+    F = Fraction
+    cases = {
+        "1-2": {F(1, 2): 1, F(0): 1},
+        "1-2,3-4": {F(1, 2): 2, F(0): 2, F(-1, 2): 1, F(-1): 1, F(-3, 2): 1, F(-2): 1},
+        "1-4,2-3": {F(1, 2): 1, F(1, 4): 1, F(0): 2},
+    }
+    for spec, poles in cases.items():
+        _tree, numer, denom, _crossing = factorize(parse_pairs(spec))
+        assert gamma_ratio_poles(numer, denom, -4) == poles, spec
+
+
 def term_sum_exact(partition: PairPartition, h: float):
-    """50-digit value of the gamma product of ``_factorize`` times the term
+    """50-digit value of the gamma product of ``factorize`` times the term
     sum of each crossing component, for a P whose terms all nest."""
     import mpmath
 
-    _tree, numer, denom, crossing = _factorize(partition)
+    _tree, numer, denom, crossing = factorize(partition)
     with mpmath.workdps(50):
         alpha = 2 * mpmath.mpf(h) - 2
 
@@ -256,7 +302,7 @@ def term_sum_exact(partition: PairPartition, h: float):
 
         value = ratio(numer, denom)
         for _, count, factors in crossing:
-            terms = _crossing_terms(factors, 2 * count)
+            terms = crossing_terms(factors, 2 * count)
             assert all(grid is None for *_, grid in terms)
             value *= mpmath.fsum(s * ratio(top, bottom) for s, top, bottom, _ in terms)
         return value
