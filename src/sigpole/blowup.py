@@ -37,11 +37,13 @@ EXACT_R_MAX_DIM = 4
 # once while searching them
 _STEP_LADDER = 0.5 ** np.arange(40)
 _TRIAL_ROWS = 1 << 16
-# float inverse: the homotopy path in floor stages of 1/_FLOW_STEPS, the
-# first stage of a row in floor stages, and the Newton iterations of a longer
+# float inverse, one schedule for every caller: the homotopy path in floor
+# stages of 1/_FLOW_STEPS, the first stage of a row in floor stages, the
+# log-residual a stage corrects to, and the Newton iterations of a longer
 # stage, of a floor stage and at the target
 _FLOW_STEPS = 64
 _FIRST_STAGE = 8
+_STAGE_TOL = 1e-9
 _STAGE_ITER = 6
 _FLOOR_ITER = 30
 _POLISH_ITER = 200
@@ -464,7 +466,7 @@ class BlowupChart:
         self,
         ys: np.ndarray,
         log_targets: np.ndarray,
-        log_tol: np.ndarray,
+        log_tol: float | np.ndarray,
         max_iter: int | np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Damped Newton for log F(y) = log target in log-flag coordinates.
@@ -478,8 +480,8 @@ class BlowupChart:
         stalled row is frozen for the rest of the call: its point, target
         and residual stay as they are, so every later iteration would try
         the same steps and fail again.  The iteration ends when no unfrozen
-        row is above its tolerance; ``max_iter`` caps the iterations of
-        each row (one cap, or one per row).
+        row is above its tolerance ``log_tol``; ``max_iter`` caps the
+        iterations of each row.  Each is one value, or one per row.
 
         Returns updated points, the log-residual norms and the mask of
         stalled rows; callers decide whether the norms are acceptable.
@@ -596,7 +598,7 @@ class BlowupChart:
         log_tol = 0.5 * tol * scale / np.abs(xs).max(axis=1)
 
         def polished(rows: np.ndarray, first_stage: int) -> np.ndarray:
-            ys = self._inverse_float_best(xs[rows], first_stage, stage_tol=1e-8)
+            ys = self._inverse_float_best(xs[rows], first_stage)
             return self._newton_toward(
                 ys, np.log(xs[rows]), log_tol[rows], _POLISH_ITER
             )[0]
@@ -618,26 +620,23 @@ class BlowupChart:
         return ys
 
     def _inverse_float_best(
-        self,
-        xs: np.ndarray,
-        first_stage: int = _FIRST_STAGE,
-        flow_steps: int = _FLOW_STEPS,
-        stage_tol: float = 1e-9,
+        self, xs: np.ndarray, first_stage: int = _FIRST_STAGE
     ) -> np.ndarray:
         """Best float64 preimages without a tolerance guarantee: the
         homotopy of ``F_inverse_batch`` without its final polish, correcting
-        each stage to the log-residual ``stage_tol``.
+        each stage to the log-residual ``_STAGE_TOL``.  Every float inverse
+        walks this one schedule; ``first_stage=1`` is only for the retries.
 
-        The path is measured in floor stages of 1/``flow_steps``, and each
+        The path is measured in floor stages of 1/``_FLOW_STEPS``, and each
         row walks it with its own stage length, ``first_stage`` floor
         stages at first.  A longer stage gets ``_STAGE_ITER`` Newton steps.
         It is kept, and the length doubles, when the row reaches
-        ``stage_tol`` or stalls (the path saturates near the top-rank
+        ``_STAGE_TOL`` or stalls (the path saturates near the top-rank
         boundary at n = 4, and a stall is the best float point there);
         otherwise the row goes back to its last point and the length
         halves.  A floor stage gets ``_FLOOR_ITER`` steps and is always
         kept, and a row at the floor stays there, so ``first_stage=1`` is
-        the fixed schedule of ``flow_steps`` equal stages.
+        the fixed schedule of ``_FLOW_STEPS`` equal stages.
 
         Near the top-rank boundary the form values drop below the coordinate
         quantization of binary64 points, so the float path saturates; the
@@ -646,20 +645,19 @@ class BlowupChart:
         ys = np.full((len(xs), self.n), self.interior_seed())
         log0 = self._log_F_batch(self.f_batch(ys))
         logx = np.log(xs)
-        tols = np.full(len(xs), stage_tol)
         done = np.zeros(len(xs), dtype=np.intp)
         length = np.full(len(xs), first_stage, dtype=np.intp)
-        while len(live := np.flatnonzero(done < flow_steps)):
-            to = np.minimum(done[live] + length[live], flow_steps)
-            s = (to / flow_steps)[:, None]
+        while len(live := np.flatnonzero(done < _FLOW_STEPS)):
+            to = np.minimum(done[live] + length[live], _FLOW_STEPS)
+            s = (to / _FLOW_STEPS)[:, None]
             floor = length[live] == 1
             moved, err, stalled = self._newton_toward(
                 ys[live],
                 (1 - s) * log0[live] + s * logx[live],
-                tols[live],
+                _STAGE_TOL,
                 np.where(floor, _FLOOR_ITER, _STAGE_ITER),
             )
-            kept = floor | stalled | (err <= tols[live])
+            kept = floor | stalled | (err <= _STAGE_TOL)
             ys[live[kept]] = moved[kept]
             done[live[kept]] = to[kept]
             length[live] = np.where(
@@ -762,8 +760,9 @@ class BlowupChart:
         """Empirical per-rank ranges of the sorted flag forms over the
         pulled-back simplex, padded multiplicatively in log scale.
 
-        The probes are fixed (``_PROBES`` seeded targets, inverted with a
-        16-stage homotopy), so the ranges depend on n alone.
+        The probes are fixed (``_PROBES`` seeded targets, inverted on the
+        fitted homotopy schedule of every float inverse), so the ranges
+        depend on n alone.
         """
         if self.n > EXACT_R_MAX_DIM:
             raise NumericError(
@@ -778,7 +777,7 @@ class BlowupChart:
             g = rng.gamma(alpha, size=(_PROBES // share, self.n + 1))
             blocks.append(g[:, : self.n] / g.sum(axis=1, keepdims=True))
         xs = np.clip(np.vstack(blocks), 1e-12, None)
-        ys = self._inverse_float_best(xs, first_stage=1, flow_steps=16)
+        ys = self._inverse_float_best(xs)
         _, ff = self._flag_coordinates(ys)
         ok = (ff > 0).all(axis=1)
         if ok.sum() < 0.9 * len(xs):

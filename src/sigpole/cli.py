@@ -11,8 +11,8 @@ starts with "-" (``--tol -1e-3``).
 
 eval, mean-sig and gamma-table share one option set (--H, --method,
 --samples, --seed, --tol, --workers) and one runner.  The seed is --seed,
-else SIGPOLE_SEED, else the FBM0 default, both spellings read as decimal
-integers; a stochastic route gets the
+else SIGPOLE_SEED, else the FBM0 default; every integer option and
+SIGPOLE_SEED read by ``integer``.  A stochastic route gets the
 samples, seed and workers, adaptive gets tol.  Identical configurations (seed
 and worker count included) produce byte identical output.
 """
@@ -25,7 +25,13 @@ import sys
 
 from . import __version__
 from .errors import DimensionError, DomainError, NumericError, ParseError, SizeError
-from .pairings import format_position_set, parse_pairs, parse_position_set, parse_word
+from .pairings import (
+    format_position_set,
+    parse_decimal,
+    parse_pairs,
+    parse_position_set,
+    parse_word,
+)
 from .poles import candidate_poles, progression_of_set
 from .quadrature import (
     DEFAULT_SAMPLES,
@@ -52,6 +58,16 @@ _SHOW_DEFAULT = "default: %(default)s"
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_DOMAIN)
+
+
+def integer(text: str) -> int:
+    """An integer option or SIGPOLE_SEED: surrounding whitespace allowed, one
+    optional leading "-", then ASCII digits, as the spec parsers read
+    numbers; "1_0", "+1" and other scripts' digits raise ValueError."""
+    text = text.strip()
+    if text.startswith("-"):
+        return -parse_decimal(text[1:])
+    return parse_decimal(text)
 
 
 def _emit(payload: dict, output: str) -> None:
@@ -88,7 +104,7 @@ def _evaluate(fn, inputs, config, args):
     if seed is None:
         env = os.environ.get("SIGPOLE_SEED")
         try:
-            seed = DEFAULT_SEED if env is None else int(env)
+            seed = DEFAULT_SEED if env is None else integer(env)
         except ValueError:
             args.parser.error(f"SIGPOLE_SEED={env!r} is not an integer")
     if args.method in STOCHASTIC_METHODS:
@@ -206,15 +222,15 @@ def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> No
     """The options of eval, mean-sig and gamma-table, declared once."""
     parser.add_argument("--H", dest="hurst", type=float, required=True)
     parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    parser.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES,
                         help=f"at most {MAX_SAMPLES} (2^28); " + _SHOW_DEFAULT)
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=integer,
                         help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="adaptive stop rule: level change <= max(tol, tol*|L|) "
                         "or the rounding bound, so tol is absolute when |L| < 1; "
                         + _SHOW_DEFAULT)
-    parser.add_argument("--workers", type=int, default=1, help=_SHOW_DEFAULT)
+    parser.add_argument("--workers", type=integer, default=1, help=_SHOW_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_route_options(mean_sig, list(ROUTES))
 
     table = command("gamma-table", cmd_gamma_table, outputs=("json", "csv"))
-    table.add_argument("--k", type=int, required=True)
-    table.add_argument("--d", type=int, required=True)
+    table.add_argument("--k", type=integer, required=True)
+    table.add_argument("--d", type=integer, required=True)
     add_route_options(table, [m for m in ROUTES if m != "pullback-mc"])
 
     for sub in (mean_sig, table):

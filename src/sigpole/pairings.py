@@ -43,6 +43,7 @@ __all__ = [
     "deficiency",
     "bracket_count_via_aug_def",
     "double_factorial",
+    "parse_decimal",
     "parse_word",
     "parse_pairs",
     "parse_position_set",
@@ -452,9 +453,10 @@ def _items(text: str, what: str) -> list[str]:
     return items
 
 
-def _decimal(tok: str) -> int:
+def parse_decimal(tok: str) -> int:
     """A number spelled in ASCII digits only; ``int`` alone also takes a
-    sign, underscores and other scripts' digits, so "1_0" would read as 10."""
+    sign, underscores and other scripts' digits, so "1_0" would read as 10.
+    Any other spelling raises ValueError."""
     if not (tok.isascii() and tok.isdigit()):
         raise ValueError(f"not a decimal number: {tok!r}")
     return int(tok)
@@ -464,7 +466,7 @@ def parse_word(text: str) -> Word:
     """Parse "6,3,1,3,6,6,1,5,6,5" into a Word."""
     items = _items(text, "word spec")
     try:
-        letters = [_decimal(tok) for tok in items]
+        letters = [parse_decimal(tok) for tok in items]
     except ValueError as exc:
         raise ParseError(f"bad word spec {text!r}") from exc
     try:
@@ -481,7 +483,7 @@ def parse_pairs(text: str) -> PairPartition:
         if len(parts) != 2:
             raise ParseError(f"bad pair token {tok!r} in {text!r}")
         try:
-            pairs.append((_decimal(parts[0]), _decimal(parts[1])))
+            pairs.append((parse_decimal(parts[0]), parse_decimal(parts[1])))
         except ValueError as exc:
             raise ParseError(f"bad pair token {tok!r} in {text!r}") from exc
     try:
@@ -502,9 +504,9 @@ def parse_position_set(text: str) -> PositionSet:
         parts = tok.split("-")
         try:
             if len(parts) == 1:
-                lo = hi = _decimal(parts[0])
+                lo = hi = parse_decimal(parts[0])
             elif len(parts) == 2:
-                lo, hi = _decimal(parts[0]), _decimal(parts[1])
+                lo, hi = parse_decimal(parts[0]), parse_decimal(parts[1])
             else:
                 raise ParseError(f"bad interval token {tok!r} in {text!r}")
             mask |= Interval(lo, hi).mask

@@ -414,9 +414,9 @@ def l_direct_mc(
     mean = vals.mean()
     stderr = vals.std() / math.sqrt(samples)
     return EvalResult(
-        value=mean / factorial,
+        value=float(mean / factorial),
         method="direct-mc",
-        stderr=stderr / factorial,
+        stderr=float(stderr / factorial),
         samples=samples,
         seed=seed,
         h=h,
@@ -559,7 +559,7 @@ def l_pullback_mc(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return EvalResult(
-        value=mean,
+        value=float(mean),
         method="pullback-mc",
         stderr=math.sqrt(var / samples),
         samples=samples,

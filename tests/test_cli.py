@@ -1,10 +1,12 @@
 """Command-line interface: golden outputs, exit codes, reproducibility."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -375,6 +377,17 @@ def test_gamma_table_json_and_csv():
     assert len(lines) == 5
 
 
+def test_gamma_table_csv_cells_are_numbers():
+    out = invoke("gamma-table", "--k", "1", "--d", "2", "--H", "0.8", "--method",
+                 "direct-mc", "--samples", "1000", "--output", "csv")
+    assert out.returncode == 0, out.stderr
+    rows = list(csv.DictReader(io.StringIO(out.stdout)))
+    assert len(rows) == 4
+    for row in rows:
+        for cell in (row["coefficient"], row["stderr"]):
+            assert cell == "" or math.isfinite(float(cell)), row
+
+
 def test_byte_reproducibility():
     args = ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc",
             "--samples", "20000", "--seed", "5", "--workers", "2")
@@ -409,10 +422,25 @@ def test_seed_parses_as_decimal(spelling):
             return run_cli(*args, "--seed", seed, timeout=30)
         return run_cli(*args, env_extra={"SIGPOLE_SEED": seed}, timeout=30)
 
-    assert run("0x10").returncode == 2
+    for refused in ("0x10", "1_0", "+10", "\uff11\uff10"):  # fullwidth 10
+        out = run(refused)
+        assert out.returncode == 2 and not out.stdout, (refused, out.stderr)
     out = run("010")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["config"]["seed"] == 10
+
+
+@pytest.mark.parametrize("option", ["--samples", "--workers", "--k", "--d"])
+def test_integer_options_read_ascii_digits_only(option):
+    # the rule of --seed: int() alone would take each of these
+    opts = {"--samples": "1000", "--workers": "1", "--k": "1", "--d": "1"}
+    for refused in ("1_0", "+1", "\uff12", "\u0661"):  # fullwidth 2, Arabic-Indic 1
+        args = ["gamma-table", "--H", "0.8", "--method", "direct-mc"]
+        for name, value in {**opts, option: refused}.items():
+            args += [name, value]
+        out = invoke(*args)
+        assert out.returncode == 2 and not out.stdout, (refused, out.stderr)
+        assert f"invalid integer value: {refused!r}" in out.stderr
 
 
 def test_verify_single_suite():
@@ -671,9 +699,10 @@ PINNED_STDOUT = [
     (("mean-sig", "--word", "1,1,1,1", "--H", "0.8", "--method", "direct-mc",
       "--samples", "4000", "--workers", "2"), 0,
      "b07eef25cba254b38e9595edbb46b222fd3d7d51a61e9ffe953b14a83540abc8"),
+    # re-recorded when flag_ranges moved to the fitted homotopy schedule
     (("mean-sig", "--word", "1,1", "--H", "0.8", "--method", "pullback-mc",
       "--samples", "4000"), 0,
-     "e7f9c0975fd0dd0c7628984b01e338486cb86aef2f431fce2fa01aa57d13c712"),
+     "cef3c88fbb3060783e9915a47a1bbb04ab56234f1814548fed7982f06ed2d74b"),
     (("mean-sig", "--word", "1,1,2,2", "--H", "0.7", "--mode", "paper-406"), 0,
      "3776b31089674727db4f35c2183a8fa3c04d4e6cdd412366d9e8d41aa96d0e32"),
     (("mean-sig", "--word", "1,1,1,1", "--H", "0.8", "--method", "direct-mc",

@@ -10,7 +10,7 @@ import pytest
 from sigpole import quadrature, signature
 from sigpole.errors import DomainError, SizeError
 from sigpole.pairings import Word, enumerate_refining, parse_word
-from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, wick_grid_oracle
+from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, l_pullback_mc, wick_grid_oracle
 from sigpole.signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -193,6 +193,19 @@ def test_gamma_table_serialization():
     assert payload["mode"] == DEFAULT_MODE
     assert "normalization_note" in payload
     assert len(payload["entries"]) == 4
+
+
+def test_monte_carlo_values_are_builtin_floats():
+    # the csv writes repr of each value, which for a numpy scalar is
+    # "np.float64(...)" under numpy 2
+    (pair,) = enumerate_refining(Word([1, 1]))
+    results = [
+        l_direct_mc(pair, 0.8, samples=1000, seed=1),
+        l_pullback_mc(pair, 0.8, samples=1000, seed=1),
+        mean_iterated_integral(Word([1, 1]), 0.8, evaluator="direct-mc", samples=1000),
+    ]
+    for r in results:
+        assert type(r.value) is float and type(r.stderr) is float, r
 
 
 def test_gamma_table_guards():
