@@ -169,7 +169,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_mean_sig(args) -> None:
-    """Mean iterated integral of a word (prefactor times the partition sum)."""
+    """Mean iterated integral of a word (prefactor times the partition sum), 1/2 < H <= 1."""
     word = parse_word(args.word)
     result, config = _evaluate(mean_iterated_integral,
                                (word, args.hurst, args.mode, args.method),
@@ -180,7 +180,7 @@ def cmd_mean_sig(args) -> None:
 
 
 def cmd_gamma_table(args) -> None:
-    """Coefficient table over all words of length 2k on d letters."""
+    """Coefficient table over all words of length 2k on d letters, 1/2 < H <= 1."""
     table, config = _evaluate(gamma_table, (args.k, args.d, args.hurst, args.mode, args.method),
                               {"k": args.k, "d": args.d, "H": args.hurst, "mode": args.mode},
                               args)
@@ -223,13 +223,14 @@ def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> No
     parser.add_argument("--H", dest="hurst", type=float, required=True)
     parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
     parser.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES,
-                        help=f"at most {MAX_SAMPLES} (2^28); " + _SHOW_DEFAULT)
+                        help=f"Monte Carlo methods: 2 to {MAX_SAMPLES} (2^28), exit 3 "
+                        "otherwise; " + _SHOW_DEFAULT)
     parser.add_argument("--seed", type=integer,
                         help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="adaptive stop rule: level change <= max(tol, tol*|L|) "
-                        "or the rounding bound, so tol is absolute when |L| < 1; "
-                        + _SHOW_DEFAULT)
+                        help="adaptive: 0 <= tol < inf, exit 3 otherwise; stop rule: level "
+                        "change <= max(tol, tol*|L|) or the rounding bound, so tol is "
+                        "absolute when |L| < 1; " + _SHOW_DEFAULT)
     parser.add_argument("--workers", type=integer, default=1, help=_SHOW_DEFAULT)
 
 

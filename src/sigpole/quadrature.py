@@ -254,48 +254,30 @@ def _sorted_rows(
     return rows
 
 
-def _require_convergent(h: float) -> None:
+def check_route_args(method: str | None, h: float, tol: float = DEFAULT_TOL,
+                     samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
+                     workers: int = 1) -> None:
+    """Every argument rule of the numeric routes, stated once and run first
+    by the routes, the Wick oracle and the word layer: a finite H > 1/2,
+    where L(P; H) converges; for ``adaptive`` 0 <= tol < inf; for the Monte
+    Carlo routes 2 <= samples <= ``MAX_SAMPLES`` = 2^28 (one sample has no
+    error estimate) and 1 <= workers <= samples, both SizeError; a
+    nonnegative seed.  The rest raise DomainError, and the CLI exits 3 on
+    either.  The defaults are the routes' own, and method None (the Wick
+    oracle, or a caller's own evaluator) gets the H and seed rules only.
+    """
     if not (h > 0.5 and math.isfinite(h)):
         raise DomainError(
             f"H={h} is outside convergent region (need finite H > 1/2); "
             "use poles for the continuation"
         )
-
-
-def _require_mc_args(samples: int, seed: int, workers: int) -> None:
-    """Both Monte Carlo routes need from 1 to ``MAX_SAMPLES`` samples, at
-    least one and at most ``samples`` workers, and a nonnegative seed;
-    checked before any seed sequence or array is built."""
-    if samples < 1 or workers < 1:
-        raise SizeError(
-            f"need samples >= 1 and workers >= 1, got {samples} and {workers}"
-        )
-    if samples > MAX_SAMPLES:
-        raise SizeError(f"{samples} samples refused: at most {MAX_SAMPLES} per call")
-    if workers > samples:
-        raise SizeError(f"{workers} workers refused for {samples} samples")
-    require_seed(seed)
-
-
-def _require_tol(tol: float) -> None:
-    if not tol >= 0:  # NaN fails too, before any level runs
-        raise DomainError(f"tolerance must be a nonnegative number, got {tol}")
-
-
-def check_route_args(method: str, **kwargs) -> None:
-    """The argument guards a named route runs before any work: the tol of
-    ``adaptive`` and the sample count, seed and worker count of the Monte
-    Carlo routes.  An argument not given passes, as the route's default
-    does."""
-    if method == "adaptive":
-        _require_tol(kwargs.get("tol", DEFAULT_TOL))
-    elif method in STOCHASTIC_METHODS:
-        _require_mc_args(kwargs.get("samples", DEFAULT_SAMPLES),
-                         kwargs.get("seed", DEFAULT_SEED), kwargs.get("workers", 1))
-
-
-def require_seed(seed: int) -> None:
-    """A seed must be nonnegative; raises DomainError otherwise."""
+    if method == "adaptive" and not 0 <= tol < math.inf:  # NaN fails too
+        raise DomainError(f"tolerance must be a nonnegative number below inf, got tol={tol}")
+    if method in STOCHASTIC_METHODS:
+        if not 2 <= samples <= MAX_SAMPLES:
+            raise SizeError(f"{samples} samples refused: need 2 to {MAX_SAMPLES} per call")
+        if not 1 <= workers <= samples:
+            raise SizeError(f"{workers} workers refused for {samples} samples")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
 
@@ -335,10 +317,9 @@ def l_direct_mc(
     output bit, is the same for any thread count.  ``workers`` picks only
     the stream layout.
     """
+    check_route_args("direct-mc", h, samples=samples, seed=seed, workers=workers)
     import numpy as np
 
-    _require_convergent(h)
-    _require_mc_args(samples, seed, workers)
     n = partition.size
     pairs = [(a - 1, b - 1) for a, b in partition.pairs]
     network = _merge_network(n)
@@ -447,12 +428,11 @@ def l_pullback_mc(
     exponent 2H - 2 on the interval image, the method that the pullback
     identity check (criterion 6) covers.
     """
+    check_route_args("pullback-mc", h, samples=samples, seed=seed, workers=workers)
     import numpy as np
 
     from .blowup import EXACT_R_MAX_DIM, BlowupChart
 
-    _require_convergent(h)
-    _require_mc_args(samples, seed, workers)
     n = partition.size
     if n > EXACT_R_MAX_DIM:
         # the limit of flag-range probing, checked before any probing
@@ -660,6 +640,22 @@ def _reduced_level_sum(
 # the largest crossing component evaluated: at 2k <= 10 no term leaves a
 # grid of more than 4 dimensions
 _MAX_PAIRS = 5
+
+
+def check_matchings(method: str | None, partitions: Sequence[PairPartition]) -> None:
+    """The size rule of ``adaptive``, for each of ``partitions`` before any
+    is evaluated: SizeError for a crossing component of more than
+    ``_MAX_PAIRS`` pairs, which only a larger matching can have."""
+    for p in partitions if method == "adaptive" else ():
+        if p.k > _MAX_PAIRS:
+            crossing = factorize(p)[3]
+            if any(count > _MAX_PAIRS for _, count, _ in crossing):
+                raise SizeError(
+                    f"adaptive route limited to crossing components of at most {_MAX_PAIRS} "
+                    f"pairs; crossing pairs {'; '.join(label for label, _, _ in crossing)}"
+                )
+
+
 # nodes a side at each level; a d-dimensional grid runs the first 8 - d, up
 # to 513 nodes a side on 2-D grids, 257 on 3-D and 129 on 4-D
 _LEVELS = (17, 33, 65, 129, 257, 513)
@@ -668,17 +664,12 @@ _LEVELS = (17, 33, 65, 129, 257, 513)
 def _factored(partition: PairPartition, h: float, method: str, tol: float) -> EvalResult:
     """The gamma product of ``factorize`` times the J_C of its crossing
     components as sums of terms, level by level (see ``l_adaptive``)."""
-    _require_convergent(h)
-    _require_tol(tol)
+    check_route_args(method, h, tol=tol)
+    check_matchings(method, [partition])
     tree, numer, denom, crossing = factorize(partition)
-    labels = "; ".join(label for label, _, _ in crossing)
     if crossing and method == "closed-form":
+        labels = "; ".join(label for label, _, _ in crossing)
         raise DomainError(f"no closed form for crossing pairs {labels}")
-    if any(count > _MAX_PAIRS for _, count, _ in crossing):
-        raise SizeError(
-            f"adaptive route limited to crossing components of at most {_MAX_PAIRS} "
-            f"pairs; crossing pairs {labels}"
-        )
     exact, err = gamma_product(numer, denom, h)
     # per component, (signed value, rounding bound, grid key or None) per
     # term; each distinct grid (factors, n) is evaluated once per level
@@ -771,9 +762,8 @@ def l_adaptive(partition: PairPartition, h: float, tol: float = DEFAULT_TOL) -> 
     is reported, not raised.  Terms that leave the same grid share one
     evaluation per level, and ``cells`` and ``extra["grid_dims"]`` count
     each distinct grid once; ``extra`` also holds the term count of each
-    component.  A NaN or negative tol raises DomainError before any level
-    runs, a crossing component of more than 5 pairs raises SizeError before
-    any work, and an exhausted level budget raises with the best value.
+    component.  ``check_route_args`` and ``check_matchings`` refuse before
+    any work; an exhausted level budget raises with the best value.
     L > 0 for every H > 1/2, so a reported tol of at least |L| (close to
     H = 1/2, where the terms cancel) raises NumericError carrying the value
     and that tol.
@@ -868,16 +858,14 @@ def wick_grid_oracle(
     (2m)^max(2, p) entries, p the most pairs open at once over the refining
     matchings: 2k = 4 runs at the default m = 64 and 2k = 6 at m = 32 in
     well under a second.  Arrays over ``_WICK_MAX_ENTRIES`` = 2^24 entries
-    (128 MiB of float64) raise SizeError before any is built.  H must be a
-    finite number above 1/2, as for the routes (at H = 1/2 the strictly
-    increasing sum misses the Ito diagonal, below it the sum diverges like
-    m^(1-2H)), and at most 1, where fBm ends; m must be an integer of at
-    least 8.  Each raises DomainError before any array is built, also for a
-    word with no refining matching.
+    (128 MiB of float64) raise SizeError before any is built.  H must pass
+    ``check_route_args`` (at H = 1/2 the strictly increasing sum misses the
+    Ito diagonal, below it the sum diverges like m^(1-2H)) and be at most
+    1, where fBm ends, and m must be an integer of at least 8: DomainError
+    before any array is built, also for a word with no refining matching.
     """
-    _require_convergent(h)
-    if h > 1:
-        raise DomainError(f"Hurst parameter must lie in (0, 1], got {h}")
+    check_route_args(None, h)
+    fbm = FbmCovariance(h)  # fBm ends at H = 1
     if not isinstance(m, numbers.Integral) or m < 8:
         raise DomainError(f"grid size must be an integer of at least 8, got {m!r}")
     refining = enumerate_refining(word)
@@ -890,13 +878,13 @@ def wick_grid_oracle(
                         f"over the limit of {_WICK_MAX_ENTRIES}")
 
     def level(mm: int) -> float:
-        cov = FbmCovariance(h).increment_cov(mm)
+        cov = fbm.increment_cov(mm)
         return sum(_increasing_pair_sum(p, cov) for p in refining)
 
     v1 = level(m)
     v2 = level(2 * m)
     theta = 2.0 ** (1 - 2 * h)
-    value = (v2 - theta * v1) / (1 - theta) if theta != 1 else v2
+    value = (v2 - theta * v1) / (1 - theta)
     return EvalResult(value=value, method="wick-grid", tol=abs(v2 - v1), cells=m, h=h,
                       extra={"refining_partitions": len(refining), "grid_values": [v1, v2],
                              "richardson_theta": theta})

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NumericError, SizeError
+from .errors import DomainError, SizeError
 from .pairings import Word, enumerate_refining, format_pairs, format_word
 from .poles import candidate_poles, union_with_sources
 from .quadrature import (
@@ -31,8 +31,9 @@ from .quadrature import (
     ROUTES,
     STOCHASTIC_METHODS,
     EvalResult,
+    FbmCovariance,
+    check_matchings,
     check_route_args,
-    require_seed,
 )
 
 __all__ = [
@@ -81,40 +82,43 @@ def mean_iterated_integral(
     """prefactor(mode) times the sum of L over partitions refining the word.
 
     ``evaluator`` is a name in ``quadrature.ROUTES`` or a callable used as
-    given.  A word with no refining pair partition gives exactly zero, once
-    a named route's argument guards have passed (``check_route_args``).
-    Stochastic evaluator errors combine in quadrature when the matchings'
-    results report pairwise distinct seeds, and add otherwise; deterministic
-    tolerances add.  Given a ``seed``, or by default ``DEFAULT_SEED`` for a
-    named stochastic route, the i-th matching in ``enumerate_refining``
-    order runs on its own seed, drawn from ``SeedSequence(seed,
-    spawn_key=(i,))``, so that the estimates are independent; the result
-    reports that seed; a negative seed raises DomainError, for a callable
-    too.  A callable given no seed gets the keyword arguments unchanged.
-    When every matching's result reports ``extra["finite_variance"]``, the
-    word's result reports whether all of them are finite.
+    given.  Before any matching is evaluated, ``check_route_args`` refuses
+    an H that is not a finite H > 1/2, samples outside [2, 2^28] and a tol
+    outside [0, inf) (a callable's H and seed only), H > 1 is refused for
+    every evaluator, and ``check_matchings`` a matching too large for
+    ``adaptive``; the CLI exits 3 on each.  A word with no refining pair
+    partition then gives exactly zero.  Stochastic evaluator errors combine
+    in quadrature when the matchings' results report pairwise distinct
+    seeds, and add otherwise; deterministic tolerances add.  Given a
+    ``seed``, or by default ``DEFAULT_SEED`` for a named stochastic route,
+    the i-th matching in ``enumerate_refining`` order runs on its own seed,
+    drawn from ``SeedSequence(seed, spawn_key=(i,))``, so that the
+    estimates are independent; the result reports that seed.  A callable
+    given no seed gets the keyword arguments unchanged.  When every
+    matching's result reports ``extra["finite_variance"]``, the word's
+    result reports whether all of them are finite.
     """
+    if callable(evaluator):
+        fn, method = evaluator, None
+    elif evaluator in ROUTES:
+        fn, method = ROUTES[evaluator], evaluator
+    else:
+        raise DomainError(f"unknown evaluator {evaluator!r}; pick from {sorted(ROUTES)}")
+    # the route's own rules, which the exact zero below would skip
+    check_route_args(method, h, **{key: value for key, value in evaluator_kwargs.items()
+                                   if key in ("tol", "samples", "seed", "workers")
+                                   and value is not None})
+    FbmCovariance(h)  # refuses H > 1, where fBm ends
+    seed = evaluator_kwargs.get("seed")
+    if seed is None and method in STOCHASTIC_METHODS:
+        seed = DEFAULT_SEED
     refining = enumerate_refining(word)
+    check_matchings(method, refining)
     k = word.k
     pref = prefactor(mode, k, h)
-    if not math.isfinite(pref):
-        raise NumericError(f"prefactor is not finite at H={h}", prefactor=pref)
     base_extra = {"mode": mode, "prefactor": pref, "refining_partitions": len(refining)}
     if k >= 2:
         base_extra["normalization_note"] = MODE_NOTE
-    seed = evaluator_kwargs.get("seed")
-    if callable(evaluator):
-        fn = evaluator
-        if seed is not None:  # refused before any matching seed derives from it
-            require_seed(seed)
-    elif evaluator in ROUTES:
-        fn = ROUTES[evaluator]
-        # the route's own guards, which the exact zero below would skip
-        check_route_args(evaluator, **evaluator_kwargs)
-        if seed is None and evaluator in STOCHASTIC_METHODS:
-            seed = DEFAULT_SEED
-    else:
-        raise DomainError(f"unknown evaluator {evaluator!r}; pick from {sorted(ROUTES)}")
     if not refining:
         return EvalResult(
             value=0.0,
@@ -224,9 +228,11 @@ def gamma_table(
 ) -> GammaTable:
     """Coefficients for every word of length 2k over the alphabet [1, d].
 
-    Words sharing a level-set partition share a value, so the integral is
-    computed once per canonical relabeling class.  SizeError refuses more
-    than 2^20 words before any is evaluated.
+    Words sharing a level-set partition share a value, computed once per
+    canonical relabeling class.  More than 2^20 words are refused first.
+    The first class, 1^2k, is refined by every matching of 2k points, so an
+    input that ``mean_iterated_integral`` refuses for any class is refused
+    in that first call, before any matching is evaluated.
     """
     if k < 1 or d < 1:
         raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")

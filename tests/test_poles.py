@@ -311,27 +311,6 @@ def restricted_growth_words(length: int) -> list[tuple[int, ...]]:
     return words
 
 
-def test_pole_outputs_pinned():
-    # sha256 over repr of every pole output below: any change to a printed
-    # progression, witness or their order shows here
-    h = hashlib.sha256()
-    for size in (2, 4, 6, 8, 10):
-        for p in all_pair_partitions(size):
-            ps = candidate_poles(p)
-            h.update(repr((ps.as_records(), ps.contribution_records())).encode())
-    for letters in restricted_growth_words(8):
-        report = candidate_pole_report(Word(letters))
-        h.update(repr((report["contributions"], report["union"].as_records())).encode())
-    for size in (2, 4, 6):
-        for p in all_pair_partitions(size):
-            support = [frozenset(iv.members()) for iv in p.interval_image]
-            fam = hyperplane_candidates(size, support)
-            h.update(repr(fam.specialize_diagonal().contribution_records()).encode())
-    assert h.hexdigest() == (
-        "3e1320ceef4c30af4cf765afd46c7b31c965a3d0aa545d09c078bc1180085a4c"
-    )
-
-
 def test_large_matching_poles_pinned():
     # the enumerator's integer keys matter most past 2k = 10: sha256 over the
     # records of seeded random matchings at 2k = 18, 20, 22
@@ -349,16 +328,18 @@ def test_large_matching_poles_pinned():
 
 
 def test_exact_layer_pinned():
-    # sha256 over the census of [1,10] and the 379 length-8 word classes that
-    # have a refining matching: pole records, witnesses, max offsets, source
-    # pairs and every per-partition pole set, in the order printed
+    # sha256 over every exact-layer output below, in the order printed: the
+    # census of 2k <= 10 (pole records, witnesses, max offsets); every
+    # length-8 word class, the 379 with a refining matching and the rest
+    # (union, contributions with source pairs, each per-partition pole set);
+    # and the diagonal specialization of each hyperplane family at 2k <= 6
     h = hashlib.sha256()
-    for p in all_pair_partitions(10):
-        ps = candidate_poles(p)
-        h.update(repr((ps.as_records(), ps.contribution_records(), ps.max_offset)).encode())
+    for size in (2, 4, 6, 8, 10):
+        for p in all_pair_partitions(size):
+            ps = candidate_poles(p)
+            h.update(repr((ps.as_records(), ps.contribution_records(), ps.max_offset)).encode())
     words = [Word(w) for w in restricted_growth_words(8)]
-    words = [w for w in words if enumerate_refining(w)]
-    assert len(words) == 379
+    assert sum(1 for w in words if enumerate_refining(w)) == 379
     for word in words:
         report = candidate_pole_report(word)
         per_partition = [row["pole_set"].contribution_records()
@@ -366,8 +347,13 @@ def test_exact_layer_pinned():
         h.update(repr(
             (report["union"].as_records(), report["contributions"], per_partition)
         ).encode())
+    for size in (2, 4, 6):
+        for p in all_pair_partitions(size):
+            support = [frozenset(iv.members()) for iv in p.interval_image]
+            fam = hyperplane_candidates(size, support)
+            h.update(repr(fam.specialize_diagonal().contribution_records()).encode())
     assert h.hexdigest() == (
-        "b9889ba8c19fb80bf9abd54e61942a4c7856deb830407e8adb68139a37c14f6f"
+        "dee40d18262213a1e603ac6eb3d19647f4c7c01888cfbea7a0a43e5c16a9729d"
     )
 
 

@@ -221,7 +221,8 @@ def test_adaptive_tolerance_extremes():
         values = r.extra["level_values"]
         assert r.extra["levels"] == [17, 33, 65, 129]
         assert abs(values[-1] - values[-2]) < r.tol < 1e-13
-    assert l_adaptive(p, 0.8, tol=math.inf).extra["levels"] == [17, 33]
+    with pytest.raises(DomainError, match="got tol=inf"):
+        l_adaptive(p, 0.8, tol=math.inf)
 
 
 def test_crossing_term_census():
@@ -426,7 +427,7 @@ DIRECT_MC_BITS = [
      "0x1.26ae9644d4a8bp-6", "0x1.c6e4b826ca364p-14"),
     ("1-6,2-4,3-7,5-9,8-10", 0.9, 10, 11, 2,
      "0x1.1c0e105b5c058p-20", "0x1.00d68f9c8c067p-25"),
-    ("1-2", 1.0, 1, 1, 1, "0x1.0000000000000p-1", "0x0.0p+0"),
+    ("1-2", 1.0, 2, 1, 1, "0x1.0000000000000p-1", "0x0.0p+0"),
 ]
 
 
@@ -537,12 +538,13 @@ def test_oversized_sample_count_refused(route, monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
     monkeypatch.setattr(quadrature, "worker_seeds", no_seeds)
-    for samples in (quadrature.MAX_SAMPLES + 1, 10**10, 10**13):
+    # below 2 too: one sample has no error estimate
+    for samples in (quadrature.MAX_SAMPLES + 1, 10**10, 10**13, 1, 0, -5):
         with pytest.raises(SizeError, match=f"{samples} samples refused"):
             route(PAIR, 0.8, samples=samples)
     with pytest.raises(SizeError, match="samples refused"):
-        quadrature.check_route_args("direct-mc", samples=quadrature.MAX_SAMPLES + 1)
-    quadrature.check_route_args("direct-mc", samples=quadrature.MAX_SAMPLES)
+        quadrature.check_route_args("direct-mc", 0.8, samples=quadrature.MAX_SAMPLES + 1)
+    quadrature.check_route_args("direct-mc", 0.8, samples=quadrature.MAX_SAMPLES)
 
 
 @pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
@@ -554,7 +556,7 @@ def test_negative_seed_refused(method, monkeypatch):
     with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
         quadrature.ROUTES[method](PAIR, 0.8, samples=100, seed=-1)
     with pytest.raises(DomainError, match="seed must be nonnegative"):
-        quadrature.check_route_args(method, seed=-1)
+        quadrature.check_route_args(method, 0.8, seed=-1)
 
 
 def test_merge_network_sorts():

@@ -4,12 +4,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from sigpole import quadrature, signature
 from sigpole.errors import DomainError, SizeError
-from sigpole.pairings import Word, enumerate_refining, parse_word
+from sigpole.gammaterms import factorize
+from sigpole.pairings import Word, enumerate_refining, parse_pairs, parse_word
 from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, l_pullback_mc, wick_grid_oracle
 from sigpole.signature import (
     DEFAULT_MODE,
@@ -75,10 +77,38 @@ def test_vanishing_word():
     ("direct-mc", {"samples": 0}, SizeError),
     ("pullback-mc", {"workers": 0}, SizeError),
     ("direct-mc", {"samples": 3, "workers": 4}, SizeError),
+    ("adaptive", {"h": 0.3}, DomainError),
+    ("closed-form", {"h": 0.3}, DomainError),
+    ("direct-mc", {"h": 0.3}, DomainError),
+    ("pullback-mc", {"h": 0.3}, DomainError),
+    ("adaptive", {"h": float("nan")}, DomainError),
+    ("closed-form", {"h": float("nan")}, DomainError),
+    ("direct-mc", {"h": float("nan")}, DomainError),
+    ("pullback-mc", {"h": float("nan")}, DomainError),
+    ("adaptive", {"h": float("inf")}, DomainError),
+    ("closed-form", {"h": float("inf")}, DomainError),
+    ("direct-mc", {"h": float("inf")}, DomainError),
+    ("pullback-mc", {"h": float("inf")}, DomainError),
+    ("adaptive", {"tol": float("inf")}, DomainError),
+    ("direct-mc", {"samples": 1}, SizeError),
+    ("pullback-mc", {"samples": 1}, SizeError),
+    ("direct-mc", {"seed": -1}, DomainError),
+    ("pullback-mc", {"seed": -1}, DomainError),
 ])
 def test_vanishing_word_runs_the_route_guards(evaluator, kwargs, error):
-    with pytest.raises(error):
-        mean_iterated_integral(Word([1, 2]), 0.8, evaluator=evaluator, **kwargs)
+    # one bad argument ("h" is H) is refused with the same error by the
+    # route on 1-2, by the word layer on a word with a refining matching
+    # (1,1) and on one without (1,2), and by a table of both
+    kwargs = dict(kwargs)
+    h = kwargs.pop("h", 0.8)
+    with pytest.raises(error) as want:
+        quadrature.ROUTES[evaluator](parse_pairs("1-2"), h, **kwargs)
+    for call in (lambda: mean_iterated_integral(Word([1, 1]), h, evaluator=evaluator, **kwargs),
+                 lambda: mean_iterated_integral(Word([1, 2]), h, evaluator=evaluator, **kwargs),
+                 lambda: gamma_table(1, 2, h, evaluator=evaluator, **kwargs)):
+        with pytest.raises(error) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("word", [Word([1, 2]), Word([1, 1])])
@@ -106,6 +136,48 @@ def test_vanishing_word_with_a_callable_is_exact_zero():
 
     r = mean_iterated_integral(Word([1, 2]), 0.8, evaluator=never, tol=-1.0)
     assert r.value == 0.0 and r.extra["exact_zero"] is True
+
+
+@pytest.mark.parametrize("h", [1.5, 2.0, 1e308])
+def test_word_layer_refuses_h_above_one(h, monkeypatch):
+    # fBm ends at H = 1: refused for every evaluator, with and without a
+    # refining matching, before any matching is enumerated; L(P; H) itself
+    # is defined there, so the route answers
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(signature, "enumerate_refining", never)
+    for evaluator in [*quadrature.ROUTES, never]:
+        for call in (lambda: mean_iterated_integral(Word([1, 1]), h, evaluator=evaluator),
+                     lambda: mean_iterated_integral(Word([1, 2]), h, evaluator=evaluator),
+                     lambda: gamma_table(1, 2, h, evaluator=evaluator)):
+            with pytest.raises(DomainError, match=re.escape(f"must lie in (0, 1], got {h}")):
+                call()
+    # 1 / (2H (2H - 1)) at H = 2
+    assert quadrature.l_closed_form(parse_pairs("1-2"), 2.0).value == pytest.approx(1 / 12)
+
+
+def test_large_crossing_component_refused_before_any_matching(monkeypatch):
+    # the first refining matching of this word has a 5-pair crossing
+    # component, its second (1-3,2-5,...) a 6-pair one: the word, and the
+    # tables whose first class 1^12 or 1^14 has such a matching, are
+    # refused before the route evaluates any matching
+    def never(*args, **kwargs):
+        raise AssertionError("the route was called")
+
+    monkeypatch.setitem(quadrature.ROUTES, "adaptive", never)
+    word = parse_word("1,1,1,2,1,3,2,4,3,5,4,5")
+    first, second = enumerate_refining(word)[:2]
+    assert [count for _, count, _ in factorize(first)[3]] == [5]
+    assert [count for _, count, _ in factorize(second)[3]] == [6]
+    for call in (lambda: mean_iterated_integral(word, 0.8),
+                 lambda: gamma_table(6, 1, 0.8)):
+        with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 1-3,2-5,"):
+            call()
+    # 2^14 words in 8,192 classes: refused within the first class, which
+    # holds all 13!! = 135,135 matchings of 14 points
+    with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 3-5,4-7,"):
+        gamma_table(7, 2, 0.8)
 
 
 def test_error_combination_stochastic():
