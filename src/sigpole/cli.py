@@ -12,9 +12,10 @@ starts with "-" (``--tol -1e-3``).
 eval, mean-sig and gamma-table share one option set (--H, --method,
 --samples, --seed, --tol, --workers) and one runner.  The seed is --seed,
 else SIGPOLE_SEED, else the FBM0 default; every integer option and
-SIGPOLE_SEED read by ``integer``.  A stochastic route gets the
-samples, seed and workers, adaptive gets tol.  Identical configurations (seed
-and worker count included) produce byte identical output.
+SIGPOLE_SEED read by ``integer``.  Every payload echoes all four, so
+``check_route_args`` checks them for every method; a route gets those its
+keyword-only parameters name.  Identical configurations (seed and worker
+count included) produce byte identical output.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .quadrature import (
     DEFAULT_TOL,
     MAX_SAMPLES,
     ROUTES,
-    STOCHASTIC_METHODS,
+    check_route_args,
 )
 from .signature import (
     DEFAULT_MODE,
@@ -107,14 +108,11 @@ def _evaluate(fn, inputs, config, args):
             seed = DEFAULT_SEED if env is None else integer(env)
         except ValueError:
             args.parser.error(f"SIGPOLE_SEED={env!r} is not an integer")
-    if args.method in STOCHASTIC_METHODS:
-        kwargs = {"samples": args.samples, "seed": seed, "workers": args.workers}
-    else:
-        kwargs = {"tol": args.tol} if args.method == "adaptive" else {}
-    result = _compute(fn, *inputs, **kwargs)
-    config = {**config, "method": args.method, "samples": args.samples, "seed": seed,
-              "tol": args.tol, "workers": args.workers}
-    return result, config
+    options = {"samples": args.samples, "seed": seed, "tol": args.tol, "workers": args.workers}
+    _compute(check_route_args, args.hurst, **options)
+    route = ROUTES[args.method].__kwdefaults__ or {}
+    result = _compute(fn, *inputs, **{key: v for key, v in options.items() if key in route})
+    return result, {**config, "method": args.method, **options}
 
 
 def cmd_poles(args) -> None:
@@ -223,12 +221,11 @@ def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> No
     parser.add_argument("--H", dest="hurst", type=float, required=True)
     parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
     parser.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES,
-                        help=f"Monte Carlo methods: 2 to {MAX_SAMPLES} (2^28), exit 3 "
-                        "otherwise; " + _SHOW_DEFAULT)
+                        help=f"2 to {MAX_SAMPLES} (2^28), exit 3 otherwise; " + _SHOW_DEFAULT)
     parser.add_argument("--seed", type=integer,
                         help="RNG seed (default SIGPOLE_SEED, else FBM0 bytes)")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="adaptive: 0 <= tol < inf, exit 3 otherwise; stop rule: level "
+                        help="0 <= tol < inf, exit 3 otherwise; stop rule: level "
                         "change <= max(tol, tol*|L|) or the rounding bound, so tol is "
                         "absolute when |L| < 1; " + _SHOW_DEFAULT)
     parser.add_argument("--workers", type=integer, default=1, help=_SHOW_DEFAULT)

@@ -36,6 +36,7 @@ __all__ = [
     "PositionSet",
     "interval_of_pair",
     "refines",
+    "check_refining_count",
     "enumerate_refining",
     "all_pair_partitions",
     "bracket_count",
@@ -350,18 +351,24 @@ def _pairings_of(block: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, other)] + tail
 
 
+def check_refining_count(word: Word) -> None:
+    """SizeError when more than 13!! = 135,135 pair partitions refine the word."""
+    blocks = word.level_sets
+    if not any(len(b) % 2 for b in blocks) and _over_refining_limit(
+            f for b in blocks for f in range(len(b) - 1, 1, -2)):
+        raise SizeError(f"word has more than {_MAX_REFINING} refining pair partitions")
+
+
 def enumerate_refining(word: Word) -> list[PairPartition]:
     """All pair partitions refining the word, in canonical lexicographic order.
 
-    Empty (not an error) when some letter occurs an odd number of times.
-    The count is the product of (|block| - 1)!! over the level-set blocks;
-    SizeError refuses a count above 13!! = 135,135 before any is built.
+    Empty (not an error) when some letter occurs an odd number of times;
+    ``check_refining_count`` runs before any is built.
     """
+    check_refining_count(word)
     blocks = [sorted(b) for b in word.level_sets]
     if any(len(b) % 2 for b in blocks):
         return []
-    if _over_refining_limit(f for b in blocks for f in range(len(b) - 1, 1, -2)):
-        raise SizeError(f"word has more than {_MAX_REFINING} refining pair partitions")
     out = [
         PairPartition(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*(_pairings_of(b) for b in blocks))

@@ -47,7 +47,6 @@ start without loading numpy.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 import os
@@ -109,7 +108,7 @@ class EvalResult:
     that is not finite raises NumericError.
     """
 
-    value: float | complex
+    value: float
     method: str
     stderr: float | None = None
     tol: float | None = None
@@ -129,14 +128,9 @@ class EvalResult:
                 raise DomainError(f"{self.method} results need a tolerance")
         else:
             raise DomainError(f"unknown method {self.method!r}")
-        if not cmath.isfinite(self.value) or (
-            self.stderr is not None and not math.isfinite(self.stderr)
-        ):
-            raise NumericError(
-                f"{self.method} gave a non-finite result",
-                value=self.value,
-                stderr=self.stderr,
-            )
+        if not (math.isfinite(self.value) and math.isfinite(self.stderr or 0.0)):
+            raise NumericError(f"{self.method} gave a non-finite result",
+                               value=self.value, stderr=self.stderr)
 
     def to_json_dict(self) -> dict:
         out: dict = {"value": _json_value(self.value), "method": self.method}
@@ -157,8 +151,6 @@ class EvalResult:
 
 
 def _json_value(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
     # a numpy scalar exists only once numpy is loaded
     np = sys.modules.get("numpy")
     if np is not None and isinstance(v, (np.floating, np.integer)):
@@ -254,30 +246,28 @@ def _sorted_rows(
     return rows
 
 
-def check_route_args(method: str | None, h: float, tol: float = DEFAULT_TOL,
+def check_route_args(h: float, *, tol: float = DEFAULT_TOL,
                      samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                      workers: int = 1) -> None:
-    """Every argument rule of the numeric routes, stated once and run first
-    by the routes, the Wick oracle and the word layer: a finite H > 1/2,
-    where L(P; H) converges; for ``adaptive`` 0 <= tol < inf; for the Monte
-    Carlo routes 2 <= samples <= ``MAX_SAMPLES`` = 2^28 (one sample has no
-    error estimate) and 1 <= workers <= samples, both SizeError; a
-    nonnegative seed.  The rest raise DomainError, and the CLI exits 3 on
-    either.  The defaults are the routes' own, and method None (the Wick
-    oracle, or a caller's own evaluator) gets the H and seed rules only.
+    """Every argument rule of the numeric routes, stated once for every
+    method and run first by the routes, the Wick oracle, the word layer and
+    the CLI: a finite H > 1/2, where L(P; H) converges; 0 <= tol < inf;
+    2 <= samples <= ``MAX_SAMPLES`` = 2^28 (one sample has no error
+    estimate) and 1 <= workers <= samples, both SizeError; a nonnegative
+    seed.  The rest raise DomainError, and the CLI exits 3 on either.  A
+    route passes the options it reads; for the others its defaults pass.
     """
     if not (h > 0.5 and math.isfinite(h)):
         raise DomainError(
             f"H={h} is outside convergent region (need finite H > 1/2); "
             "use poles for the continuation"
         )
-    if method == "adaptive" and not 0 <= tol < math.inf:  # NaN fails too
+    if not 0 <= tol < math.inf:  # NaN fails too
         raise DomainError(f"tolerance must be a nonnegative number below inf, got tol={tol}")
-    if method in STOCHASTIC_METHODS:
-        if not 2 <= samples <= MAX_SAMPLES:
-            raise SizeError(f"{samples} samples refused: need 2 to {MAX_SAMPLES} per call")
-        if not 1 <= workers <= samples:
-            raise SizeError(f"{workers} workers refused for {samples} samples")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise SizeError(f"{samples} samples refused: need 2 to {MAX_SAMPLES} per call")
+    if not 1 <= workers <= samples:
+        raise SizeError(f"{workers} workers refused for {samples} samples")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
 
@@ -293,6 +283,7 @@ def _thread_count() -> int:
 def l_direct_mc(
     partition: PairPartition,
     h: float,
+    *,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
@@ -309,15 +300,15 @@ def l_direct_mc(
     H > 3/4, for every matching; ``extra["finite_variance"]`` reports this,
     and below it the plain standard error is not a reliable error.
 
-    The batches run on threads, as many as the CPUs in the process's
-    affinity set and at most one per batch; a single batch or a single CPU
-    runs in the calling thread.  Each thread takes a contiguous share of
-    the batches and starts each worker stream it meets by advancing that
-    stream's PCG64 state to its first batch, so every sample, and every
-    output bit, is the same for any thread count.  ``workers`` picks only
-    the stream layout.
+    The batches are cut into contiguous shares, as many as the CPUs in the
+    process's affinity set and at most one per batch.  The calling thread
+    runs the first share and one started thread each of the others, so a
+    single batch or a single CPU starts no thread.  Each share starts each
+    worker stream it meets by advancing that stream's PCG64 state to its
+    first batch, so every sample, and every output bit, is the same for any
+    thread count.  ``workers`` picks only the stream layout.
     """
-    check_route_args("direct-mc", h, samples=samples, seed=seed, workers=workers)
+    check_route_args(h, samples=samples, seed=seed, workers=workers)
     import numpy as np
 
     n = partition.size
@@ -343,54 +334,52 @@ def l_direct_mc(
     ]
     vals = np.empty(samples)
 
+    errors: list[BaseException] = []
+
     def run(share, buffers) -> None:
-        """Fill the vals of a contiguous run of batches."""
-        draws, cols, spare, diff = buffers
-        stream = None
-        for seq, i, first, b in share:
-            if seq is not stream:
-                # PCG64 spends one 64-bit step per double, so the advanced
-                # generator's first draw is the one the serial loop makes here
-                stream = seq
-                rng = np.random.Generator(np.random.PCG64(seq))
-                rng.bit_generator.advance(i * batch * n)
-            u = rng.random((b, n), out=draws[:b])
-            np.copyto(cols[:, :b], u.T)
-            rows = _sorted_rows(cols[:, :b], network, spare[:b])
-            # sorted rows give s_hi - s_lo >= 0, bit for bit |s_lo - s_hi|
-            out, gap = vals[first:first + b], diff[:b]
-            np.subtract(rows[pairs[0][1]], rows[pairs[0][0]], out=out)
-            for lo, hi in pairs[1:]:
-                np.subtract(rows[hi], rows[lo], out=gap)
-                out *= gap
-            # one power per sample on the product of the pair gaps
-            out **= alpha
+        """Fill the vals of a contiguous run of batches; an error is kept for
+        the caller, which raises the first once every thread has ended."""
+        try:
+            draws, cols, spare, diff = buffers
+            stream = None
+            for seq, i, first, b in share:
+                if seq is not stream:
+                    # PCG64 spends one 64-bit step per double, so the advanced
+                    # generator's first draw is the one the serial loop makes here
+                    stream = seq
+                    rng = np.random.Generator(np.random.PCG64(seq))
+                    rng.bit_generator.advance(i * batch * n)
+                u = rng.random((b, n), out=draws[:b])
+                np.copyto(cols[:, :b], u.T)
+                rows = _sorted_rows(cols[:, :b], network, spare[:b])
+                # sorted rows give s_hi - s_lo >= 0, bit for bit |s_lo - s_hi|
+                out, gap = vals[first:first + b], diff[:b]
+                np.subtract(rows[pairs[0][1]], rows[pairs[0][0]], out=out)
+                for lo, hi in pairs[1:]:
+                    np.subtract(rows[hi], rows[lo], out=gap)
+                    out *= gap
+                # one power per sample on the product of the pair gaps
+                out **= alpha
+        except BaseException as exc:
+            errors.append(exc)
 
-    if threads == 1:
-        run(batches, scratch[0])
-    else:
-        import threading
+    import threading
 
-        errors: list[BaseException] = []
-
-        def guarded(share, buffers) -> None:
-            try:
-                run(share, buffers)
-            except BaseException as exc:  # raised again in the caller
-                errors.append(exc)
-
-        # contiguous, near-equal shares of the batches, one per thread
-        cuts = [len(batches) * t // threads for t in range(threads + 1)]
-        pool = [
-            threading.Thread(target=guarded, args=(batches[lo:hi], buffers))
-            for lo, hi, buffers in zip(cuts, cuts[1:], scratch)
-        ]
-        for thread in pool:
+    # contiguous, near-equal shares of the batches; the caller runs the first
+    cuts = [len(batches) * t // threads for t in range(threads + 1)]
+    shares = [batches[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    started = []
+    try:
+        for share, buffers in zip(shares[1:], scratch[1:]):
+            thread = threading.Thread(target=run, args=(share, buffers))
             thread.start()
-        for thread in pool:
+            started.append(thread)
+        run(shares[0], scratch[0])
+    finally:
+        for thread in started:
             thread.join()
-        if errors:
-            raise errors[0]
+    if errors:
+        raise errors[0]
     factorial = math.factorial(n)
     mean = vals.mean()
     stderr = vals.std() / math.sqrt(samples)
@@ -409,6 +398,7 @@ def l_direct_mc(
 def l_pullback_mc(
     partition: PairPartition,
     h: float,
+    *,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
@@ -426,9 +416,9 @@ def l_pullback_mc(
     below the coordinate scale keep full relative accuracy.  The integrand
     at the accepted points is ``BlowupChart.log_pullback_batch`` with
     exponent 2H - 2 on the interval image, the method that the pullback
-    identity check (criterion 6) covers.
+    identity check (criterion 6) covers.  No accepted proposal is a NumericError.
     """
-    check_route_args("pullback-mc", h, samples=samples, seed=seed, workers=workers)
+    check_route_args(h, samples=samples, seed=seed, workers=workers)
     import numpy as np
 
     from .blowup import EXACT_R_MAX_DIM, BlowupChart
@@ -536,6 +526,8 @@ def l_pullback_mc(
             accepted += int(_mask.sum())
             total += vals.sum()
             total_sq += (vals * vals).sum()
+    if not accepted:  # a zero mean with a zero stderr would claim an exact 0
+        raise NumericError(f"pullback sampling accepted none of {samples} samples")
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return EvalResult(
@@ -642,11 +634,11 @@ def _reduced_level_sum(
 _MAX_PAIRS = 5
 
 
-def check_matchings(method: str | None, partitions: Sequence[PairPartition]) -> None:
-    """The size rule of ``adaptive``, for each of ``partitions`` before any
-    is evaluated: SizeError for a crossing component of more than
-    ``_MAX_PAIRS`` pairs, which only a larger matching can have."""
-    for p in partitions if method == "adaptive" else ():
+def check_matchings(evaluator, partitions: Sequence[PairPartition]) -> None:
+    """The size rule of ``adaptive`` (a route name or a callable evaluator),
+    for each of ``partitions`` before any is evaluated: SizeError for a
+    crossing component of more than ``_MAX_PAIRS`` pairs, which needs k > 5."""
+    for p in partitions if evaluator == "adaptive" else ():
         if p.k > _MAX_PAIRS:
             crossing = factorize(p)[3]
             if any(count > _MAX_PAIRS for _, count, _ in crossing):
@@ -664,7 +656,7 @@ _LEVELS = (17, 33, 65, 129, 257, 513)
 def _factored(partition: PairPartition, h: float, method: str, tol: float) -> EvalResult:
     """The gamma product of ``factorize`` times the J_C of its crossing
     components as sums of terms, level by level (see ``l_adaptive``)."""
-    check_route_args(method, h, tol=tol)
+    check_route_args(h, tol=tol)
     check_matchings(method, [partition])
     tree, numer, denom, crossing = factorize(partition)
     if crossing and method == "closed-form":
@@ -740,7 +732,7 @@ def _factored(partition: PairPartition, h: float, method: str, tol: float) -> Ev
                       h=h, partition=format_pairs(partition), extra=extra)
 
 
-def l_adaptive(partition: PairPartition, h: float, tol: float = DEFAULT_TOL) -> EvalResult:
+def l_adaptive(partition: PairPartition, h: float, *, tol: float = DEFAULT_TOL) -> EvalResult:
     """Deterministic evaluation of L: the exact gamma product of
     ``gammaterms.factorize`` times the reduced integral J_C of each crossing
     component C (none for a non-crossing P, which gives the float of
@@ -864,7 +856,7 @@ def wick_grid_oracle(
     1, where fBm ends, and m must be an integer of at least 8: DomainError
     before any array is built, also for a word with no refining matching.
     """
-    check_route_args(None, h)
+    check_route_args(h)
     fbm = FbmCovariance(h)  # fBm ends at H = 1
     if not isinstance(m, numbers.Integral) or m < 8:
         raise DomainError(f"grid size must be an integer of at least 8, got {m!r}")

@@ -24,17 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SizeError
-from .pairings import Word, enumerate_refining, format_pairs, format_word
+from .pairings import (PairPartition, Word, check_refining_count, enumerate_refining,
+                       format_pairs, format_word)
 from .poles import candidate_poles, union_with_sources
-from .quadrature import (
-    DEFAULT_SEED,
-    ROUTES,
-    STOCHASTIC_METHODS,
-    EvalResult,
-    FbmCovariance,
-    check_matchings,
-    check_route_args,
-)
+from .quadrature import ROUTES, EvalResult, FbmCovariance, check_matchings, check_route_args
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -81,39 +74,43 @@ def mean_iterated_integral(
 ) -> EvalResult:
     """prefactor(mode) times the sum of L over partitions refining the word.
 
-    ``evaluator`` is a name in ``quadrature.ROUTES`` or a callable used as
-    given.  Before any matching is evaluated, ``check_route_args`` refuses
-    an H that is not a finite H > 1/2, samples outside [2, 2^28] and a tol
-    outside [0, inf) (a callable's H and seed only), H > 1 is refused for
-    every evaluator, and ``check_matchings`` a matching too large for
-    ``adaptive``; the CLI exits 3 on each.  A word with no refining pair
-    partition then gives exactly zero.  Stochastic evaluator errors combine
-    in quadrature when the matchings' results report pairwise distinct
-    seeds, and add otherwise; deterministic tolerances add.  Given a
-    ``seed``, or by default ``DEFAULT_SEED`` for a named stochastic route,
-    the i-th matching in ``enumerate_refining`` order runs on its own seed,
-    drawn from ``SeedSequence(seed, spawn_key=(i,))``, so that the
+    ``evaluator`` is a callable used as given, or a name in
+    ``quadrature.ROUTES``, whose keyword-only parameters are the only
+    options it takes (another is a DomainError naming the route).  Before
+    any matching is evaluated, ``check_route_args`` runs on H and the rule
+    keywords given, H > 1 is refused, and ``check_matchings`` refuses a
+    matching too large for ``adaptive``; the CLI exits 3 on each.  A word
+    with no refining pair partition then gives exactly zero.  Stochastic
+    evaluator errors combine in quadrature when the matchings' results
+    report pairwise distinct seeds, and add otherwise; deterministic
+    tolerances add.  Given a ``seed``, or else the named route's default
+    one, the i-th matching in ``enumerate_refining`` order runs on its own
+    seed, drawn from ``SeedSequence(seed, spawn_key=(i,))``, so that the
     estimates are independent; the result reports that seed.  A callable
     given no seed gets the keyword arguments unchanged.  When every
     matching's result reports ``extra["finite_variance"]``, the word's
     result reports whether all of them are finite.
     """
     if callable(evaluator):
-        fn, method = evaluator, None
+        fn, options = evaluator, {}
     elif evaluator in ROUTES:
-        fn, method = ROUTES[evaluator], evaluator
+        fn = ROUTES[evaluator]
+        options = fn.__kwdefaults__ or {}
+        unknown = sorted(evaluator_kwargs.keys() - options.keys())
+        if unknown:
+            raise DomainError(f"route {evaluator!r} takes no option {', '.join(unknown)}; "
+                              f"its options are: {', '.join(sorted(options)) or 'none'}")
     else:
         raise DomainError(f"unknown evaluator {evaluator!r}; pick from {sorted(ROUTES)}")
-    # the route's own rules, which the exact zero below would skip
-    check_route_args(method, h, **{key: value for key, value in evaluator_kwargs.items()
-                                   if key in ("tol", "samples", "seed", "workers")
-                                   and value is not None})
+    # the route rules, which the exact zero below would skip
+    check_route_args(h, **{key: value for key, value in evaluator_kwargs.items()
+                           if key in check_route_args.__kwdefaults__ and value is not None})
     FbmCovariance(h)  # refuses H > 1, where fBm ends
     seed = evaluator_kwargs.get("seed")
-    if seed is None and method in STOCHASTIC_METHODS:
-        seed = DEFAULT_SEED
+    if seed is None:
+        seed = options.get("seed")
     refining = enumerate_refining(word)
-    check_matchings(method, refining)
+    check_matchings(evaluator, refining)
     k = word.k
     pref = prefactor(mode, k, h)
     base_extra = {"mode": mode, "prefactor": pref, "refining_partitions": len(refining)}
@@ -232,7 +229,8 @@ def gamma_table(
     canonical relabeling class.  More than 2^20 words are refused first.
     The first class, 1^2k, is refined by every matching of 2k points, so an
     input that ``mean_iterated_integral`` refuses for any class is refused
-    in that first call, before any matching is evaluated.
+    in that first call, before any matching is evaluated; with ``adaptive``,
+    sooner, on the chain 1-3,2-5,...,(2k-2)-2k, one crossing component.
     """
     if k < 1 or d < 1:
         raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
@@ -242,6 +240,9 @@ def gamma_table(
             f"gamma table over {d}^{2 * k} words refused: "
             f"more than the {_MAX_TABLE_WORDS} tabulated"
         )
+    check_refining_count(Word((1,) * (2 * k)))
+    chain = ((max(1, 2 * j - 2), min(2 * j + 1, 2 * k)) for j in range(1, k + 1))
+    check_matchings(evaluator, [PairPartition(chain)])
     by_class: dict[tuple[int, ...], EvalResult] = {}
     entries: dict[tuple[int, ...], EvalResult] = {}
     for letters in itertools.product(range(1, d + 1), repeat=2 * k):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -17,6 +18,8 @@ from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigpole import cli, quadrature, verify
 from sigpole.quadrature import ROUTES
@@ -323,12 +326,12 @@ def test_negative_seed_exit_3(args, env):
     assert "seed must be nonnegative" in out.stderr
 
 
-def test_unused_negative_seed_passes():
-    # adaptive and closed-form take no seed, so theirs is not checked
+def test_unused_negative_seed_exit_3():
+    # adaptive and closed-form take no seed, but the payload would echo it
     for method in ("adaptive", "closed-form"):
         out = invoke("eval", "--pairs", "1-2", "--H", "0.8", "--method", method, "--seed", "-5")
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout)["config"]["seed"] == -5
+        assert out.returncode == 3, out.stdout
+        assert out.stderr == "error: seed must be nonnegative, got -5\n"
 
 
 def test_mean_sig_pair_word():
@@ -473,6 +476,7 @@ def test_verify_failure_path(monkeypatch):
     assert json.loads(out.stdout)["failed"] == 2
 
 
+@functools.cache
 def _latest_schemas() -> dict:
     """One validator per schema name, from the highest version in docs/schemas."""
     latest: dict = {}
@@ -508,12 +512,8 @@ PAYLOAD_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("args", PAYLOAD_COMMANDS.values(), ids=PAYLOAD_COMMANDS)
-def test_payload_validates_against_latest_schemas(args):
-    schemas = _latest_schemas()
-    out = run_cli(*args)
-    assert out.returncode == 0, out.stderr
-    payload = json.loads(out.stdout)
+def _validate(payload: dict, schemas: dict) -> None:
+    """Validate a payload, and each result in it, against ``schemas``."""
     checks = [("cli-envelope", payload)]
     if "progressions" in payload:
         checks.append(("polereport", payload))
@@ -529,6 +529,119 @@ def test_payload_validates_against_latest_schemas(args):
             checks.append(("evalresult", {k: v for k, v in entry.items() if k != "word"}))
     for name, instance in checks:
         schemas[name].validate(instance)
+
+
+@pytest.mark.parametrize("args", PAYLOAD_COMMANDS.values(), ids=PAYLOAD_COMMANDS)
+def test_payload_validates_against_latest_schemas(args):
+    out = run_cli(*args)
+    assert out.returncode == 0, out.stderr
+    _validate(json.loads(out.stdout), _latest_schemas())
+
+
+# values for the contract test, each as (within bounds, at or past them):
+# spec strings, H, and each route option, non-ASCII digits included
+H_TEXTS = (["0.51", "0.8", "1", "2", "1e308", repr(0.5 + 1e-15)], ["nan", "inf", "-inf", "0.5"])
+ROUTE_OPTION_TEXTS = {
+    "--tol": (["0", "1e-300", "1e-3", "1e308", "\uff11"], ["nan", "inf", "-inf", "-1"]),
+    "--seed": (["0", "5", str(2**64)], ["-1", "\u0663"]),
+    "--workers": (["1", "2", "1000"], ["-1", "0", "1001", "\u0662"]),
+}
+# no sample count above 1000 is run
+SAMPLE_TEXTS = (["2", "1000"],
+                ["-1", "0", "1", str(quadrature.MAX_SAMPLES + 1), "\uff11\uff10"])
+SPEC_TEXTS = {
+    "--pairs": (["1-2", "1-3,2-4", "1-4,2-3", "2-1,3-4", " 1-2 "],
+                ["1-1", "1-3", "0-1", "", ",", "1-2,,3-4", "1-2-3", "\uff11-2"]),
+    "--word": (["1,1", "1,2", "1,1,2,2", "1,2,1,2", "1,1,1,1", "2,1"],
+               ["1", "1,1,1", "", "1,,1", "0,0", "\u0661,\u0661"]),
+}
+# pullback-mc only on 2k = 2, or on a spec that is refused
+PULLBACK_SPEC_TEXTS = {"--pairs": (["1-2", "2-1"], ["1-1", ""]),
+                       "--word": (["1,1", "1,2"], ["1", ""])}
+SET_TEXTS = (["1", "1-2", "2-3", "1-2,4"], ["", "3-1", "1-4000000000", "x"])
+K_TEXTS, D_TEXTS = (["1", "2"], ["-1", "0", "\uff12"]), (["1", "2"], ["-1", "0"])
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """argv for poles, eval, mean-sig or gamma-table with k <= 2; each value
+    is past its bounds one time in four."""
+    def pick(texts):
+        within, past = texts
+        return draw(st.sampled_from(past if draw(st.integers(0, 3)) == 0 else within))
+
+    command = draw(st.sampled_from(["poles", "eval", "mean-sig", "gamma-table"]))
+    if command == "poles":
+        source = draw(st.sampled_from(list(SPEC_TEXTS)))
+        argv = [command, source, pick(SPEC_TEXTS[source])]
+        if source == "--pairs" and draw(st.booleans()):
+            argv += ["--set", pick(SET_TEXTS)]
+        return argv + ["--output", draw(st.sampled_from(["json", "text"]))]
+    method = draw(st.sampled_from([m for m in ROUTES
+                                   if command != "gamma-table" or m != "pullback-mc"]))
+    if command == "gamma-table":
+        argv = [command, "--k", pick(K_TEXTS), "--d", pick(D_TEXTS)]
+    else:
+        source = "--pairs" if command == "eval" else "--word"
+        specs = PULLBACK_SPEC_TEXTS if method == "pullback-mc" else SPEC_TEXTS
+        argv = [command, source, pick(specs[source])]
+    argv += ["--H", pick(H_TEXTS), "--method", method, "--samples", pick(SAMPLE_TEXTS)]
+    for option, texts in ROUTE_OPTION_TEXTS.items():
+        if draw(st.booleans()):
+            argv += [option, pick(texts)]
+    outputs = ["json", "csv"] if command == "gamma-table" else ["json", "text"]
+    return argv + ["--output", draw(st.sampled_from(outputs))]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(cli_argv())
+def test_cli_contract(argv):
+    # every input gives a result or a typed refusal with its exit code; an
+    # exception other than SystemExit leaves invoke and fails the test
+    out = invoke(*argv)
+    assert out.returncode in (0, 2, 3), (argv, out)
+    if out.returncode == 3:
+        assert out.stdout == "" and out.stderr.startswith("error: "), (argv, out)
+        assert out.stderr.count("\n") == 1, (argv, out)
+        if argv[-1] == "json":
+            # the refusal is the input's, so no output format escapes it
+            other = "csv" if argv[0] == "gamma-table" else "text"
+            assert invoke(*argv[:-1], other).returncode == 3, argv
+        return
+    if out.returncode == 2:
+        lines = out.stderr.splitlines()
+        assert out.stdout == "" and lines[0].startswith("usage: "), (argv, out)
+        assert ": error: " in lines[-1], (argv, out)
+        return
+    # direct-mc samples all take one value where the integrand is constant:
+    # 1 at H = 1, and 0 in floats at H = 1e308, where L(P; H) underflows too
+    constant = "direct-mc" in argv and float(argv[argv.index("--H") + 1]) in (1, 1e308)
+    if argv[-1] == "csv":
+        rows = list(csv.reader(io.StringIO(out.stdout)))
+        assert rows[0] == ["word", "coefficient", "method", "stderr"], (argv, out)
+        for _word, value, _method, stderr in rows[1:]:
+            float(value)
+            assert stderr == "" or float(stderr) > 0 or constant, (argv, out)
+        return
+    if argv[-1] == "text":
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("version: "), (argv, out)
+        assert all(line.split(": ", 1)[0].isidentifier() for line in lines), (argv, out)
+        return
+    payload = json.loads(out.stdout)
+    _validate(payload, _latest_schemas())
+    config = payload["config"]
+    if "method" in config:  # every route option echoed passed the route rules
+        quadrature.check_route_args(config["H"], **{
+            key: config[key] for key in ("samples", "seed", "tol", "workers")})
+    results = ([payload["result"]] if "result" in payload
+               else payload.get("table", {}).get("entries", []))
+    for r in results:
+        if "stderr" in r:
+            assert r["stderr"] > 0 or constant, (argv, r)
+        else:
+            # an exact zero, or a tol that leaves a correct digit
+            assert 0 <= r["tol"] < abs(r["value"]) or r["tol"] == r["value"] == 0, (argv, r)
 
 
 # commands that build no array: they run without numpy and the blowup chart
@@ -611,6 +724,16 @@ def test_bad_tolerance_exit_3(tol):
     out = run_cli("eval", "--pairs", "1-4,2-5,3-6", "--H", "0.8", "--tol", tol, timeout=10)
     assert out.returncode == 3, out.stderr
     assert "tolerance must be a nonnegative number" in out.stderr
+
+
+@pytest.mark.parametrize("method", ["direct-mc", "pullback-mc", "closed-form"])
+@pytest.mark.parametrize("tol", ["inf", "-1"])
+def test_unread_tolerance_exit_3(method, tol):
+    # the payload echoes --tol for every method, so every method checks it
+    out = invoke("eval", "--pairs", "1-2", "--H", "0.8", "--method", method,
+                 "--samples", "100", "--tol", tol)
+    assert out.returncode == 3, out.stdout
+    assert out.stderr.startswith("error: tolerance must be a nonnegative number")
 
 
 @pytest.mark.parametrize("args", [

@@ -134,8 +134,11 @@ def test_vanishing_word_with_a_callable_is_exact_zero():
     def never(*args, **kwargs):
         raise AssertionError("called")
 
-    r = mean_iterated_integral(Word([1, 2]), 0.8, evaluator=never, tol=-1.0)
+    r = mean_iterated_integral(Word([1, 2]), 0.8, evaluator=never, tol=1e-3)
     assert r.value == 0.0 and r.extra["exact_zero"] is True
+    # the rule keywords given to a callable are checked like a route's
+    with pytest.raises(DomainError, match="tolerance must be a nonnegative number"):
+        mean_iterated_integral(Word([1, 2]), 0.8, evaluator=never, tol=-1.0)
 
 
 @pytest.mark.parametrize("h", [1.5, 2.0, 1e308])
@@ -159,9 +162,8 @@ def test_word_layer_refuses_h_above_one(h, monkeypatch):
 
 def test_large_crossing_component_refused_before_any_matching(monkeypatch):
     # the first refining matching of this word has a 5-pair crossing
-    # component, its second (1-3,2-5,...) a 6-pair one: the word, and the
-    # tables whose first class 1^12 or 1^14 has such a matching, are
-    # refused before the route evaluates any matching
+    # component, its second (1-3,2-5,...) a 6-pair one: the word is refused
+    # before the route evaluates any matching
     def never(*args, **kwargs):
         raise AssertionError("the route was called")
 
@@ -170,13 +172,17 @@ def test_large_crossing_component_refused_before_any_matching(monkeypatch):
     first, second = enumerate_refining(word)[:2]
     assert [count for _, count, _ in factorize(first)[3]] == [5]
     assert [count for _, count, _ in factorize(second)[3]] == [6]
-    for call in (lambda: mean_iterated_integral(word, 0.8),
-                 lambda: gamma_table(6, 1, 0.8)):
-        with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 1-3,2-5,"):
-            call()
-    # 2^14 words in 8,192 classes: refused within the first class, which
-    # holds all 13!! = 135,135 matchings of 14 points
-    with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 3-5,4-7,"):
+    with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 1-3,2-5,"):
+        mean_iterated_integral(word, 0.8)
+    # a table is refused on the chain 1-3,2-5,4-7,... of its first class
+    # 1^2k before any matching is enumerated: 2^14 words, whose first class
+    # holds all 13!! = 135,135 matchings of 14 points, included
+    monkeypatch.setattr(signature, "enumerate_refining", never)
+    with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 1-3,2-5,4-7,6-9,"
+                                        "8-11,10-12$"):
+        gamma_table(6, 1, 0.8)
+    with pytest.raises(SizeError, match="at most 5 pairs; crossing pairs 1-3,2-5,4-7,6-9,"
+                                        "8-11,10-13,12-14$"):
         gamma_table(7, 2, 0.8)
 
 
@@ -364,14 +370,30 @@ def test_named_stochastic_route_derives_seeds_without_a_seed(monkeypatch):
     # each of the three matchings of 1^4 runs on its own stream
     seen = []
 
-    def spy(p, h, **kw):
-        seen.append(kw["seed"])
-        return l_direct_mc(p, h, **kw)
+    def spy(p, h, *, samples=quadrature.DEFAULT_SAMPLES, seed=DEFAULT_SEED, workers=1):
+        seen.append(seed)
+        return l_direct_mc(p, h, samples=samples, seed=seed, workers=workers)
 
     monkeypatch.setitem(quadrature.ROUTES, "direct-mc", spy)
     spied = mean_iterated_integral(word, 0.8, evaluator="direct-mc", samples=2000)
     assert len(seen) == 3 and len(set(seen)) == 3
     assert spied.value.hex() == r.value.hex()
+
+
+@pytest.mark.parametrize("evaluator, option", [
+    ("adaptive", "seed"), ("closed-form", "tol"), ("direct-mc", "tol"),
+    ("pullback-mc", "tol"), ("direct-mc", "chart"),
+])
+def test_named_route_refuses_an_option_it_does_not_take(evaluator, option, monkeypatch):
+    # a route's keyword-only parameters are its options; anything else is a
+    # DomainError naming the route, before any matching is enumerated
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(signature, "enumerate_refining", never)
+    for word in (Word([1, 1]), Word([1, 2])):
+        with pytest.raises(DomainError, match=f"route '{evaluator}' takes no option {option};"):
+            mean_iterated_integral(word, 0.8, evaluator=evaluator, **{option: 5})
 
 
 def test_unknown_evaluator_name():
