@@ -195,6 +195,70 @@ def subset_scan(partition: PairPartition) -> dict[tuple[int, int], int]:
     return least
 
 
+def suffix_reach(partition: PairPartition) -> dict[tuple[int, int], int]:
+    """(|S|, 2[S|P]) -> least bitmask, by a suffix-order DP that compares masks.
+
+    reach[p] maps the key size * (n+1) + weight to the least mask over
+    families of pairwise nonadjacent intervals inside [p, n], the empty
+    family included.  A family either skips p or starts with an interval
+    [p, b] followed by a family inside [b+2, n]; the interval's bits lie
+    below the tail's, so the least mask of such a family is the interval's
+    mask plus the least tail mask.  O(n^2) dict merges, each compare-and-keep.
+    """
+    n = partition.size
+    # weight[a][b] = 2[[a, b]|P] = 2 * #{pair intervals inside [a, b]}
+    weight = [[0] * (n + 1) for _ in range(n + 1)]
+    for iv in partition.interval_image:
+        weight[iv.lo][iv.hi] += 2
+    for a in range(n - 1, 0, -1):
+        row, inner = weight[a], weight[a + 1]
+        for b in range(a + 1, n + 1):
+            row[b] += row[b - 1] + inner[b] - inner[b - 1]
+    base = n + 1
+    above = 1 << n  # exceeds every mask
+    reach = [{0: 0}] * (n + 3)
+    for p in range(n, 0, -1):
+        here = dict(reach[p + 1])
+        get, row = here.get, weight[p]
+        for b in range(p, n + 1):
+            size = b - p + 1
+            head = size * base + row[b]
+            ivmask = ((1 << size) - 1) << (p - 1)
+            for key, mask in reach[b + 2].items():
+                key += head
+                mask |= ivmask
+                if mask < get(key, above):
+                    here[key] = mask
+        reach[p] = here
+    realized = {}
+    for key, mask in reach[1].items():
+        size, w = divmod(key, base)
+        if w:
+            realized[size, w] = mask
+    return realized
+
+
+def test_enumerator_matches_suffix_reference_past_the_subset_scan():
+    # least-mask witnesses past 2k = 16, where the subset scan cannot go:
+    # seeded random matchings up to the 128-position bound, and the three
+    # extreme shapes at 128
+    rng = random.Random(28)
+    partitions = []
+    for size, count in ((24, 4), (32, 3), (48, 2), (64, 2), (128, 1)):
+        for _ in range(count):
+            perm = list(range(1, size + 1))
+            rng.shuffle(perm)
+            partitions.append(PairPartition(zip(perm[::2], perm[1::2])))
+    partitions += [
+        adjacent_partition(64),
+        PairPartition([(i, 129 - i) for i in range(1, 65)]),  # fully nested
+        PairPartition([(i, i + 64) for i in range(1, 65)]),  # fully crossing
+    ]
+    for p in partitions:
+        # key for key and mask for mask
+        assert poles._realized(p) == suffix_reach(p), format_pairs(p)
+
+
 matchings = st.integers(min_value=1, max_value=8).flatmap(
     lambda k: st.permutations(range(1, 2 * k + 1))
 ).map(lambda perm: PairPartition(zip(perm[::2], perm[1::2])))
