@@ -104,8 +104,9 @@ class EvalResult:
     """A numeric value with method tag and its uncertainty bookkeeping.
 
     Stochastic methods carry ``stderr``, ``samples`` and ``seed``;
-    deterministic methods carry ``tol`` and ``cells``.  A value or stderr
-    that is not finite raises NumericError.
+    deterministic methods carry ``tol`` and ``cells``.  The result rule: a
+    value that is not finite, or whose error (``stderr`` or ``tol``) is not
+    below |value|, raises NumericError, unless ``extra["exact_zero"]`` marks 0 ± 0.
     """
 
     value: float
@@ -128,9 +129,15 @@ class EvalResult:
                 raise DomainError(f"{self.method} results need a tolerance")
         else:
             raise DomainError(f"unknown method {self.method!r}")
-        if not (math.isfinite(self.value) and math.isfinite(self.stderr or 0.0)):
-            raise NumericError(f"{self.method} gave a non-finite result",
-                               value=self.value, stderr=self.stderr)
+        # L(P; H) > 0 for H > 1/2, and a word's value is a positive prefactor
+        # times a sum of them: an error of at least |value| leaves no digit
+        name = "stderr" if self.method in STOCHASTIC_METHODS else "tol"
+        error = getattr(self, name)
+        if not (0 <= error < abs(self.value) < math.inf
+                or self.extra.get("exact_zero") and self.value == error == 0):
+            raise NumericError(f"no correct digit at H={self.h}: {self.method} gave "
+                               f"{self.value:.6g} with {name} {error:.3g}",
+                               best=self.value, **{name: error})
 
     def to_json_dict(self) -> dict:
         out: dict = {"value": _json_value(self.value), "method": self.method}
@@ -416,7 +423,8 @@ def l_pullback_mc(
     below the coordinate scale keep full relative accuracy.  The integrand
     at the accepted points is ``BlowupChart.log_pullback_batch`` with
     exponent 2H - 2 on the interval image, the method that the pullback
-    identity check (criterion 6) covers.  No accepted proposal is a NumericError.
+    identity check (criterion 6) covers.  A pilot without finite mass raises
+    NumericError; no accepted proposal gives 0 ± 0, which ``EvalResult`` refuses.
     """
     check_route_args(h, samples=samples, seed=seed, workers=workers)
     import numpy as np
@@ -438,6 +446,8 @@ def l_pullback_mc(
     for iv in partition.interval_image:
         lam[iv.mask - 1] += 2 * h - 2
 
+    # 2H - 2 near the float limit overflows the log integrand; refused below
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(
         xi: np.ndarray, perms: np.ndarray, log_q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +493,7 @@ def l_pullback_mc(
 
     pilot_n = max(min(samples // 4, 100_000), 4_096)
     pxi, pvals = pilot(pilot_n)
-    if len(pxi) == 0 or pvals.sum() <= 0:
+    if not 0 < pvals.sum() < math.inf:  # no rows, all zero, or NaN
         raise NumericError(
             "pilot sampling found no mass in the pulled-back region",
             pilot=pilot_n,
@@ -526,8 +536,6 @@ def l_pullback_mc(
             accepted += int(_mask.sum())
             total += vals.sum()
             total_sq += (vals * vals).sum()
-    if not accepted:  # a zero mean with a zero stderr would claim an exact 0
-        raise NumericError(f"pullback sampling accepted none of {samples} samples")
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return EvalResult(
@@ -718,10 +726,6 @@ def _factored(partition: PairPartition, h: float, method: str, tol: float) -> Ev
         raise NumericError("quadrature tolerance not reached within the level budget",
                            best=values[-1] if values else None, tol=tol, levels=levels)
     reported = max(change, rounding)
-    # L > 0 for every H > 1/2, so a tol of at least |L| leaves no correct digit
-    if reported >= abs(value):
-        raise NumericError(f"no correct digit at H={h}: value {value:.6g}, "
-                           f"tol {reported:.3g} >= |value|", best=value, tol=reported)
     extra = {"factor_tree": tree}
     if method == "adaptive":
         extra.update(levels=levels[: len(values)], level_values=values)
@@ -755,10 +759,9 @@ def l_adaptive(partition: PairPartition, h: float, *, tol: float = DEFAULT_TOL) 
     evaluation per level, and ``cells`` and ``extra["grid_dims"]`` count
     each distinct grid once; ``extra`` also holds the term count of each
     component.  ``check_route_args`` and ``check_matchings`` refuse before
-    any work; an exhausted level budget raises with the best value.
-    L > 0 for every H > 1/2, so a reported tol of at least |L| (close to
-    H = 1/2, where the terms cancel) raises NumericError carrying the value
-    and that tol.
+    any work; an exhausted level budget raises with the best value.  A
+    reported tol of at least |L| (close to H = 1/2, where the terms cancel)
+    breaks the result rule of ``EvalResult``, which raises NumericError.
     """
     return _factored(partition, h, "adaptive", tol)
 
@@ -863,7 +866,7 @@ def wick_grid_oracle(
     refining = enumerate_refining(word)
     if not refining:
         return EvalResult(value=0.0, method="wick-grid", tol=0.0, cells=0, h=h,
-                          extra={"refining_partitions": 0})
+                          extra={"refining_partitions": 0, "exact_zero": True})
     entries = (2 * m) ** max(2, _most_open(word))
     if entries > _WICK_MAX_ENTRIES:
         raise SizeError(f"Wick grid oracle would build arrays of {entries} entries, "

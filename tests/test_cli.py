@@ -18,7 +18,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigpole import cli, quadrature, verify
@@ -253,10 +253,32 @@ def test_eval_wide_crossing_component_exit_3():
     ("eval", "--pairs", "1-2,3-4", "--H", "1e306", "--method", "closed-form"),
     ("mean-sig", "--word", "1,1,1,2", "--H", "inf", "--output", "text"),
     ("mean-sig", "--word", "1,1,1,2", "--H", "1e308"),
+    # L(1-2; H) = 1 / (2H(2H - 1)) underflows, and no route has a digit of it
+    ("eval", "--pairs", "1-2", "--H", "1e308", "--method", "adaptive"),
+    ("eval", "--pairs", "1-2", "--H", "1e308", "--method", "direct-mc"),
+    ("eval", "--pairs", "1-2", "--H", "1e308", "--method", "pullback-mc"),
+    # every direct-mc sample underflows to 0, which is no exact zero
+    ("eval", "--pairs", "1-2", "--H", "1e7", "--method", "direct-mc"),
+    ("eval", "--pairs", "1-2", "--H", "1e5", "--method", "direct-mc", "--samples", "1000"),
 ])
 def test_non_finite_result_exit_3(args):
     out = invoke(*args)
     assert out.returncode == 3, out.stdout
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert not out.stdout
+
+
+def test_exact_zeros_stay_exact():
+    # the one exception to the result rule: 0 with error 0, marked exact_zero
+    out = invoke("mean-sig", "--word", "1,2", "--H", "0.8", "--method", "direct-mc")
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)["result"]
+    assert result["value"] == result["tol"] == 0 and result["extra"]["exact_zero"] is True
+    out = invoke("gamma-table", "--k", "1", "--d", "3", "--H", "0.8", "--output", "csv")
+    assert out.returncode == 0, out.stderr
+    zeros = [row for row in list(csv.reader(io.StringIO(out.stdout)))[1:]
+             if float(row[1]) == 0]
+    assert len(zeros) == 6 and all(stderr == "" for *_, stderr in zeros)
 
 
 @pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
@@ -595,6 +617,9 @@ def cli_argv(draw) -> list[str]:
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(cli_argv())
+# an exponent near the float limit, whose numpy warnings must not escape
+@example(["eval", "--pairs", "1-2", "--H", "1e308", "--method", "pullback-mc",
+          "--samples", "2", "--output", "json"])
 def test_cli_contract(argv):
     # every input gives a result or a typed refusal with its exit code; an
     # exception other than SystemExit leaves invoke and fails the test
@@ -613,15 +638,18 @@ def test_cli_contract(argv):
         assert out.stdout == "" and lines[0].startswith("usage: "), (argv, out)
         assert ": error: " in lines[-1], (argv, out)
         return
-    # direct-mc samples all take one value where the integrand is constant:
-    # 1 at H = 1, and 0 in floats at H = 1e308, where L(P; H) underflows too
-    constant = "direct-mc" in argv and float(argv[argv.index("--H") + 1]) in (1, 1e308)
+    # the result rule of EvalResult: an error below |value|, or an exact
+    # zero; a stochastic error is 0 only for direct-mc at H = 1, where every
+    # sample is 1
+    constant = "direct-mc" in argv and float(argv[argv.index("--H") + 1]) == 1
     if argv[-1] == "csv":
         rows = list(csv.reader(io.StringIO(out.stdout)))
         assert rows[0] == ["word", "coefficient", "method", "stderr"], (argv, out)
         for _word, value, _method, stderr in rows[1:]:
             float(value)
-            assert stderr == "" or float(stderr) > 0 or constant, (argv, out)
+            if stderr:  # a stochastic row; a deterministic one has no error cell
+                assert 0 <= float(stderr) < abs(float(value)), (argv, out)
+                assert float(stderr) > 0 or constant, (argv, out)
         return
     if argv[-1] == "text":
         lines = out.stdout.splitlines()
@@ -637,11 +665,10 @@ def test_cli_contract(argv):
     results = ([payload["result"]] if "result" in payload
                else payload.get("table", {}).get("entries", []))
     for r in results:
-        if "stderr" in r:
-            assert r["stderr"] > 0 or constant, (argv, r)
-        else:
-            # an exact zero, or a tol that leaves a correct digit
-            assert 0 <= r["tol"] < abs(r["value"]) or r["tol"] == r["value"] == 0, (argv, r)
+        error = r["stderr"] if "stderr" in r else r["tol"]
+        assert 0 <= error < abs(r["value"]) or (
+            r.get("extra", {}).get("exact_zero") and error == r["value"] == 0), (argv, r)
+        assert "stderr" not in r or error > 0 or constant, (argv, r)
 
 
 # commands that build no array: they run without numpy and the blowup chart

@@ -524,7 +524,7 @@ def test_thread_count_fallbacks(monkeypatch):
 
 def test_pullback_without_an_accepted_proposal_raises():
     # its mean and stderr would both be 0, a claim of an exact 0
-    with pytest.raises(NumericError, match="accepted none of 2 samples"):
+    with pytest.raises(NumericError, match="no correct digit"):
         l_pullback_mc(PAIR, 0.8, samples=2, seed=3)
 
 
@@ -834,6 +834,34 @@ def test_eval_result_validation():
     assert d["tol"] == 1e-8 and "stderr" not in d
     with pytest.raises(NumericError):
         EvalResult(value=np.float64(np.nan), method="adaptive", tol=0.0)
+
+
+@pytest.mark.parametrize("value, errors", [
+    (0.0, {"stderr": 0.0, "samples": 2}),  # every sample 0: no exact zero
+    (0.5, {"tol": 0.5}),
+    (-0.5, {"tol": 0.75}),
+    (math.inf, {"tol": 0.0}),
+    (0.5, {"stderr": math.nan, "samples": 2}),
+    (0.5, {"tol": -0.1}),
+])
+def test_eval_result_without_a_correct_digit_raises(value, errors):
+    method = "direct-mc" if "stderr" in errors else "adaptive"
+    with pytest.raises(NumericError, match="no correct digit at H=0.8") as exc:
+        EvalResult(value=value, method=method, h=0.8, **errors)
+    name = "stderr" if "stderr" in errors else "tol"
+    assert exc.value.diagnostics == {"best": value, name: errors[name]}
+
+
+def test_eval_result_exact_zero():
+    # the one exception to the result rule: 0 with error 0, marked
+    EvalResult(value=0.0, method="adaptive", tol=0.0, h=0.8, extra={"exact_zero": True})
+    with pytest.raises(NumericError):
+        EvalResult(value=0.0, method="adaptive", tol=1e-3, h=0.8, extra={"exact_zero": True})
+
+
+def test_oracle_exact_zero_is_marked():
+    r = wick_grid_oracle(Word([1, 2, 2, 3]), 0.8)
+    assert r.value == r.tol == 0 and r.extra["exact_zero"] is True
 
 
 def test_to_json_dict_numpy_scalars_and_bools():
