@@ -259,6 +259,7 @@ def check_route_args(h: float, *, tol: float = DEFAULT_TOL,
     """Every argument rule of the numeric routes, stated once for every
     method and run first by the routes, the Wick oracle, the word layer and
     the CLI: a finite H > 1/2, where L(P; H) converges; 0 <= tol < inf;
+    integer samples, seed and workers (``numbers.Integral``, not bool);
     2 <= samples <= ``MAX_SAMPLES`` = 2^28 (one sample has no error
     estimate) and 1 <= workers <= samples, both SizeError; a nonnegative
     seed.  The rest raise DomainError, and the CLI exits 3 on either.  A
@@ -271,6 +272,9 @@ def check_route_args(h: float, *, tol: float = DEFAULT_TOL,
         )
     if not 0 <= tol < math.inf:  # NaN fails too
         raise DomainError(f"tolerance must be a nonnegative number below inf, got tol={tol}")
+    for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {name}={value!r}")
     if not 2 <= samples <= MAX_SAMPLES:
         raise SizeError(f"{samples} samples refused: need 2 to {MAX_SAMPLES} per call")
     if not 1 <= workers <= samples:

@@ -6,6 +6,10 @@ gate: its sizes, seeds and tolerances are the ones the acceptance tests in
 ``tests/test_acceptance.py`` run.  ``quick`` trims sizes for a fast pass.
 The blowup checks import ``blowup`` and the array checks numpy where they
 run, so the combinatorics and poles suites load neither.
+
+``Exact`` is the one table of exact values: every check here and every test
+that compares a route, the word layer, a gamma table or the Wick oracle
+with a closed form reads it, as the tests read ``DIAGRAM_ROWS``.
 """
 from __future__ import annotations
 
@@ -37,9 +41,9 @@ from .quadrature import (
     l_pullback_mc,
     wick_grid_oracle,
 )
-from .signature import mean_iterated_integral
+from .signature import DEFAULT_MODE, mean_iterated_integral
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
+__all__ = ["CheckResult", "Exact", "SUITES", "run_suite", "available_suites"]
 
 # The 18-position bracketing of the five worked diagrams, the golden table
 # that the tests import: (set S, 2[S|P], offset, step) per diagram.
@@ -61,6 +65,49 @@ REFINEMENT_DIAGRAMS = {
     "1-9,2-4,3-7,5-6,8-10": True,
     "1-9,2-7,3-4,5-6,8-10": False,
 }
+
+
+class Exact:
+    """The table of exact values that every check here and every test
+    compares with, in pure ``math``: it shares no code with ``gammaterms``
+    or the routes.  One test checks each entry against independent oracles
+    (sympy, scipy, mpmath and a count of matchings).
+    ``perfbench/references.py`` keeps its own copy on purpose, because the
+    benchmark checks the package from outside.
+    """
+
+    @staticmethod
+    def adjacent(k: int, h: float) -> float:
+        """L(P; H) of the all-adjacent P = 1-2,3-4,...: G(2H-1)^k / G(2kH+1).
+        k = 1 gives the pair value 1 / (2H (2H-1)).  At H = 1 the integrand
+        of every matching is 1, so each of the k-pair matchings has this
+        value there, 1/(2k)!, the volume of the simplex."""
+        return math.gamma(2 * h - 1) ** k / math.gamma(2 * k * h + 1)
+
+    @staticmethod
+    def k2(pairs: str, h: float) -> float:
+        """The three k = 2 matchings: L = J / ((4H-1) 4H), with a = 2H - 2 and
+        J = G(a+1)^2 / G(2a+3) (1-2,3-4), 1 / ((a+1)(a+2)) (1-4,2-3) or
+        (1 / (a+1)) (1 / (a+1) - B(a+2, a+1)) (1-3,2-4)."""
+        a = 2 * h - 2
+        lg = math.lgamma
+        if pairs == "1-2,3-4":
+            j = math.exp(2 * lg(a + 1) - lg(2 * a + 3))
+        elif pairs == "1-4,2-3":
+            j = 1 / ((a + 1) * (a + 2))
+        elif pairs == "1-3,2-4":
+            beta = math.exp(lg(a + 2) + lg(a + 1) - lg(2 * a + 3))
+            j = (1 / (a + 1)) * (1 / (a + 1) - beta)
+        else:
+            raise KeyError(f"no k = 2 form for {pairs!r}")
+        return j / ((4 * h - 1) * 4 * h)
+
+    @staticmethod
+    def moment(k: int, mode: str = DEFAULT_MODE) -> Fraction:
+        """Mean iterated integral of the word 1^2k at every H: the Gaussian
+        moment E[X^2k] / (2k)! = 1 / (2^k k!); ``paper-406`` divides by k!."""
+        value = Fraction(1, 2**k * math.factorial(k))
+        return value / math.factorial(k) if mode == "paper-406" else value
 
 
 @dataclass(frozen=True)
@@ -236,8 +283,7 @@ def _check_jacobian_identity(quick: bool):
     rng = np.random.default_rng(9)
     for n in (2, 3, 4):
         chart = BlowupChart(n)
-        base = chart.q(n) / n + 1.0
-        pts = base + rng.random((20 if quick else 100, n)) * 5.0
+        pts = chart.interior_seed() + rng.random((20 if quick else 100, n)) * 5.0
         det_direct = np.array([chart.det_jacobian(list(p)) for p in pts])
         fvals = chart.f_batch(pts)
         sizes = chart.sizes
@@ -364,7 +410,7 @@ def _check_pullback_identity(quick: bool):
 def _check_k1_exact(quick: bool):
     p = PairPartition([(1, 2)])
     for h in (0.6, 0.75, 0.9):
-        exact = 1.0 / (2 * h * (2 * h - 1))
+        exact = Exact.adjacent(1, h)
         r = l_adaptive(p, h, tol=1e-9)
         if abs(r.value - exact) > 1e-8 * exact:
             return False, f"adaptive off at H={h}: {r.value} vs {exact}"
@@ -372,18 +418,24 @@ def _check_k1_exact(quick: bool):
 
 
 def _check_unit_integrand(quick: bool):
-    for pairs, expect in (([(1, 2)], 0.5), ([(1, 3), (2, 4)], 1 / 24)):
-        r = l_adaptive(PairPartition(pairs), 1.0, tol=1e-9)
-        if abs(r.value - expect) > 1e-9:
-            return False, f"volume wrong for {pairs}"
-    return True, "simplex volumes at H=1"
+    # the two matchings of 2k >= 6 leave crossing terms on grids, the only
+    # grids the release gate evaluates
+    for spec in ("1-2", "1-3,2-4", "1-4,2-5,3-6", "1-3,2-6,4-7,5-8"):
+        p = parse_pairs(spec)
+        r = l_adaptive(p, 1.0, tol=1e-10)
+        volume = Exact.adjacent(p.k, 1.0)
+        if abs(r.value - volume) > 1e-12 * volume:
+            return False, f"volume wrong for {spec}: {r.value}"
+        if p.k >= 3 and not r.extra["grid_dims"]:
+            return False, f"no grid evaluated for {spec}"
+    return True, "simplex volumes at H=1 to 1e-12 relative, two on grids"
 
 
 def _check_dirichlet_consistency(quick: bool):
     p = PairPartition([(1, 2), (3, 4)])
     hs = (0.75,) if quick else (0.75, 0.9)
     for h in hs:
-        exact = math.gamma(2 * h - 1) ** 2 / math.gamma(4 * h + 1)
+        exact = Exact.adjacent(2, h)
         r = l_adaptive(p, h, tol=1e-6)
         if abs(r.value - exact) > 1e-6 * exact:
             return False, f"adaptive vs closed form off at H={h}"
@@ -410,10 +462,10 @@ def _check_pullback_consistency(quick: bool):
 def _check_wick_limits(quick: bool):
     m = 32 if quick else 64
     r = wick_grid_oracle(Word([1, 1]), 0.75, m=m)
-    if abs(r.value - 0.5) > 1e-4:
+    if abs(r.value - Exact.moment(1)) > 1e-4:
         return False, f"second moment off: {r.value}"
     r = wick_grid_oracle(Word([1, 1, 1, 1]), 1.0, m=m)
-    if abs(r.value - 0.125) > 1e-3:
+    if abs(r.value - Exact.moment(2)) > 1e-3:
         return False, f"fourth moment off: {r.value}"
     if wick_grid_oracle(Word([1, 2, 2, 3]), 0.8).value != 0.0:
         return False, "odd multiplicities must give exact zero"
@@ -447,7 +499,7 @@ def _check_reflection_symmetry(quick: bool):
 def _check_mean_k1(quick: bool):
     for h in (0.6, 0.9):
         r = mean_iterated_integral(Word([3, 3]), h)
-        if abs(r.value - 0.5) > 1e-8:
+        if abs(r.value - Exact.moment(1)) > 1e-8:
             return False, f"repeated-letter word off at H={h}"
     return True, "exactly 1/2 for all H"
 
@@ -457,15 +509,16 @@ def _check_normalization(quick: bool):
     r405 = mean_iterated_integral(w, 1.0, mode="eq405-consistent", tol=1e-9)
     r406 = mean_iterated_integral(w, 1.0, mode="paper-406", tol=1e-9)
     oracle = wick_grid_oracle(w, 1.0, m=32 if quick else 64)
-    if abs(r405.extra["partition_sum"] - 3 / 24) > 1e-8:
+    # at H = 1 the eq405 prefactor is 1, so the partition sum is the moment
+    if abs(r405.extra["partition_sum"] - Exact.moment(2)) > 1e-9:
         return False, f"partition sum {r405.extra['partition_sum']}"
-    if abs(r405.value - 0.125) > 1e-8:
+    if abs(r405.value - Exact.moment(2)) > 1e-8:
         return False, f"default mode value {r405.value}"
-    if abs(r406.value - 0.0625) > 1e-8:
+    if abs(r406.value - Exact.moment(2, "paper-406")) > 1e-8:
         return False, f"printed-form mode value {r406.value}"
-    if "normalization_note" not in r406.extra:
-        return False, "printed-form mode does not flag the k! discrepancy"
-    if abs(oracle.value - 0.125) > 1e-3:
+    if any("normalization_note" not in r.extra for r in (r405, r406)):
+        return False, "a mode does not flag the k! discrepancy"
+    if abs(oracle.value - Exact.moment(2)) > 1e-3:
         return False, f"oracle {oracle.value} disagrees with the 1/8 default mode"
     return True, "Gaussian moment selects the default mode"
 

@@ -26,8 +26,7 @@ from sigpole.quadrature import l_pullback_mc
 
 def omega_samples(chart: BlowupChart, count: int, seed: int = 77) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    base = chart.q(chart.n) / chart.n + 1.0
-    return base + rng.random((count, chart.n)) * 4.0
+    return chart.interior_seed() + rng.random((count, chart.n)) * 4.0
 
 
 def log_integrand(chart: BlowupChart, ys, lam=None) -> np.ndarray:
@@ -99,7 +98,8 @@ def test_witness_examples():
     assert w == (Fraction(3), Fraction(6))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# n <= 3 is verify's blowup.witness-flags check
+@pytest.mark.parametrize("n", [4])
 def test_witness_vanishing_sets_exhaustive(n):
     chart = BlowupChart(n)
     for flags in all_monotone_lists(n):
@@ -179,18 +179,6 @@ def test_pullback_r_matches_exact(n):
 def test_r_exact_size_guard():
     with pytest.raises(SizeError):
         BlowupChart(5).r_exact([20.0] * 5)
-
-
-def test_det_jacobian_factorization():
-    # det dF = prod f^(|S|-1) * R wherever defined
-    for n in (2, 3, 4):
-        chart = BlowupChart(n)
-        ys = omega_samples(chart, 40)
-        f = chart.f_batch(ys)
-        prods = (f ** (chart.sizes - 1)[None, :]).prod(axis=1)
-        for y, pr in zip(ys, prods):
-            det = chart.det_jacobian(list(y))
-            assert abs(det - pr * chart.r_exact(list(y))) <= 1e-9 * abs(det)
 
 
 def test_boundary_positivity_exact():

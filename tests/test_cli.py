@@ -155,7 +155,7 @@ def test_eval_adaptive_pair():
     out = run_cli("eval", "--pairs", "1-2", "--H", "0.75", "--method", "adaptive")
     assert out.returncode == 0
     payload = json.loads(out.stdout)
-    assert abs(payload["result"]["value"] - 4 / 3) < 1e-7
+    assert abs(payload["result"]["value"] - verify.Exact.adjacent(1, 0.75)) < 1e-7
     assert payload["provenance"] == "deterministic"
 
 
@@ -165,16 +165,13 @@ def test_eval_unit_integrand():
         "--tol", "1e-9",
     )
     payload = json.loads(out.stdout)
-    assert abs(payload["result"]["value"] - 1 / 24) < 1e-9
+    assert abs(payload["result"]["value"] - verify.Exact.adjacent(2, 1.0)) < 1e-9
 
 
 def test_eval_closed_form():
-    from scipy.special import gamma
-
     out = run_cli("eval", "--pairs", "1-2,3-4", "--H", "0.8", "--method", "closed-form")
     payload = json.loads(out.stdout)
-    expected = float(gamma(0.6) ** 2 / gamma(4.2))
-    assert abs(payload["result"]["value"] - expected) < 1e-12
+    assert abs(payload["result"]["value"] - verify.Exact.adjacent(2, 0.8)) < 1e-12
 
 
 def test_eval_domain_error_exit_3():
@@ -359,7 +356,7 @@ def test_unused_negative_seed_exit_3():
 def test_mean_sig_pair_word():
     out = run_cli("mean-sig", "--word", "1,1", "--H", "0.9")
     payload = json.loads(out.stdout)
-    assert abs(payload["result"]["value"] - 0.5) < 1e-7
+    assert abs(payload["result"]["value"] - verify.Exact.moment(1)) < 1e-7
     assert payload["mode"] == "eq405-consistent"
 
 
@@ -392,7 +389,8 @@ def test_gamma_table_json_and_csv():
     payload = json.loads(out.stdout)
     entries = payload["table"]["entries"]
     values = {e["word"]: e["value"] for e in entries}
-    assert abs(values["1,1"] - 0.5) < 1e-8 and abs(values["2,2"] - 0.5) < 1e-8
+    half = verify.Exact.moment(1)
+    assert abs(values["1,1"] - half) < 1e-8 and abs(values["2,2"] - half) < 1e-8
     assert values["1,2"] == 0.0 and values["2,1"] == 0.0
     assert payload["table"]["mode"] == "eq405-consistent"
     out_csv = run_cli("gamma-table", "--k", "1", "--d", "2", "--H", "0.75",

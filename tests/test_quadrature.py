@@ -12,13 +12,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
 
 from sigpole import quadrature
 from sigpole.blowup import BlowupChart
 from sigpole.errors import DimensionError, DomainError, NumericError, SizeError
 from sigpole.gammaterms import crossing_terms, factorize, gamma_ratio_poles
-from sigpole.pairings import PairPartition, Word, all_pair_partitions, parse_pairs
+from sigpole.pairings import (
+    PairPartition,
+    Word,
+    all_pair_partitions,
+    double_factorial,
+    format_pairs,
+    parse_pairs,
+)
 from sigpole.quadrature import (
     DEFAULT_SEED,
     EvalResult,
@@ -33,6 +39,7 @@ from sigpole.quadrature import (
     wick_grid_oracle,
     worker_seeds,
 )
+from sigpole.verify import Exact
 
 PAIR = PairPartition([(1, 2)])
 ADJ2 = PairPartition([(1, 2), (3, 4)])
@@ -40,54 +47,11 @@ CROSS2 = PairPartition([(1, 3), (2, 4)])
 NEST2 = PairPartition([(1, 4), (2, 3)])
 
 
-def pair_exact(h: float) -> float:
-    """Independent symbolic oracle for the single-pair integral."""
-    import sympy
-
-    s1, s2, hh = sympy.symbols("s1 s2 h", positive=True)
-    inner = sympy.integrate((s2 - s1) ** (2 * hh - 2), (s1, 0, s2))
-    outer = sympy.integrate(inner, (s2, 0, 1))
-    return float(sympy.simplify(outer).subs(hh, sympy.Rational(h).limit_denominator()))
-
-
-def test_symbolic_oracle_matches_closed_form():
-    for h in (0.6, 0.75, 0.9):
-        assert pair_exact(h) == pytest.approx(1 / (2 * h * (2 * h - 1)), rel=1e-12)
-
-
-@pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
-def test_adaptive_pair_against_oracle(h):
-    r = l_adaptive(PAIR, h, tol=1e-9)
-    assert r.method == "adaptive"
-    assert abs(r.value - pair_exact(h)) <= 1e-8 * pair_exact(h)
-
-
-def test_adaptive_unit_integrand_values():
-    assert l_adaptive(PAIR, 1.0, tol=1e-10).value == pytest.approx(0.5, abs=1e-10)
-    assert l_adaptive(CROSS2, 1.0, tol=1e-9).value == pytest.approx(1 / 24, abs=1e-9)
-
-
 def test_adaptive_matches_beta_ratio_k2():
     for h in (0.75, 0.8, 0.9):
-        exact = float(gamma_fn(2 * h - 1) ** 2 / gamma_fn(4 * h + 1))
+        exact = Exact.adjacent(2, h)
         r = l_adaptive(ADJ2, h, tol=1e-6)
         assert abs(r.value - exact) <= 1e-6 * exact
-
-
-def k2_exact(partition: PairPartition, h: float) -> float:
-    """The k=2 closed forms: L = J / ((4H - 1) 4H), with alpha = 2H - 2 and
-    J = G(a+1)^2 / G(2a+3) (adjacent), 1 / ((a+1)(a+2)) (nested) or
-    (1 / (a+1)) (1 / (a+1) - B(a+2, a+1)) (crossing)."""
-    a = 2 * h - 2
-    lg = math.lgamma
-    if partition == ADJ2:
-        j = math.exp(2 * lg(a + 1) - lg(2 * a + 3))
-    elif partition == NEST2:
-        j = 1 / ((a + 1) * (a + 2))
-    else:
-        beta = math.exp(lg(a + 2) + lg(a + 1) - lg(2 * a + 3))
-        j = (1 / (a + 1)) * (1 / (a + 1) - beta)
-    return j / ((4 * h - 1) * 4 * h)
 
 
 def is_crossing(partition: PairPartition) -> bool:
@@ -102,7 +66,7 @@ def test_adaptive_k2_near_half(h):
     # all three k=2 matchings are sums of gamma products, with no grid
     for p in (ADJ2, CROSS2, NEST2):
         r = l_adaptive(p, h, tol=1e-6)
-        assert r.value == pytest.approx(k2_exact(p, h), rel=1e-6), p
+        assert r.value == pytest.approx(Exact.k2(format_pairs(p), h), rel=1e-6), p
         assert r.cells == 0, p
 
 
@@ -142,7 +106,7 @@ def test_adaptive_level_trace():
         assert values[-1] == r.value
         assert r.extra["terms"] == [terms] and r.extra["grid_dims"] == [2]
     assert l_adaptive(CROSS2, 0.8, tol=1e-6).value == pytest.approx(
-        k2_exact(CROSS2, 0.8), rel=1e-9
+        Exact.k2("1-3,2-4", 0.8), rel=1e-9
     )
     # every term of these nests: exact, crossing or not
     laminar = (CROSS2,) + REDUCIBLE6 + (parse_pairs("1-5,2-3,4-6"),)
@@ -150,7 +114,7 @@ def test_adaptive_level_trace():
         r = l_adaptive(p, 0.8, tol=1e-6)
         assert r.extra["levels"] == r.extra["level_values"] == [] and r.cells == 0
         if p.k == 2:
-            assert r.value == pytest.approx(k2_exact(p, 0.8), rel=1e-12)
+            assert r.value == pytest.approx(Exact.k2(format_pairs(p), 0.8), rel=1e-12)
     r = l_adaptive(parse_pairs("1-3,2-5,4-6"), 0.8)
     assert r.extra["terms"] == [4] and r.extra["grid_dims"] == []
     assert r.extra["cancellation"][0] == pytest.approx(42.04, rel=1e-3)
@@ -159,10 +123,10 @@ def test_adaptive_level_trace():
 @pytest.mark.parametrize("h", [0.7, 0.8, 0.9])
 def test_adaptive_reducible_crossing(h):
     # a crossing k=2 component next to, or nested beside, a single pair: the
-    # crossing J of k2_exact times the root Dirichlet ratio
+    # crossing J of the table's k=2 form times the root Dirichlet ratio
     # G(2a+3) G(a+1) / G(3a+7), a = 2H - 2
     a = 2 * h - 2
-    j = k2_exact(CROSS2, h) * (4 * h - 1) * 4 * h
+    j = Exact.k2("1-3,2-4", h) * (4 * h - 1) * 4 * h
     lg = math.lgamma
     exact = j * math.exp(lg(2 * a + 3) + lg(a + 1) - lg(3 * a + 7))
     for p in REDUCIBLE6:
@@ -326,8 +290,7 @@ def test_closed_form_adjacent():
         p = PairPartition([(2 * l - 1, 2 * l) for l in range(1, k + 1)])
         for h in (0.75, 0.9):
             r = l_closed_form(p, h)
-            exact = float(gamma_fn(2 * h - 1) ** k / gamma_fn(2 * k * h + 1))
-            assert r.value == pytest.approx(exact, rel=1e-12)
+            assert r.value == pytest.approx(Exact.adjacent(k, h), rel=1e-12)
             assert r.method == "closed-form"
 
 
@@ -367,6 +330,40 @@ def nested_gamma_exact(partition: PairPartition, h: float):
         return gap(0, partition.size + 1)
 
 
+def pair_exact(h: float) -> float:
+    """Independent symbolic oracle for the single-pair integral."""
+    import sympy
+
+    s1, s2, hh = sympy.symbols("s1 s2 h", positive=True)
+    inner = sympy.integrate((s2 - s1) ** (2 * hh - 2), (s1, 0, s2))
+    outer = sympy.integrate(inner, (s2, 0, 1))
+    return float(sympy.simplify(outer).subs(hh, sympy.Rational(h).limit_denominator()))
+
+
+def test_exact_table_against_independent_oracles():
+    # every entry of verify's table once: the pair value symbolically, the
+    # adjacent product by scipy, the k=2 forms by the 50-digit references
+    # above, and the moments of 1^2k as (2k-1)!! matchings, each of volume
+    # 1/(2k)! at H = 1, where the eq405 prefactor is 1 and paper-406's 1/k!
+    from scipy.special import gamma as gamma_fn
+
+    for h in (0.6, 0.75, 0.9):
+        assert Exact.adjacent(1, h) == pytest.approx(pair_exact(h), rel=1e-12)
+    for k, h in itertools.product((1, 2, 3), (0.501, 0.6, 0.75, 0.9, 1.0)):
+        exact = float(gamma_fn(2 * h - 1) ** k / gamma_fn(2 * k * h + 1))
+        assert Exact.adjacent(k, h) == pytest.approx(exact, rel=1e-12), (k, h)
+    for p, h in itertools.product((ADJ2, NEST2, CROSS2), (0.501, 0.51, 0.8, 0.9)):
+        ref = term_sum_exact(p, h) if is_crossing(p) else nested_gamma_exact(p, h)
+        # the crossing form cancels near H = 1/2: 9e-11 relative at 0.501
+        rel = 1e-9 if h < 0.6 else 1e-12
+        assert Exact.k2(format_pairs(p), h) == pytest.approx(float(ref), rel=rel), (p, h)
+    for k in range(1, 7):
+        volume, count = Fraction(1, math.factorial(2 * k)), double_factorial(2 * k - 1)
+        assert Exact.adjacent(k, 1.0) == float(volume)
+        assert Exact.moment(k) == count * volume
+        assert Exact.moment(k, "paper-406") == count * volume / math.factorial(k)
+
+
 @pytest.mark.parametrize("h", [0.5001, 0.55, 0.8, 1.0, 2.5])
 def test_noncrossing_exact_against_mpmath(h):
     for size in (2, 4, 6, 8):
@@ -392,13 +389,13 @@ def test_factorization_against_direct_mc():
 
 def test_direct_mc_unit_case_is_exact():
     r = l_direct_mc(ADJ2, 1.0, samples=10_000, seed=1)
-    assert r.value == pytest.approx(1 / 24, rel=1e-12)
+    assert r.value == pytest.approx(Exact.adjacent(2, 1.0), rel=1e-12)
     assert r.stderr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_direct_mc_pair_within_three_sigma():
     r = l_direct_mc(PAIR, 0.75, samples=200_000, seed=42)
-    assert abs(r.value - 4 / 3) <= 3 * r.stderr
+    assert abs(r.value - Exact.adjacent(1, 0.75)) <= 3 * r.stderr
     assert r.extra["finite_variance"] is False
     assert l_direct_mc(PAIR, 0.8, samples=10, seed=42).extra["finite_variance"] is True
 
@@ -599,21 +596,15 @@ def test_direct_mc_domain_error():
         l_direct_mc(PAIR, 0.5, samples=100)
 
 
-def test_pullback_agrees_with_direct_k1():
-    d = l_direct_mc(PAIR, 0.75, samples=300_000, seed=99)
-    p = l_pullback_mc(PAIR, 0.75, samples=300_000, seed=99)
-    assert abs(d.value - p.value) <= 3 * math.hypot(d.stderr, p.stderr)
-
-
 def test_pullback_volume_sanity():
     r2 = l_pullback_mc(PAIR, 1.0, samples=150_000, seed=7)
-    assert abs(r2.value - 0.5) <= 3 * r2.stderr
+    assert abs(r2.value - Exact.adjacent(1, 1.0)) <= 3 * r2.stderr
     r4 = l_pullback_mc(ADJ2, 1.0, samples=400_000, seed=4)
-    assert abs(r4.value - 1 / 24) <= 3 * r4.stderr
+    assert abs(r4.value - Exact.adjacent(2, 1.0)) <= 3 * r4.stderr
 
 
 def test_pullback_k2_against_closed_form():
-    exact = float(gamma_fn(0.8) ** 2 / gamma_fn(4.6))
+    exact = Exact.adjacent(2, 0.9)
     r = l_pullback_mc(ADJ2, 0.9, samples=1_000_000, seed=13)
     assert abs(r.value - exact) <= 3 * r.stderr
 
@@ -749,14 +740,14 @@ def test_increment_cov_is_toeplitz(h, m):
 def test_oracle_second_moment(h):
     r = wick_grid_oracle(Word([1, 1]), h, m=64)
     assert r.method == "wick-grid"
-    assert abs(r.value - 0.5) <= 1e-5
+    assert abs(r.value - Exact.moment(1)) <= 1e-5
 
 
 def test_oracle_fourth_moment():
     r = wick_grid_oracle(Word([1, 1, 1, 1]), 1.0, m=64)
-    assert abs(r.value - 0.125) <= 1e-3
+    assert abs(r.value - Exact.moment(2)) <= 1e-3
     r = wick_grid_oracle(Word([1, 1, 1, 1]), 0.75, m=48)
-    assert abs(r.value - 0.125) <= 5e-3
+    assert abs(r.value - Exact.moment(2)) <= 5e-3
 
 
 def test_oracle_empty_sum_and_guards():

@@ -21,6 +21,7 @@ from sigpole.signature import (
     mean_iterated_integral,
     prefactor,
 )
+from sigpole.verify import Exact
 
 
 def test_modes_and_prefactor():
@@ -36,20 +37,7 @@ def test_modes_and_prefactor():
 @pytest.mark.parametrize("h", [0.6, 0.75, 0.9, 1.0])
 def test_repeated_pair_word_is_half(h):
     r = mean_iterated_integral(Word([2, 2]), h)
-    assert r.value == pytest.approx(0.5, abs=1e-9)
-
-
-def test_fourth_moment_word_modes():
-    w = Word([1, 1, 1, 1])
-    r405 = mean_iterated_integral(w, 1.0, mode="eq405-consistent")
-    r406 = mean_iterated_integral(w, 1.0, mode="paper-406")
-    assert r405.extra["partition_sum"] == pytest.approx(3 / 24, abs=1e-9)
-    assert r405.value == pytest.approx(1 / 8, abs=1e-8)
-    assert r406.value == pytest.approx(1 / 16, abs=1e-8)
-    assert "normalization_note" in r405.extra
-    oracle = wick_grid_oracle(w, 1.0, m=64)
-    assert abs(oracle.value - r405.value) <= 1e-3
-    assert abs(oracle.value - r406.value) > 5e-2
+    assert r.value == pytest.approx(Exact.moment(1), abs=1e-9)
 
 
 def test_fourth_moment_constant_across_h():
@@ -57,11 +45,11 @@ def test_fourth_moment_constant_across_h():
     # cannot depend on the Hurst parameter
     for h in (0.7, 0.85):
         r = mean_iterated_integral(Word([1, 1, 1, 1]), h, tol=1e-8)
-        assert r.value == pytest.approx(1 / 8, rel=1e-7)
+        assert r.value == pytest.approx(Exact.moment(2), rel=1e-7)
     # 2k = 6: the sixth moment over 6!, summed over all 15 matchings
     r = mean_iterated_integral(Word([1] * 6), 0.9, tol=1e-6)
     assert r.extra["refining_partitions"] == 15
-    assert r.value == pytest.approx(1 / 48, rel=1e-6)
+    assert r.value == pytest.approx(Exact.moment(3), rel=1e-6)
 
 
 def test_vanishing_word():
@@ -94,11 +82,20 @@ def test_vanishing_word():
     ("pullback-mc", {"samples": 1}, SizeError),
     ("direct-mc", {"seed": -1}, DomainError),
     ("pullback-mc", {"seed": -1}, DomainError),
+    ("direct-mc", {"samples": 1e5}, DomainError),
+    ("pullback-mc", {"samples": 1e5}, DomainError),
+    ("direct-mc", {"seed": 1.5}, DomainError),
+    ("pullback-mc", {"seed": 1.5}, DomainError),
+    ("direct-mc", {"workers": 2.0}, DomainError),
+    ("pullback-mc", {"workers": 2.0}, DomainError),
+    ("direct-mc", {"seed": True}, DomainError),
+    ("pullback-mc", {"seed": True}, DomainError),
 ])
 def test_vanishing_word_runs_the_route_guards(evaluator, kwargs, error):
-    # one bad argument ("h" is H) is refused with the same error by the
-    # route on 1-2, by the word layer on a word with a refining matching
-    # (1,1) and on one without (1,2), and by a table of both
+    # one bad argument ("h" is H; samples, seed and workers must be
+    # integers, not bools) is refused with the same error by the route on
+    # 1-2, by the word layer on a word with a refining matching (1,1) and
+    # on one without (1,2), and by a table of both
     kwargs = dict(kwargs)
     h = kwargs.pop("h", 0.8)
     with pytest.raises(error) as want:
@@ -157,7 +154,8 @@ def test_word_layer_refuses_h_above_one(h, monkeypatch):
             with pytest.raises(DomainError, match=re.escape(f"must lie in (0, 1], got {h}")):
                 call()
     # 1 / (2H (2H - 1)) at H = 2
-    assert quadrature.l_closed_form(parse_pairs("1-2"), 2.0).value == pytest.approx(1 / 12)
+    assert quadrature.l_closed_form(parse_pairs("1-2"), 2.0).value == pytest.approx(
+        Exact.adjacent(1, 2.0))
 
 
 def test_large_crossing_component_refused_before_any_matching(monkeypatch):
@@ -231,7 +229,7 @@ def test_prefactor_scaling_near_half():
         h = 0.5 + eps
         assert prefactor(DEFAULT_MODE, 1, h) == pytest.approx(h * 2 * eps)
         r = mean_iterated_integral(Word([1, 1]), h, tol=1e-7)
-        assert r.value == pytest.approx(0.5, rel=1e-6)
+        assert r.value == pytest.approx(Exact.moment(1), rel=1e-6)
 
 
 def test_gamma_table_k1():
@@ -241,16 +239,16 @@ def test_gamma_table_k1():
         assert len(nonzero) == d
         assert all(a == b for (a, b) in nonzero)
         for w in nonzero:
-            assert t.value(w) == pytest.approx(0.5, abs=1e-9)
+            assert t.value(w) == pytest.approx(Exact.moment(1), abs=1e-9)
     t = gamma_table(1, 2, 0.75)
     assert t.value((1, 2)) == 0.0 and t.value((2, 1)) == 0.0
 
 
 def test_gamma_table_k2_d1():
     t = gamma_table(2, 1, 1.0)
-    assert t.value((1, 1, 1, 1)) == pytest.approx(1 / 8, abs=1e-8)
+    assert t.value((1, 1, 1, 1)) == pytest.approx(Exact.moment(2), abs=1e-8)
     t406 = gamma_table(2, 1, 1.0, mode="paper-406")
-    assert t406.value((1, 1, 1, 1)) == pytest.approx(1 / 16, abs=1e-8)
+    assert t406.value((1, 1, 1, 1)) == pytest.approx(Exact.moment(2, "paper-406"), abs=1e-8)
 
 
 def test_gamma_table_relabeling_symmetry():
