@@ -17,6 +17,7 @@ Text formats (shared with the CLI):
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -58,6 +59,16 @@ __all__ = [
 _MAX_POSITION = 1 << 16
 
 
+def _positions(*values) -> tuple[int, ...]:
+    """The values as ints; InvalidPairError unless each is an integer, not a bool."""
+    for p in values:
+        if type(p) is not int:  # an int, the common case, takes one test
+            if type(p) is bool or not isinstance(p, numbers.Integral):
+                raise InvalidPairError(f"positions must be integers, got {p!r}")
+            return tuple(map(int, values))
+    return values
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Integer interval [lo, hi]; the singleton [n] is Interval(n, n)."""
@@ -66,6 +77,7 @@ class Interval:
     hi: int
 
     def __post_init__(self) -> None:
+        _positions(self.lo, self.hi)
         if not (1 <= self.lo <= self.hi):
             raise InvalidPairError(f"bad interval bounds [{self.lo}, {self.hi}]")
         if self.hi > _MAX_POSITION:
@@ -117,12 +129,13 @@ class Word:
     __slots__ = ("letters", "level_sets")
 
     def __init__(self, letters: Sequence[int]):
-        letters = tuple(int(a) for a in letters)
+        letters = tuple(letters)
         if len(letters) < 2 or len(letters) % 2:
             raise DimensionError(f"word length must be even and >= 2, got {len(letters)}")
-        if any(a < 1 for a in letters):
+        if any(type(a) is not int and (type(a) is bool or not isinstance(a, numbers.Integral))
+               or a < 1 for a in letters):
             raise ParseError("letters must be positive integers")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(map(int, letters)))
         blocks: dict[int, list[int]] = {}
         for pos, a in enumerate(letters, start=1):
             blocks.setdefault(a, []).append(pos)
@@ -176,7 +189,7 @@ class PairPartition:
     def __init__(self, pairs: Iterable[tuple[int, int] | frozenset[int]]):
         canon = []
         for p in pairs:
-            a, b = sorted(p)
+            a, b = sorted(_positions(*p))
             if a == b:
                 raise InvalidPairError(f"pair {{{a},{b}}} has equal elements")
             canon.append((a, b))
@@ -220,7 +233,7 @@ class PairPartition:
         """The image of the interval map over the pairs (multiset, sorted)."""
         cached = self._intervals
         if cached is None:
-            cached = tuple(sorted(interval_of_pair(a, b) for a, b in self.pairs))
+            cached = tuple(sorted(Interval(a + 1, b) for a, b in self.pairs))
             object.__setattr__(self, "_intervals", cached)
         return cached
 
@@ -255,7 +268,7 @@ class PositionSet:
     def __init__(self, members: Iterable[int]):
         mask = 0
         for p in members:
-            p = int(p)
+            (p,) = _positions(p)
             if p < 1:
                 raise InvalidPairError("positions must be >= 1")
             if p > _MAX_POSITION:
@@ -310,7 +323,7 @@ def interval_of_pair(a: int, b: int, size: int | None = None) -> Interval:
     >>> interval_of_pair(1, 2)
     Interval(lo=2, hi=2)
     """
-    a, b = int(a), int(b)
+    a, b = _positions(a, b)
     if a == b:
         raise InvalidPairError(f"pair {{{a},{b}}} has equal elements")
     if a < 1 or b < 1 or (size is not None and max(a, b) > size):

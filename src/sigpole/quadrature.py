@@ -258,13 +258,16 @@ def check_route_args(h: float, *, tol: float = DEFAULT_TOL,
                      workers: int = 1) -> None:
     """Every argument rule of the numeric routes, stated once for every
     method and run first by the routes, the Wick oracle, the word layer and
-    the CLI: a finite H > 1/2, where L(P; H) converges; 0 <= tol < inf;
-    integer samples, seed and workers (``numbers.Integral``, not bool);
+    the CLI: real H and tol, integer samples, seed and workers (a bool is
+    neither); a finite H > 1/2, where L(P; H) converges; 0 <= tol < inf;
     2 <= samples <= ``MAX_SAMPLES`` = 2^28 (one sample has no error
     estimate) and 1 <= workers <= samples, both SizeError; a nonnegative
     seed.  The rest raise DomainError, and the CLI exits 3 on either.  A
     route passes the options it reads; for the others its defaults pass.
     """
+    for name, value in (("H", h), ("tol", tol)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {name}={value!r}")
     if not (h > 0.5 and math.isfinite(h)):
         raise DomainError(
             f"H={h} is outside convergent region (need finite H > 1/2); "

@@ -59,10 +59,18 @@ def prefactor(mode: str, k: int, h: float) -> float:
     return base
 
 
-def _matching_seed(seed: int, i: int) -> int:
+def _matching_seed(seed: int, partition: PairPartition) -> int:
+    """``SeedSequence(seed, spawn_key=(r,))``, r the matching's index in
+    ``all_pair_partitions`` order: the mixed-radix number whose digits place
+    each pair's partner among the positions still open."""
     import numpy as np
 
-    return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
+    open_positions, r = list(range(1, partition.size + 1)), 0
+    for a, b in partition.pairs:  # a is the smallest open position
+        open_positions.remove(a)
+        r = r * len(open_positions) + open_positions.index(b)
+        open_positions.remove(b)
+    return int(np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(1)[0])
 
 
 def mean_iterated_integral(
@@ -84,13 +92,21 @@ def mean_iterated_integral(
     evaluator errors combine in quadrature when the matchings' results
     report pairwise distinct seeds, and add otherwise; deterministic
     tolerances add.  Given a ``seed``, or else the named route's default
-    one, the i-th matching in ``enumerate_refining`` order runs on its own
-    seed, drawn from ``SeedSequence(seed, spawn_key=(i,))``, so that the
-    estimates are independent; the result reports that seed.  A callable
-    given no seed gets the keyword arguments unchanged.  When every
-    matching's result reports ``extra["finite_variance"]``, the word's
-    result reports whether all of them are finite.
+    one, each matching runs on its own seed (``_matching_seed``), keyed by
+    the matching alone, so that the estimates are independent and a
+    matching gets the same estimate in every word it refines; the result
+    reports the given seed.  A callable given no seed gets the keyword
+    arguments unchanged.  When every matching's result reports
+    ``extra["finite_variance"]``, the word's result reports whether all of
+    them are finite.
     """
+    return _word_results([word], h, mode, evaluator, evaluator_kwargs)[0]
+
+
+def _word_results(words: list[Word], h: float, mode: str, evaluator,
+                  evaluator_kwargs: dict) -> list[EvalResult]:
+    """``mean_iterated_integral`` for each of the words, all of length 2k:
+    the checks run once, and each refining matching is evaluated once."""
     if callable(evaluator):
         fn, options = evaluator, {}
     elif evaluator in ROUTES:
@@ -109,61 +125,46 @@ def mean_iterated_integral(
     seed = evaluator_kwargs.get("seed")
     if seed is None:
         seed = options.get("seed")
-    refining = enumerate_refining(word)
-    check_matchings(evaluator, refining)
-    k = word.k
+    refining = [enumerate_refining(word) for word in words]
+    check_matchings(evaluator, [p for partitions in refining for p in partitions])
+    k = words[0].k
     pref = prefactor(mode, k, h)
-    base_extra = {"mode": mode, "prefactor": pref, "refining_partitions": len(refining)}
-    if k >= 2:
-        base_extra["normalization_note"] = MODE_NOTE
-    if not refining:
-        return EvalResult(
-            value=0.0,
-            method="closed-form",
-            tol=0.0,
-            cells=0,
-            h=h,
-            extra={**base_extra, "exact_zero": True},
-        )
-    if seed is None:
-        parts = [fn(p, h, **evaluator_kwargs) for p in refining]
-        seed = parts[0].seed
-    else:
-        parts = [
-            fn(p, h, **{**evaluator_kwargs, "seed": _matching_seed(seed, i)})
-            for i, p in enumerate(refining)
-        ]
-    value = pref * sum(r.value for r in parts)
-    method = parts[0].method
-    stderr = tol = None
-    samples = cells = None
-    if parts[0].stderr is not None:
-        if len({r.seed for r in parts}) == len(parts):
-            stderr = abs(pref) * math.sqrt(sum(r.stderr**2 for r in parts))
+    evaluated: dict[PairPartition, EvalResult] = {}  # kept for this call only
+    out = []
+    for partitions in refining:
+        base_extra = {"mode": mode, "prefactor": pref, "refining_partitions": len(partitions)}
+        if k >= 2:
+            base_extra["normalization_note"] = MODE_NOTE
+        if not partitions:
+            out.append(EvalResult(value=0.0, method="closed-form", tol=0.0, cells=0, h=h,
+                                  extra={**base_extra, "exact_zero": True}))
+            continue
+        for p in partitions:
+            if p not in evaluated:
+                evaluated[p] = fn(p, h, **(evaluator_kwargs if seed is None else
+                                           {**evaluator_kwargs, "seed": _matching_seed(seed, p)}))
+        parts = [evaluated[p] for p in partitions]
+        stderr = tol = samples = cells = None
+        if parts[0].stderr is not None:
+            if len({r.seed for r in parts}) == len(parts):
+                stderr = abs(pref) * math.sqrt(sum(r.stderr**2 for r in parts))
+            else:
+                # shared seeds correlate the estimates; by Minkowski's inequality
+                # the summed stderrs bound the sum's standard deviation
+                stderr = abs(pref) * sum(r.stderr for r in parts)
+            samples = sum(r.samples for r in parts)
         else:
-            # shared seeds correlate the estimates; by Minkowski's inequality
-            # the summed stderrs bound the sum's standard deviation
-            stderr = abs(pref) * sum(r.stderr for r in parts)
-        samples = sum(r.samples for r in parts)
-    else:
-        tol = abs(pref) * sum(r.tol for r in parts)
-        cells = sum(r.cells for r in parts)
-    extra = {**base_extra, "partition_sum": sum(r.value for r in parts)}
-    flags = [r.extra.get("finite_variance") for r in parts]
-    if None not in flags:
-        # the sum has finite variance only if every term has
-        extra["finite_variance"] = all(flags)
-    return EvalResult(
-        value=value,
-        method=method,
-        stderr=stderr,
-        tol=tol,
-        samples=samples,
-        cells=cells,
-        seed=seed,
-        h=h,
-        extra=extra,
-    )
+            tol = abs(pref) * sum(r.tol for r in parts)
+            cells = sum(r.cells for r in parts)
+        extra = {**base_extra, "partition_sum": sum(r.value for r in parts)}
+        flags = [r.extra.get("finite_variance") for r in parts]
+        if None not in flags:
+            # the sum has finite variance only if every term has
+            extra["finite_variance"] = all(flags)
+        out.append(EvalResult(value=pref * sum(r.value for r in parts), method=parts[0].method,
+                              stderr=stderr, tol=tol, samples=samples, cells=cells,
+                              seed=parts[0].seed if seed is None else seed, h=h, extra=extra))
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,13 @@ def gamma_table(
     """Coefficients for every word of length 2k over the alphabet [1, d].
 
     Words sharing a level-set partition share a value, computed once per
-    canonical relabeling class.  More than 2^20 words are refused first.
-    The first class, 1^2k, is refined by every matching of 2k points, so an
-    input that ``mean_iterated_integral`` refuses for any class is refused
-    in that first call, before any matching is evaluated; with ``adaptive``,
-    sooner, on the chain 1-3,2-5,...,(2k-2)-2k, one crossing component.
+    canonical relabeling class from one evaluation of each matching of 2k
+    points, on the seed ``mean_iterated_integral`` gives it: each entry is
+    that function's result on its class.  Refused before any matching is
+    evaluated, in this order: more than 2^20 words; more matchings than
+    ``check_refining_count`` allows; with ``adaptive``, the chain
+    1-3,2-5,...,(2k-2)-2k, one crossing component; then each refusal of
+    ``mean_iterated_integral``.
     """
     if k < 1 or d < 1:
         raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
@@ -243,16 +246,12 @@ def gamma_table(
     check_refining_count(Word((1,) * (2 * k)))
     chain = ((max(1, 2 * j - 2), min(2 * j + 1, 2 * k)) for j in range(1, k + 1))
     check_matchings(evaluator, [PairPartition(chain)])
-    by_class: dict[tuple[int, ...], EvalResult] = {}
-    entries: dict[tuple[int, ...], EvalResult] = {}
-    for letters in itertools.product(range(1, d + 1), repeat=2 * k):
-        word = Word(letters)
-        canon = word.canonical_relabel().letters
-        if canon not in by_class:
-            by_class[canon] = mean_iterated_integral(
-                word, h, mode, evaluator, **evaluator_kwargs
-            )
-        entries[letters] = by_class[canon]
+    canon = {letters: Word(letters).canonical_relabel().letters
+             for letters in itertools.product(range(1, d + 1), repeat=2 * k)}
+    classes = list(dict.fromkeys(canon.values()))
+    results = _word_results([Word(c) for c in classes], h, mode, evaluator, evaluator_kwargs)
+    by_class = dict(zip(classes, results))
+    entries = {letters: by_class[c] for letters, c in canon.items()}
     return GammaTable(k=k, d=d, h=h, mode=mode, entries=entries)
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from sigpole import cli, quadrature, verify
 from sigpole.quadrature import ROUTES
-from sigpole.pairings import parse_pairs, parse_position_set
+from sigpole.pairings import format_pairs, parse_pairs, parse_position_set
 from sigpole.poles import progression_of_set
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,31 +91,20 @@ def test_poles_word_no_refinement():
 
 
 def test_poles_diagram_partition_contributions():
-    out = run_cli(
-        "poles", "--pairs", "1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16"
-    )
+    out = run_cli("poles", "--pairs", format_pairs(verify.DIAGRAM_PARTITION))
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     contributed = {(r["offset"], r["step"]) for r in payload["contributions"]}
-    for pair in [
-        ("1/8", "1/16"),
-        ("-2", "1/4"),
-        ("-5/6", "1/6"),
-        ("3/8", "1/8"),
-        ("1/14", "1/14"),
-    ]:
-        assert pair in contributed, pair
+    for _spec, _dbl, offset, step in verify.DIAGRAM_ROWS:
+        assert (str(offset), str(step)) in contributed, (offset, step)
 
 
 def test_poles_set_progression():
-    out = run_cli(
-        "poles",
-        "--pairs", "1-7,2-8,3-5,4-6,9-11,10-18,12-17,13-14,15-16",
-        "--set", "2-8,10-11,13-17",
-    )
+    spec, _dbl, offset, step = verify.DIAGRAM_ROWS[0]
+    out = run_cli("poles", "--pairs", format_pairs(verify.DIAGRAM_PARTITION), "--set", spec)
     payload = json.loads(out.stdout)
-    assert payload["progression"] == {"offset": "1/8", "step": "1/16"}
-    assert payload["set_size"] == 14
+    assert payload["progression"] == {"offset": str(offset), "step": str(step)}
+    assert payload["set_size"] == len(parse_position_set(spec))
 
 
 def test_poles_parse_error_exit_2():
@@ -860,9 +849,13 @@ PINNED_STDOUT = [
      hashlib.sha256(b"").hexdigest()),
     (("gamma-table", "--k", "1", "--d", "3", "--H", "0.8"), 0,
      "eee671e0fbc622d07f0144273ff3ac71fa26060972b656e0a2381be3d80cf5e2"),
+    # re-recorded when each matching got the stream of its index among all
+    # matchings: 1,2,1,2 and 1,2,2,1 no longer reuse the stream of 1,1,2,2
     (("gamma-table", "--k", "2", "--d", "2", "--H", "0.8", "--method", "direct-mc",
       "--samples", "2000"), 0,
-     "10e15a1fca9deb341849fe51fb903517e3e85f9d162d83ae5b8dd07bcc83c676"),
+     "26577b010667654c1f70df94f23a1599d3d37e12414d48c40d3053d734ace943"),
+    (("gamma-table", "--k", "3", "--d", "2", "--H", "0.8", "--tol", "1e-6"), 0,
+     "e31e48d82fd9d3fed641e4606fab1180a59b8849a0f43496c77e354d19739c24"),
     (("gamma-table", "--k", "1", "--d", "2", "--H", "0.75", "--output", "csv"), 0,
      "f8075a87a1c545853fc0f00eaf838ea056c70ccdcb88381e33df550a3cbf8308"),
     (("gamma-table", "--k", "1", "--d", "2", "--H", "0.8", "--method",

@@ -2,7 +2,9 @@
 ``__all__`` name is bound at module level, and every module-level import is
 used (a name in an annotation counts as used).  An import whose first line
 says ``noqa: F401`` is a declared re-export.  No module imports an
-underscore name from a sibling: what crosses modules is public."""
+underscore name from a sibling: what crosses modules is public.  No memo
+outlives a call: no module has a ``global`` statement or a ``cache``,
+``lru_cache`` or ``cached_property`` decorator."""
 from __future__ import annotations
 
 import ast
@@ -123,3 +125,28 @@ def sibling_private_imports(tree: ast.Module) -> list[tuple[int, str]]:
 def test_no_private_names_imported_from_siblings(path):
     private = sibling_private_imports(ast.parse(path.read_text()))
     assert not private, f"{path.name} imports private sibling names (line, name): {private}"
+
+
+MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def memo_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """``global`` statements and memoizing decorators, bare, called or
+    reached as an attribute (``functools.lru_cache(maxsize=None)``)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            out.append((node.lineno, "global " + ", ".join(node.names)))
+        for dec in getattr(node, "decorator_list", []):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name in MEMO_DECORATORS:
+                out.append((dec.lineno, "@" + name))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_memo_outlives_a_call(path):
+    # a cache kept across calls would make a result depend on earlier calls
+    sites = memo_sites(ast.parse(path.read_text()))
+    assert not sites, f"{path.name} keeps state across calls (line, what): {sites}"

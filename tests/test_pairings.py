@@ -51,6 +51,10 @@ def test_interval_of_pair_errors():
         interval_of_pair(0, 2)
     with pytest.raises(InvalidPairError):
         interval_of_pair(1, 11, size=10)
+    # a position is an integer, never truncated: 1.5 is not 1
+    for a, b in ((1.5, 3), (1, 2.0), (True, 3)):
+        with pytest.raises(InvalidPairError, match="positions must be integers"):
+            interval_of_pair(a, b)
 
 
 def test_interval_set_worked_examples():
@@ -62,6 +66,10 @@ def test_interval_set_worked_examples():
     assert set(p3.interval_image) == {Interval(2, 4), Interval(3, 5), Interval(4, 6)}
     for p in (p1, p2, p3):
         assert len(p.interval_image) == p.k
+    # positions are integers, not bools or floats equal to one
+    for pairs in ([(1.0, 2.0)], [(True, 2)], [(1, 2), (3, 4.5)]):
+        with pytest.raises(InvalidPairError, match="positions must be integers"):
+            PairPartition(pairs)
 
 
 def test_refines_constant_word_and_dimension_error():
@@ -246,6 +254,10 @@ def test_word_level_sets_and_relabel():
         frozenset({8, 10}),
     )
     assert w.canonical_relabel() == parse_word("1,2,3,2,1,1,3,4,1,4")
+    # a letter is a positive integer: 1.5 is not truncated to 1, True is not 1
+    for letters in ([1.5, 1.5], [True, True], [1, 1, 2, 2.0], ["1", "1"]):
+        with pytest.raises(ParseError, match="letters must be positive integers"):
+            Word(letters)
 
 
 def test_partition_reflection():
@@ -284,6 +296,10 @@ def test_position_bound():
             PositionSet.from_mask(bad)
     with pytest.raises(InvalidPairError, match="must be >= 1"):
         PositionSet([0])
+    for make in (lambda: PositionSet([1.7]), lambda: PositionSet([True]),
+                 lambda: Interval(1.5, 2), lambda: Interval(1, True)):
+        with pytest.raises(InvalidPairError, match="positions must be integers"):
+            make()
     for spec in (str(top + 1), f"1-{top + 1}", "1-4000000000"):
         with pytest.raises(ParseError, match="exceeds"):
             parse_position_set(spec)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 
@@ -11,8 +12,10 @@ import pytest
 from sigpole import quadrature, signature
 from sigpole.errors import DomainError, SizeError
 from sigpole.gammaterms import factorize
-from sigpole.pairings import Word, enumerate_refining, parse_pairs, parse_word
-from sigpole.quadrature import DEFAULT_SEED, l_direct_mc, l_pullback_mc, wick_grid_oracle
+from sigpole.pairings import (Word, all_pair_partitions, double_factorial, enumerate_refining,
+                              parse_pairs, parse_word)
+from sigpole.quadrature import (DEFAULT_SEED, EvalResult, l_direct_mc, l_pullback_mc,
+                                wick_grid_oracle)
 from sigpole.signature import (
     DEFAULT_MODE,
     NORMALIZATION_MODES,
@@ -90,12 +93,20 @@ def test_vanishing_word():
     ("pullback-mc", {"workers": 2.0}, DomainError),
     ("direct-mc", {"seed": True}, DomainError),
     ("pullback-mc", {"seed": True}, DomainError),
+    ("closed-form", {"h": True}, DomainError),
+    ("adaptive", {"h": True}, DomainError),
+    ("direct-mc", {"h": True}, DomainError),
+    ("closed-form", {"h": "0.8"}, DomainError),
+    ("adaptive", {"h": "0.8"}, DomainError),
+    ("pullback-mc", {"h": "0.8"}, DomainError),
+    ("adaptive", {"tol": True}, DomainError),
+    ("adaptive", {"tol": "1e-6"}, DomainError),
 ])
 def test_vanishing_word_runs_the_route_guards(evaluator, kwargs, error):
-    # one bad argument ("h" is H; samples, seed and workers must be
-    # integers, not bools) is refused with the same error by the route on
-    # 1-2, by the word layer on a word with a refining matching (1,1) and
-    # on one without (1,2), and by a table of both
+    # one bad argument ("h" is H; H and tol must be real numbers, samples,
+    # seed and workers integers, none a bool) is refused with the same
+    # error by the route on 1-2, by the word layer on a word with a refining
+    # matching (1,1) and on one without (1,2), and by a table of both
     kwargs = dict(kwargs)
     h = kwargs.pop("h", 0.8)
     with pytest.raises(error) as want:
@@ -325,8 +336,6 @@ def test_candidate_pole_report_structure():
 def test_oracle_agreement_all_small_words():
     # deterministic grid oracle vs the assembled integrals: every word with
     # 2k <= 4 and at most two letters, one evaluation per relabeling class
-    import itertools
-
     seen: set[tuple[int, ...]] = set()
     for size in (2, 4):
         for letters in itertools.product((1, 2), repeat=size):
@@ -397,3 +406,73 @@ def test_named_route_refuses_an_option_it_does_not_take(evaluator, option, monke
 def test_unknown_evaluator_name():
     with pytest.raises(DomainError, match="unknown evaluator 'wick'"):
         mean_iterated_integral(Word([1, 1]), 0.8, evaluator="wick")
+
+
+def counted_route(monkeypatch, name: str) -> list:
+    """Replace the named route with a spy that lists the matchings it gets."""
+    route, calls = quadrature.ROUTES[name], []
+
+    def spy(p, h, **kwargs):
+        calls.append(p)
+        return route(p, h, **kwargs)
+
+    spy.__kwdefaults__ = route.__kwdefaults__  # the route's options
+    monkeypatch.setitem(quadrature.ROUTES, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("evaluator, k, kwargs", [
+    ("adaptive", 2, {"tol": 1e-6}), ("adaptive", 3, {"tol": 1e-6}),
+    ("adaptive", 4, {"tol": 1e-6}), ("direct-mc", 2, {"samples": 500}),
+])
+def test_gamma_table_evaluates_each_matching_once(evaluator, k, kwargs, monkeypatch):
+    # every matching of 2k points refines 2^(k-1) classes at d = 2, and the
+    # route runs once for it, not once per class
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    calls = counted_route(monkeypatch, evaluator)
+    monkeypatch.setattr(signature, "mean_iterated_integral", never)
+    gamma_table(k, 2, 0.8, evaluator=evaluator, **kwargs)
+    assert len(calls) == len(set(calls)) == double_factorial(2 * k - 1)
+
+
+@pytest.mark.parametrize("evaluator, k, kwargs", [
+    ("adaptive", 2, {"tol": 1e-6}), ("closed-form", 1, {}),
+    ("direct-mc", 2, {"samples": 500, "seed": 3}), ("direct-mc", 2, {"samples": 500}),
+    ("pullback-mc", 1, {"samples": 500, "seed": 4}),
+    (l_direct_mc, 2, {"samples": 500, "seed": 5}),
+])
+def test_gamma_table_entry_is_the_word_result(evaluator, k, kwargs):
+    # one evaluation per matching is exact for every route: each entry is
+    # the word layer's result on its class, seeds and errors included
+    table = gamma_table(k, 3, 0.8, evaluator=evaluator, **kwargs)
+    by_class = {}
+    for letters, r in table.entries.items():
+        canon = Word(letters).canonical_relabel()
+        if canon not in by_class:
+            by_class[canon] = mean_iterated_integral(canon, 0.8, evaluator=evaluator,
+                                                     **kwargs).to_json_dict()
+        assert r.to_json_dict() == by_class[canon], letters
+
+
+def test_matching_seed_is_keyed_by_the_matching():
+    # the rank inside _matching_seed is the index in all_pair_partitions
+    import numpy as np
+
+    for size in (2, 4, 6, 8, 10):
+        for i, p in enumerate(all_pair_partitions(size)):
+            want = np.random.SeedSequence(7, spawn_key=(i,)).generate_state(1)[0]
+            assert signature._matching_seed(7, p) == want, p
+    # a matching runs on the same seed in every word it refines
+    seen: dict = {}
+
+    def record(p, h, *, seed):
+        seen.setdefault(p, set()).add(seed)
+        return EvalResult(value=1.0, method="direct-mc", stderr=0.1, samples=2, seed=seed)
+
+    words = {Word(letters).canonical_relabel() for letters in
+             itertools.product((1, 2, 3), repeat=6)}
+    for word in words:
+        mean_iterated_integral(word, 0.8, evaluator=record, seed=7)
+    assert len(seen) == 15 and all(len(seeds) == 1 for seeds in seen.values())
