@@ -33,6 +33,7 @@ from .errors import (
 __all__ = [
     "Interval",
     "Word",
+    "first_occurrence_relabel",
     "PairPartition",
     "PositionSet",
     "interval_of_pair",
@@ -100,6 +101,20 @@ class Interval:
         return _format_run(self.lo, self.hi)
 
 
+def first_occurrence_relabel(letters: Sequence[int]) -> tuple[int, ...]:
+    """Letters renumbered 1, 2, ... in order of first occurrence:
+    (7, 3, 7, 3) -> (1, 2, 1, 2).  The one copy of the rule, for
+    ``Word.canonical_relabel`` and for callers that classify many letter
+    tuples without building a ``Word`` for each."""
+    tr: dict[int, int] = {}
+    out = []
+    for a in letters:
+        if a not in tr:
+            tr[a] = len(tr) + 1
+        out.append(tr[a])
+    return tuple(out)
+
+
 def _format_run(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
@@ -159,13 +174,7 @@ class Word:
 
     def canonical_relabel(self) -> Word:
         """Relabel letters by first occurrence: (7,3,7,3) -> (1,2,1,2)."""
-        tr: dict[int, int] = {}
-        out = []
-        for a in self.letters:
-            if a not in tr:
-                tr[a] = len(tr) + 1
-            out.append(tr[a])
-        return Word(out)
+        return Word(first_occurrence_relabel(self.letters))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters

@@ -3,10 +3,12 @@
 Four routes are provided and cross-checked against each other:
 
 - ``l_direct_mc``: sorted-uniform Monte Carlo on the increasing simplex,
-  sorted by a Batcher merge network in cache-sized batches, with an exact
-  finite-variance flag (H > 3/4);
+  sorted by a Batcher merge network in cache-sized batches and reduced to
+  the moments of fixed blocks of samples, with an exact finite-variance
+  flag (H > 3/4);
 - ``l_pullback_mc``: rejection sampling of the blown-up domain, averaging the
-  pulled-back integrand (a working check of the change of variables);
+  pulled-back integrand (a working check of the change of variables), with
+  the proposals evaluated in row chunks;
 - ``l_closed_form``: the exact gamma product of a non-crossing P, from the
   factorization over the nesting forest of P's crossing components;
 - ``l_adaptive``: that product times each crossing component of up to 5
@@ -35,7 +37,10 @@ so results are reproducible for a fixed (seed, workers) pair.  ``workers``
 picks only that stream layout, not the parallelism: ``l_direct_mc`` runs its
 batches on threads, one per CPU in the process's affinity set and at most
 one per batch, and its output is identical for any thread count.
-``l_pullback_mc`` runs in the calling thread.
+``l_pullback_mc`` runs in the calling thread.  Direct MC keeps three floats
+per block of 2^10 samples and pullback no array beyond its draw batch, so
+neither keeps a value per sample; both report Kish's effective sample size
+``extra["ess"]`` = (sum w)^2 / sum w^2 of their per-sample weights.
 
 Only the functions that build arrays import numpy, each where it runs: the
 two Monte Carlo routes and their sort network, the double-exponential grid
@@ -86,11 +91,13 @@ DETERMINISTIC_METHODS = frozenset({"adaptive", "closed-form", "wick-grid"})
 # default sample count of the Monte Carlo routes and tolerance of l_adaptive
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_TOL = 1e-8
-# most samples per Monte Carlo call: direct MC keeps one float64 per
-# sample, so 2^28 of them take 2 GiB
+# most samples per Monte Carlo call, a bound on the run time of one call:
+# direct MC takes about 3 s at 2k = 2 and 12 s at 2k = 10 for 2^28 samples
+# on one core, and keeps 24 B per 2^10 samples, 6 MB at the cap
 MAX_SAMPLES = 1 << 28
 _MC_BATCH = 1 << 18
-# direct-MC rows per batch: the (n, batch) working set stays in cache
+# direct-MC rows per batch, so the (n, batch) working set stays in cache,
+# and pullback rows per evaluation chunk, so its temporaries stay bounded
 _DIRECT_BATCH = 1 << 13
 _GRID_CHUNK = 1 << 19  # grid nodes per slab, and at least one last-axis slice
 # largest Wick oracle array, 128 MiB of float64; a contraction over a pair
@@ -208,6 +215,18 @@ def _worker_counts(samples: int, workers: int) -> list[int]:
     return [base + (1 if w < rem else 0) for w in range(workers)]
 
 
+def _effective_samples(samples: int, mean: float, var: float) -> float:
+    """Kish's effective sample size (sum w)^2 / sum w^2 of nonnegative
+    weights, from their mean and variance (ddof 0): sum w^2 is
+    samples * (var + mean^2), so it is samples / (1 + var / mean^2), which
+    no overflow of sum w^2 can turn into NaN.  0 when every weight is 0.
+    """
+    if mean == 0:
+        return 0.0
+    cv = math.sqrt(var) / mean
+    return samples / (1 + cv * cv)
+
+
 def _merge_network(n: int) -> list[tuple[int, int]]:
     """Batcher's odd-even merge sort on n wires, as (low, high) comparators.
 
@@ -308,11 +327,19 @@ def l_direct_mc(
     (sampling density (2k)!), so the estimator is the sample mean of the
     integrand divided by (2k)!.  Points are drawn in C order in fixed-size
     batches and sorted by a Batcher merge network on column rows; the batch
-    size changes no sample and no output bit.  The integrand has integrable
-    spikes where paired coordinates collide.  Its square is the same
-    integrand at H' = 2H - 1, so the variance is finite exactly when
-    H > 3/4, for every matching; ``extra["finite_variance"]`` reports this,
-    and below it the plain standard error is not a reliable error.
+    size changes no sample.  Each batch is cut, from its start, into blocks
+    of 2^10 samples, and each block is reduced to its sum and its sum of
+    squared deviations from its own mean.  The blocks are combined once at
+    the end (Chan's pairwise update), so memory holds three floats per
+    block, not one per sample.  With a batch size that is a multiple of
+    2^10, as ``_DIRECT_BATCH`` is, the blocks are cut from the start of each
+    worker stream, and the batch size changes no output bit.  The integrand
+    has integrable spikes where paired coordinates collide.  Its square is
+    the same integrand at H' = 2H - 1, so the variance is finite exactly
+    when H > 3/4, for every matching; ``extra["finite_variance"]`` reports
+    this, and below it the plain standard error is not a reliable error.
+    ``extra["ess"]``, the effective sample size, falls toward 1 as a few
+    samples carry the mass.
 
     The batches are cut into contiguous shares, as many as the CPUs in the
     process's affinity set and at most one per batch.  The calling thread
@@ -330,33 +357,39 @@ def l_direct_mc(
     network = _merge_network(n)
     alpha = 2 * h - 2
     batch = min(_DIRECT_BATCH, samples)
-    # every batch of every worker's stream: (seed, index in the stream,
-    # first sample, rows), in the order of the serial loop
+    # the moments are kept per block of 2^10 samples, cut from the start of
+    # each batch; the last block of a batch may be shorter
+    block = 1 << 10
+    # every batch of every worker's stream: (seed, index in the stream, index
+    # of its first block, rows), in the order of the serial loop
     batches = []
-    start = 0
+    blocks = 0
     for seq, count in zip(worker_seeds(seed, workers), _worker_counts(samples, workers)):
-        end = start + count
-        for i, first in enumerate(range(start, end, batch)):
-            batches.append((seq, i, first, min(batch, end - first)))
-        start = end
+        for i, first in enumerate(range(0, count, batch)):
+            b = min(batch, count - first)
+            batches.append((seq, i, blocks, b))
+            blocks += -(-b // block)
     threads = min(_thread_count(), len(batches))
     # one scratch set per thread, owned by it for the call; allocated here,
     # since allocations in the threads would grow per-thread malloc arenas
     scratch = [
-        (np.empty((batch, n)), np.empty((n, batch)), np.empty(batch), np.empty(batch))
+        (np.empty((batch, n)), np.empty((n, batch)), np.empty(batch), np.empty(batch),
+         np.empty(batch))
         for _ in range(threads)
     ]
-    vals = np.empty(samples)
+    # per block: the sum of its values, the sum of their squared deviations
+    # from the block mean, and its size
+    sums, m2s, counts = np.empty(blocks), np.empty(blocks), np.empty(blocks)
 
     errors: list[BaseException] = []
 
     def run(share, buffers) -> None:
-        """Fill the vals of a contiguous run of batches; an error is kept for
-        the caller, which raises the first once every thread has ended."""
+        """Fill the block moments of a contiguous run of batches; an error is
+        kept for the caller, which raises the first once every thread has ended."""
         try:
-            draws, cols, spare, diff = buffers
+            draws, cols, spare, diff, row = buffers
             stream = None
-            for seq, i, first, b in share:
+            for seq, i, at, b in share:
                 if seq is not stream:
                     # PCG64 spends one 64-bit step per double, so the advanced
                     # generator's first draw is the one the serial loop makes here
@@ -367,13 +400,26 @@ def l_direct_mc(
                 np.copyto(cols[:, :b], u.T)
                 rows = _sorted_rows(cols[:, :b], network, spare[:b])
                 # sorted rows give s_hi - s_lo >= 0, bit for bit |s_lo - s_hi|
-                out, gap = vals[first:first + b], diff[:b]
+                out, gap = row[:b], diff[:b]
                 np.subtract(rows[pairs[0][1]], rows[pairs[0][0]], out=out)
                 for lo, hi in pairs[1:]:
                     np.subtract(rows[hi], rows[lo], out=gap)
                     out *= gap
                 # one power per sample on the product of the pair gaps
                 out **= alpha
+                # the whole blocks as the rows of one array, then the short one
+                whole = b - b % block
+                for lo, hi, width in ((0, whole, block), (whole, b, b - whole)):
+                    if lo == hi:
+                        continue
+                    vals = out[lo:hi].reshape(-1, width)
+                    dev = gap[lo:hi].reshape(-1, width)
+                    span = slice(at, at + len(vals))
+                    vals.sum(axis=1, out=sums[span])
+                    np.subtract(vals, sums[span, None] / width, out=dev)
+                    np.einsum("ij,ij->i", dev, dev, out=m2s[span])
+                    counts[span] = width
+                    at += len(vals)
         except BaseException as exc:
             errors.append(exc)
 
@@ -394,18 +440,22 @@ def l_direct_mc(
             thread.join()
     if errors:
         raise errors[0]
+    # Chan's pairwise update: the squared deviations from the overall mean
+    # are those from each block mean plus each block's size times its mean's
+    # squared distance from the overall mean
+    mean = float(sums.sum() / samples)
+    var = float(m2s.sum() + (counts * (sums / counts - mean) ** 2).sum()) / samples
     factorial = math.factorial(n)
-    mean = vals.mean()
-    stderr = vals.std() / math.sqrt(samples)
     return EvalResult(
-        value=float(mean / factorial),
+        value=mean / factorial,
         method="direct-mc",
-        stderr=float(stderr / factorial),
+        stderr=math.sqrt(var) / math.sqrt(samples) / factorial,
         samples=samples,
         seed=seed,
         h=h,
         partition=format_pairs(partition),
-        extra={"finite_variance": h > 0.75, "workers": workers},
+        extra={"finite_variance": h > 0.75, "workers": workers,
+               "ess": _effective_samples(samples, mean, var)},
     )
 
 
@@ -432,6 +482,11 @@ def l_pullback_mc(
     exponent 2H - 2 on the interval image, the method that the pullback
     identity check (criterion 6) covers.  A pilot without finite mass raises
     NumericError; no accepted proposal gives 0 ± 0, which ``EvalResult`` refuses.
+
+    The proposals are drawn in batches of ``_MC_BATCH`` rows and evaluated,
+    pilot included, in chunks of ``_DIRECT_BATCH`` rows, so the temporaries
+    of the evaluation do not grow with the draw batch.  Each value is
+    computed from its own row alone, so the chunks change no value.
     """
     check_route_args(h, samples=samples, seed=seed, workers=workers)
     import numpy as np
@@ -456,35 +511,38 @@ def l_pullback_mc(
     # 2H - 2 near the float limit overflows the log integrand; refused below
     @np.errstate(over="ignore", invalid="ignore")
     def evaluate(
-        xi: np.ndarray, perms: np.ndarray, log_q: np.ndarray
+        xi: np.ndarray, perms: np.ndarray, log_density: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Integrand-over-density values for proposals; zero when rejected.
 
         Returns the value array (aligned with the proposals) and the mask of
-        accepted rows.
+        accepted rows; ``log_density`` maps a chunk of rows to their log
+        proposal density.
         """
-        b = len(xi)
-        out = np.zeros(b)
-        ff = np.exp(xi)
-        levels = chart.qranks + ff
-        d = np.diff(levels, prepend=0.0, axis=1)
-        ok = (np.diff(d, axis=1) >= 0).all(axis=1) if n > 1 else np.ones(b, bool)
-        ok &= (xi >= xi_lo).all(axis=1) & (xi <= xi_hi).all(axis=1)
-        if not ok.any():
-            return out, ok
-        f = chart.forms_from_flag(perms[ok], ff[ok])
-        pos = (f > 0).all(axis=1)
-        fo = f[pos]
-        # inside the pulled-back simplex: the coordinates of F sum below 1
-        inside = np.exp(np.log(fo) @ chart.M).sum(axis=1) < 1
-        log_g, usable = chart.log_pullback_batch(fo[inside], lam)
-        keep = xi[ok][pos][inside][usable]
-        log_g += keep.sum(axis=1) + math.log(math.factorial(n))
-        log_g -= log_q[ok][pos][inside][usable]
-        sel = np.nonzero(ok)[0][pos][inside][usable]
-        out[sel] = np.exp(log_g)
-        mask = np.zeros(b, bool)
-        mask[sel] = True
+        out = np.zeros(len(xi))
+        mask = np.zeros(len(xi), bool)
+        for lo in range(0, len(xi), _DIRECT_BATCH):
+            rows = slice(lo, lo + _DIRECT_BATCH)
+            x = xi[rows]
+            ff = np.exp(x)
+            levels = chart.qranks + ff
+            d = np.diff(levels, prepend=0.0, axis=1)
+            ok = (np.diff(d, axis=1) >= 0).all(axis=1) if n > 1 else np.ones(len(x), bool)
+            ok &= (x >= xi_lo).all(axis=1) & (x <= xi_hi).all(axis=1)
+            if not ok.any():
+                continue
+            f = chart.forms_from_flag(perms[rows][ok], ff[ok])
+            pos = (f > 0).all(axis=1)
+            fo = f[pos]
+            # inside the pulled-back simplex: the coordinates of F sum below 1
+            inside = np.exp(np.log(fo) @ chart.M).sum(axis=1) < 1
+            log_g, usable = chart.log_pullback_batch(fo[inside], lam)
+            keep = x[ok][pos][inside][usable]
+            log_g += keep.sum(axis=1) + math.log(math.factorial(n))
+            log_g -= log_density(x)[ok][pos][inside][usable]
+            sel = lo + np.nonzero(ok)[0][pos][inside][usable]
+            out[sel] = np.exp(log_g)
+            mask[sel] = True
         return out, mask
 
     log_box = float(np.log(widths).sum())
@@ -495,7 +553,7 @@ def l_pullback_mc(
         )
         xi = xi_lo + rng.random((count, n)) * widths
         perms = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-        vals, mask = evaluate(xi, perms, np.full(count, -log_box))
+        vals, mask = evaluate(xi, perms, lambda x: np.full(len(x), -log_box))
         return xi[mask], vals[mask]
 
     pilot_n = max(min(samples // 4, 100_000), 4_096)
@@ -539,8 +597,8 @@ def l_pullback_mc(
             xi[pick] = mu + z[pick] @ chol.T
             xi[~pick] = xi_lo + rng.random(((~pick).sum(), n)) * widths
             perms = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
-            vals, _mask = evaluate(xi, perms, mix_log_density(xi))
-            accepted += int(_mask.sum())
+            vals, mask = evaluate(xi, perms, mix_log_density)
+            accepted += int(mask.sum())
             total += vals.sum()
             total_sq += (vals * vals).sum()
     mean = total / samples
@@ -553,7 +611,8 @@ def l_pullback_mc(
         seed=seed,
         h=h,
         partition=format_pairs(partition),
-        extra={"accepted": accepted, "workers": workers, "pilot": pilot_n},
+        extra={"accepted": accepted, "workers": workers, "pilot": pilot_n,
+               "ess": _effective_samples(samples, float(mean), var)},
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, SizeError
 from .pairings import (PairPartition, Word, check_refining_count, enumerate_refining,
-                       format_pairs, format_word)
+                       first_occurrence_relabel, format_pairs, format_word)
 from .poles import candidate_poles, union_with_sources
 from .quadrature import ROUTES, EvalResult, FbmCovariance, check_matchings, check_route_args
 
@@ -246,7 +246,7 @@ def gamma_table(
     check_refining_count(Word((1,) * (2 * k)))
     chain = ((max(1, 2 * j - 2), min(2 * j + 1, 2 * k)) for j in range(1, k + 1))
     check_matchings(evaluator, [PairPartition(chain)])
-    canon = {letters: Word(letters).canonical_relabel().letters
+    canon = {letters: first_occurrence_relabel(letters)
              for letters in itertools.product(range(1, d + 1), repeat=2 * k)}
     classes = list(dict.fromkeys(canon.values()))
     results = _word_results([Word(c) for c in classes], h, mode, evaluator, evaluator_kwargs)

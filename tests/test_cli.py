@@ -356,6 +356,19 @@ def test_mean_sig_zero_word():
     assert payload["result"]["extra"]["exact_zero"] is True
 
 
+def test_direct_mc_effective_samples_shows_mass_on_one_sample():
+    # at H = 1e4 one sample carries the mass: the stderr passes the result
+    # rule, but the effective sample size is 1
+    def ess(h):
+        out = invoke("eval", "--pairs", "1-2", "--H", h, "--method", "direct-mc",
+                     "--samples", "100000", "--seed", "1")
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)["result"]["extra"]["ess"]
+
+    assert ess("1e4") == pytest.approx(1.0, abs=1e-6)
+    assert ess("0.8") > 30_000
+
+
 def test_word_results_carry_finite_variance():
     def extra(command, h, method, *more):
         out = invoke(command, *more, "--H", h, "--method", method, "--samples", "1000")
@@ -842,18 +855,21 @@ PINNED_STDOUT = [
      "cef3c88fbb3060783e9915a47a1bbb04ab56234f1814548fed7982f06ed2d74b"),
     (("mean-sig", "--word", "1,1,2,2", "--H", "0.7", "--mode", "paper-406"), 0,
      "3776b31089674727db4f35c2183a8fa3c04d4e6cdd412366d9e8d41aa96d0e32"),
+    # re-recorded, with the direct-mc table below, when direct MC moved to
+    # moments of blocks of 2^10 samples: last digits of some values changed
     (("mean-sig", "--word", "1,1,1,1", "--H", "0.8", "--method", "direct-mc",
       "--samples", "3000", "--output", "text"), 0,
-     "5510b49b2174e91d61e61b0a34558b3d86a6647d0c3dd230a0d3891cf7d83378"),
+     "be8addab8f8d246f891f5caf6c4a1c33b63af09507c7dc79a0cf91d10ffd2257"),
     (("mean-sig", "--word", "1,1", "--H", "inf", "--output", "text"), 3,
      hashlib.sha256(b"").hexdigest()),
     (("gamma-table", "--k", "1", "--d", "3", "--H", "0.8"), 0,
      "eee671e0fbc622d07f0144273ff3ac71fa26060972b656e0a2381be3d80cf5e2"),
     # re-recorded when each matching got the stream of its index among all
-    # matchings: 1,2,1,2 and 1,2,2,1 no longer reuse the stream of 1,1,2,2
+    # matchings: 1,2,1,2 and 1,2,2,1 no longer reuse the stream of 1,1,2,2;
+    # and again when direct MC moved to moments of blocks of 2^10 samples
     (("gamma-table", "--k", "2", "--d", "2", "--H", "0.8", "--method", "direct-mc",
       "--samples", "2000"), 0,
-     "26577b010667654c1f70df94f23a1599d3d37e12414d48c40d3053d734ace943"),
+     "d6e017995de0a20716a46cb9bda0fbce821da7ecaffc9bddf0cb0fb334c3b505"),
     (("gamma-table", "--k", "3", "--d", "2", "--H", "0.8", "--tol", "1e-6"), 0,
      "e31e48d82fd9d3fed641e4606fab1180a59b8849a0f43496c77e354d19739c24"),
     (("gamma-table", "--k", "1", "--d", "2", "--H", "0.75", "--output", "csv"), 0,

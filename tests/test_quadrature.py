@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -416,14 +417,16 @@ def test_direct_mc_stderr_matches_exact_variance(h):
             assert abs(ratio - 1) <= 0.05, (spec, seed, ratio)
 
 
-# float.hex of (value, stderr); the batch size must not change a bit
+# float.hex of (value, stderr); the batch size must not change a bit.
+# Re-recorded when the moments moved to blocks of 2^10 samples: the second
+# and third rows changed in their last bits
 DIRECT_MC_BITS = [
     ("1-2,3-4,5-6", 0.8, 1_000_000, 7, 1,
      "0x1.3c7d244d0d12cp-5", "0x1.51f23fcb7735ep-14"),
     ("1-4,2-5,3-6", 0.62, 123_457, 11, 3,
-     "0x1.26ae9644d4a8bp-6", "0x1.c6e4b826ca364p-14"),
+     "0x1.26ae9644d4a8ap-6", "0x1.c6e4b826ca362p-14"),
     ("1-6,2-4,3-7,5-9,8-10", 0.9, 10, 11, 2,
-     "0x1.1c0e105b5c058p-20", "0x1.00d68f9c8c067p-25"),
+     "0x1.1c0e105b5c058p-20", "0x1.00d68f9c8c066p-25"),
     ("1-2", 1.0, 2, 1, 1, "0x1.0000000000000p-1", "0x0.0p+0"),
 ]
 
@@ -517,6 +520,52 @@ def test_thread_count_fallbacks(monkeypatch):
     assert quadrature._thread_count() == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert quadrature._thread_count() == 1
+
+
+def _traced_peak(call) -> int:
+    """The traced heap high-water mark of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_direct_mc_memory_does_not_grow_with_samples(monkeypatch):
+    # 64 times the samples adds 3 floats per 2^10-sample block, not 16 B
+    # per sample (64 MiB more at 2^22 when each sample was kept); two
+    # threads in both calls, since each thread owns a scratch set
+    monkeypatch.setattr("sigpole.quadrature._thread_count", lambda: 2)
+    small = _traced_peak(lambda: l_direct_mc(PAIR, 0.8, samples=1 << 16, seed=1))
+    large = _traced_peak(lambda: l_direct_mc(PAIR, 0.8, samples=1 << 22, seed=1))
+    assert large - small <= 1 << 20, (small, large)
+
+
+def test_pullback_mc_memory_bounded():
+    # proposals are evaluated in row chunks: about 9 MB, where one pass over
+    # the whole draw batch peaked at 26 MB; the warm-up call loads the
+    # modules and numpy's lazy imports, which are traced too
+    l_pullback_mc(PAIR, 0.8, samples=4096, seed=1)
+    peak = _traced_peak(lambda: l_pullback_mc(PAIR, 0.8, samples=100_000, seed=1))
+    assert peak <= 12e6, peak
+
+
+def test_effective_samples_is_kish_ratio():
+    w = np.array([0.0, 1.0, 3.0, 0.5])
+    got = quadrature._effective_samples(len(w), float(w.mean()), float(w.var()))
+    assert got == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-14)
+    # every weight 0: 0, with no division
+    assert quadrature._effective_samples(5, 0.0, 0.0) == 0.0
+
+
+def test_mc_routes_report_effective_samples():
+    # the pair's weights have a finite 4th moment at H = 0.9 (4H - 3 > 1/2)
+    r = l_direct_mc(PAIR, 0.9, samples=20_000, seed=4)
+    assert 0.8 * r.samples < r.extra["ess"] <= r.samples
+    # a rejected proposal weighs 0, so at most the accepted ones count
+    r = l_pullback_mc(PAIR, 0.8, samples=20_000, seed=4)
+    assert 1 <= r.extra["ess"] <= r.extra["accepted"] < r.samples
 
 
 def test_pullback_without_an_accepted_proposal_raises():
