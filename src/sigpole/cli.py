@@ -39,6 +39,7 @@ from .quadrature import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     MAX_SAMPLES,
+    MAX_WORKERS,
     ROUTES,
     check_route_args,
 )
@@ -228,7 +229,9 @@ def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> No
                         help="0 <= tol < inf, exit 3 otherwise; stop rule: level "
                         "change <= max(tol, tol*|L|) or the rounding bound, so tol is "
                         "absolute when |L| < 1; " + _SHOW_DEFAULT)
-    parser.add_argument("--workers", type=integer, default=1, help=_SHOW_DEFAULT)
+    parser.add_argument("--workers", type=integer, default=1,
+                        help=f"1 to --samples and at most {MAX_WORKERS} (2^10) seed streams, "
+                        "exit 3 otherwise; " + _SHOW_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:

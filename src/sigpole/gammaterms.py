@@ -21,6 +21,7 @@ one place that builds or reads such a pair.  Everything here is pure
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -62,6 +63,43 @@ def _dirichlet(
     return (e[0] + total[0] - 1, e[1] + total[1])
 
 
+def _components(partition: PairPartition) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Each position's crossing-connected component, as its sorted pairs.
+
+    One sweep over the positions.  The components begun and not ended nest,
+    each inside a gap of the one below it on the stack, so every open pair
+    of a lower one spans all open pairs above it, and their open right ends
+    decrease up the stack.  A pair opening at a with right end b crosses
+    exactly the open pairs that end before b: those of the entries on top
+    whose least open end is below b, which merge with it.  A position that
+    closes a pair closes the least open end, the top entry's; the entry's
+    component ends with its last open pair.  Each entry keeps its members
+    and its open ends, negated, in ascending order.
+    """
+    right = dict(partition.pairs)
+    stack: list[tuple[list, list[int]]] = []
+    at = {}
+    for x in range(1, partition.size + 1):
+        if x in right:
+            b = right[x]
+            members, ends = [(x, b)], []
+            while stack and -stack[-1][1][-1] < b:
+                below, below_ends = stack.pop()
+                members += below
+                below_ends += ends
+                ends = below_ends
+            bisect.insort(ends, -b)
+            stack.append((members, ends))
+        else:
+            members, ends = stack[-1]
+            ends.pop()
+            if not ends:
+                stack.pop()
+                comp = tuple(sorted(members))
+                at.update(dict.fromkeys((y for pair in comp for y in pair), comp))
+    return at
+
+
 def factorize(partition: PairPartition):
     """Split P into crossing-connected components, each nested in a gap
     between consecutive positions of another or in the root gap [0, 1].
@@ -76,29 +114,31 @@ def factorize(partition: PairPartition):
     of two or more pairs its label, pair count and the (a, b, exponent)
     factors of J_C on its local positions 1..q, a filled gap j adding the
     factor (j, j + 1, e_j).
+
+    Gaps and components nest as deep as P has pairs, so the walk runs on an
+    explicit stack: ``gap`` and ``component`` are generators that yield the
+    calls they need and receive their results, in the order of a recursive
+    walk, so the time and the output do not depend on the depth.
     """
-    comp = {pair: (pair,) for pair in partition.pairs}
-    for p, q in itertools.combinations(partition.pairs, 2):
-        if p[0] < q[0] < p[1] < q[1] and comp[p] != comp[q]:
-            merged = tuple(sorted(comp[p] + comp[q]))
-            comp.update(dict.fromkeys(merged, merged))
-    at = {x: ps for ps in comp.values() for pair in ps for x in pair}
+    at = _components(partition)
     numer, denom, crossing = [], [], []
 
-    def gap(lo: int, hi: int) -> tuple[list[dict], tuple[int, int]]:
+    def gap(lo: int, hi: int):
         """The nodes strictly between positions lo and hi, and the gap exponent."""
         nodes, x = [], lo + 1
         while x < hi:
-            nodes.append(component(at[x]))
+            nodes.append((yield component(at[x])))
             x = max(b for _, b in at[x]) + 1
         parts = [_FREE]
         for node in nodes:
             parts += [tuple(node["exponent"]), _FREE]
         return nodes, _dirichlet(parts, _FREE, numer, denom)
 
-    def component(ps: tuple[tuple[int, int], ...]) -> dict:
+    def component(ps: tuple[tuple[int, int], ...]):
         pos = sorted(x for pair in ps for x in pair)
-        gaps = [gap(a, b) for a, b in zip(pos, pos[1:])]
+        gaps = []
+        for a, b in zip(pos, pos[1:]):
+            gaps.append((yield gap(a, b)))
         label = ",".join(f"{a}-{b}" for a, b in ps)
         if len(ps) > 1:
             local = {x: i for i, x in enumerate(pos, start=1)}
@@ -109,7 +149,15 @@ def factorize(partition: PairPartition):
         p = len(ps) + sum(e[1] for _, e in gaps)
         return {"pairs": label, "exponent": [c, p], "gaps": [kids for kids, _ in gaps]}
 
-    tree, _ = gap(0, partition.size + 1)
+    calls, result = [gap(0, partition.size + 1)], None
+    while calls:
+        try:
+            calls.append(calls[-1].send(result))
+            result = None
+        except StopIteration as done:
+            calls.pop()
+            result = done.value
+    tree, _ = result
     return tree, numer, denom, crossing
 
 

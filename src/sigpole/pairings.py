@@ -354,13 +354,6 @@ def refines(partition: PairPartition, word: Word) -> bool:
 _MAX_REFINING = 135_135
 
 
-def _over_refining_limit(factors: Iterable[int]) -> bool:
-    """True when the product of the factors exceeds _MAX_REFINING."""
-    # the running product stops at the limit: the full count can have
-    # thousands of digits
-    return any(c > _MAX_REFINING for c in itertools.accumulate(factors, operator.mul))
-
-
 def _pairings_of(block: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
     """All perfect matchings of an even-sized block, smallest element leading."""
     if not block:
@@ -373,11 +366,14 @@ def _pairings_of(block: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, other)] + tail
 
 
-def check_refining_count(word: Word) -> None:
-    """SizeError when more than 13!! = 135,135 pair partitions refine the word."""
-    blocks = word.level_sets
-    if not any(len(b) % 2 for b in blocks) and _over_refining_limit(
-            f for b in blocks for f in range(len(b) - 1, 1, -2)):
+def check_refining_count(block_sizes: Iterable[int]) -> None:
+    """SizeError when more than 13!! = 135,135 pair partitions refine a word
+    whose letters occur the given even numbers of times: the one rule on
+    matching counts.  The count is the product of the (b - 1)!!; the running
+    product stops at the limit, so a count of thousands of digits is never
+    formed, and no word need be built."""
+    factors = (f for b in block_sizes for f in range(b - 1, 1, -2))
+    if any(c > _MAX_REFINING for c in itertools.accumulate(factors, operator.mul)):
         raise SizeError(f"word has more than {_MAX_REFINING} refining pair partitions")
 
 
@@ -387,10 +383,10 @@ def enumerate_refining(word: Word) -> list[PairPartition]:
     Empty (not an error) when some letter occurs an odd number of times;
     ``check_refining_count`` runs before any is built.
     """
-    check_refining_count(word)
     blocks = [sorted(b) for b in word.level_sets]
     if any(len(b) % 2 for b in blocks):
         return []
+    check_refining_count(map(len, blocks))
     out = [
         PairPartition(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*(_pairings_of(b) for b in blocks))
@@ -402,15 +398,13 @@ def enumerate_refining(word: Word) -> list[PairPartition]:
 def all_pair_partitions(size: int) -> list[PairPartition]:
     """All (size-1)!! pair partitions of [1, size], canonical order.
 
-    SizeError refuses a count above 13!! = 135,135, that is a size above 14,
-    before any is built.
+    They are the matchings refining the constant word of length size, so
+    ``check_refining_count`` refuses a count above 13!! = 135,135, that is a
+    size above 14, before any is built.
     """
     if size < 2 or size % 2:
         raise DimensionError(f"size must be even and >= 2, got {size}")
-    if _over_refining_limit(range(size - 1, 1, -2)):
-        raise SizeError(
-            f"{size} positions have more than {_MAX_REFINING} pair partitions"
-        )
+    check_refining_count([size])
     return [PairPartition(m) for m in _pairings_of(list(range(1, size + 1)))]
 
 

@@ -23,12 +23,16 @@ ever compared.  Witnesses are masks, the storage format of PositionSet, so
 each is wrapped in O(1) with no conversion.
 
 The layer works on plain ints until output time.  A progression is the int
-pair itself, a tuple subclass, so it is built, hashed and compared in C.  The
-enumerator keys each pair by one int; candidate_poles sorts its output once
-as int tuples, by integer ranks over a common denominator, tests absorption
-on the denominators, and wraps each progression and witness once, in final
-order.  Records reduce offsets with math.gcd.  Fractions appear only where a
-caller reads ``offset`` or ``step`` or asks a membership query.
+pair itself, a tuple subclass, so it is built, hashed and compared in C.
+Every pole set is built one way, from a dict of (|S|, 2[S|P]) keys to
+witness masks: one sort of int tuples by integer ranks over a common
+denominator, absorption tested on the denominators, and each progression
+and witness wrapped once, in final order.  A matching's pole set is that
+builder on the enumerator's dict; every union (of pole sets, or over the
+matchings refining a word) is that builder on one earliest-wins merge of
+the dicts, so a word's union enumerates each refining matching once and
+builds one set.  Records reduce offsets with math.gcd.  Fractions appear
+only where a caller reads ``offset`` or ``step`` or asks a membership query.
 """
 from __future__ import annotations
 
@@ -52,11 +56,11 @@ from .pairings import (
 __all__ = [
     "RationalProgression",
     "PoleSet",
-    "union_with_sources",
     "HyperplaneFamily",
     "progression_of_set",
     "candidate_poles",
     "candidate_poles_for_word",
+    "candidate_poles_by_matching",
     "is_candidate",
     "hyperplane_candidates",
 ]
@@ -151,48 +155,14 @@ class PoleSet:
     sorted by descending offset, then ascending step.  Equality compares the
     merged form (the two views describe the same set of numbers).
 
-    Both views come from one sort on integer tuples: over one common
-    denominator L, offsets compare as the ranks size * (L // denom), and
-    (rank, -denom) is distinct for distinct progressions.  ``candidate_poles``
-    sorts the enumerator's ints so and wraps each progression and witness
-    once, in final order; this constructor sorts any mapping the same way.
+    ``PoleSet(witnesses)`` reduces its mapping, progression -> witness, to
+    the key dict of ``_pole_set``, the one builder.
     """
 
     __slots__ = ("progressions", "contributions", "witnesses")
 
-    def __init__(self, witnesses: Mapping[RationalProgression, PositionSet]):
-        lcm = math.lcm(*(pr[1] for pr in witnesses))
-        order = sorted(
-            (pr[0] * (lcm // pr[1]), -pr[1], pr, w) for pr, w in witnesses.items()
-        )
-        contributions = tuple((pr, w) for _, _, pr, w in order)
-        self._fill(contributions, [-neg for _, neg, _, _ in order])
-
-    def _fill(
-        self,
-        contributions: tuple[tuple[RationalProgression, PositionSet], ...],
-        denoms: Sequence[int],
-    ) -> None:
-        """Store the three views, from the contributions in final order and
-        the denom of each.
-
-        Every absorber of a progression comes before it in that order: its
-        offset is higher, or equal with a finer step.  So a progression is
-        absorbed exactly when its denom divides the denom of an earlier kept
-        one.  A later progression of a denom is absorbed by the first one or
-        by what absorbs the first, so only the first of each denom is tested,
-        against the divisors of the kept denoms.
-        """
-        distinct = dict.fromkeys(denoms)
-        covered: set[int] = set()
-        progressions = []
-        for d in distinct:
-            if d not in covered:
-                covered.update(e for e in distinct if d % e == 0)
-                progressions.append(contributions[denoms.index(d)][0])
-        object.__setattr__(self, "progressions", tuple(progressions))
-        object.__setattr__(self, "contributions", contributions)
-        object.__setattr__(self, "witnesses", dict(contributions))
+    def __new__(cls, witnesses: Mapping[RationalProgression, PositionSet]) -> PoleSet:
+        return _pole_set({pr: w.mask for pr, w in witnesses.items()})
 
     def __setattr__(self, *a):
         raise AttributeError("PoleSet is immutable")
@@ -228,8 +198,7 @@ class PoleSet:
 
     def union(self, *others: PoleSet) -> PoleSet:
         """One merge of this set with the others; the earliest witness wins."""
-        pole_sets = (self, *others)
-        return union_with_sources(pole_sets, range(len(pole_sets)))[0]
+        return PoleSet(_earliest_wins(ps.witnesses for ps in (self, *others)))
 
     def as_records(self) -> list[dict[str, str]]:
         return [pr.as_record() for pr in self.progressions]
@@ -244,22 +213,66 @@ class PoleSet:
         return f"PoleSet({len(self.progressions)} progressions, max={self.max_offset})"
 
 
-def union_with_sources(
-    pole_sets: Sequence[PoleSet], sources: Sequence
-) -> tuple[PoleSet, dict[RationalProgression, object]]:
-    """The union of the pole sets, and the source of each progression.
+def _earliest_wins(dicts: Iterable[dict]) -> dict:
+    """The merge of the dicts in which each key keeps its value in the first
+    dict that holds it: the one merge of every union.  Each step copies one
+    dict and the merge so far, in C, so a stream of dicts is merged in the
+    memory of its union."""
+    merged: dict = {}
+    for d in dicts:
+        merged = d | merged
+    return merged
 
-    One earliest-wins pass: each progression keeps the witness, and the
-    entry of ``sources``, of the first pole set that holds it.  The pass
-    runs backwards so that earlier sets overwrite later ones; dict updates
-    from dicts reuse the stored key hashes.
+
+# PositionSet construction from a mask already in range, with no check
+_new_position_set = PositionSet.__new__
+_set_mask = PositionSet.mask.__set__
+
+
+def _pole_set(keys: Mapping[tuple[int, int], int]) -> PoleSet:
+    """The PoleSet of a (|S|, 2[S|P]) -> witness mask dict; the one builder.
+
+    Both views come from one sort on int tuples: over one common
+    denominator L, offsets compare as the ranks size * (L // denom), and
+    (rank, -denom) is distinct for distinct progressions, so no size or mask
+    is compared.  Each progression and witness is then wrapped once, in
+    final order, with no re-check: the keys come from checked progressions
+    or from the enumerator, whose sizes are >= 1, denoms >= 2 and masks in
+    range.
+
+    Every absorber of a progression comes before it in that order: its
+    offset is higher, or equal with a finer step.  So a progression is
+    absorbed exactly when its denom divides the denom of an earlier kept
+    one.  A later progression of a denom is absorbed by the first one or by
+    what absorbs the first, so only the first of each denom is tested,
+    against the divisors of the kept denoms.
     """
-    witnesses: dict[RationalProgression, PositionSet] = {}
-    source: dict[RationalProgression, object] = {}
-    for ps, src in zip(reversed(pole_sets), reversed(sources)):
-        witnesses.update(ps.witnesses)
-        source.update(dict.fromkeys(ps.witnesses, src))
-    return PoleSet(witnesses), source
+    lcm = math.lcm(*(denom for _size, denom in keys))
+    order = sorted(
+        (size * (lcm // denom), -denom, size, mask)
+        for (size, denom), mask in keys.items()
+    )
+    _ranks, neg_denoms, sizes, masks = list(zip(*order)) or [()] * 4
+    denoms = [-neg for neg in neg_denoms]
+    witnesses = list(map(_new_position_set, repeat(PositionSet, len(masks))))
+    for _ in map(_set_mask, witnesses, masks):  # stores each witness's mask
+        pass
+    progressions = tuple(
+        map(tuple.__new__, repeat(RationalProgression), zip(sizes, denoms))
+    )
+    distinct = dict.fromkeys(denoms)
+    covered: set[int] = set()
+    kept = []
+    for d in distinct:
+        if d not in covered:
+            covered.update(e for e in distinct if d % e == 0)
+            kept.append(progressions[denoms.index(d)])
+    ps = object.__new__(PoleSet)
+    contributions = tuple(zip(progressions, witnesses))
+    object.__setattr__(ps, "progressions", tuple(kept))
+    object.__setattr__(ps, "contributions", contributions)
+    object.__setattr__(ps, "witnesses", dict(contributions))
+    return ps
 
 
 def progression_of_set(
@@ -275,6 +288,12 @@ def progression_of_set(
         )
     c = bracket_count(s, partition)
     return RationalProgression(len(s), 2 * c) if c else None
+
+
+# the enumeration makes (2k)(2k+1)/2 shifts of ints of up to (2k)^2 bits and
+# one dict insert per realized pair: at 2k = 128, 25-40 ms per matching
+# (random, all-adjacent, fully nested and fully crossing; 2-vCPU host)
+_MAX_POLE_POSITIONS = 128
 
 
 def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
@@ -300,8 +319,13 @@ def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
     So a descends from q, and a key is new at (q, a) when it is in
     bits[a-2] << head(a, q) and in no earlier key set; its witness is the
     interval's mask joined to the least mask of the rest, set once.
+    SizeError refuses more than 128 positions.
     """
     n = partition.size
+    if n > _MAX_POLE_POSITIONS:
+        raise SizeError(
+            f"candidate poles of {n} positions refused: more than {_MAX_POLE_POSITIONS}"
+        )
     base = n + 1
     # end[a]: the right end of the pair interval starting at a, or n + 1
     end = [base] * (n + 1)
@@ -335,16 +359,6 @@ def _realized(partition: PairPartition) -> dict[tuple[int, int], int]:
     return realized
 
 
-# PositionSet construction from a mask already in range, with no check
-_new_position_set = PositionSet.__new__
-_set_mask = PositionSet.mask.__set__
-
-# the enumeration makes (2k)(2k+1)/2 shifts of ints of up to (2k)^2 bits and
-# one dict insert per realized pair: at 2k = 128, 25-40 ms per matching
-# (random, all-adjacent, fully nested and fully crossing; 2-vCPU host)
-_MAX_POLE_POSITIONS = 128
-
-
 def candidate_poles(partition: PairPartition) -> PoleSet:
     """Union of progressions 1 - (|S|+l)/(2[S|P]) over sets with [S|P] > 0.
 
@@ -353,50 +367,42 @@ def candidate_poles(partition: PairPartition) -> PoleSet:
     from distinct pairs (|S|, 2[S|P]).  SizeError refuses more than 128
     positions.
     """
-    if partition.size > _MAX_POLE_POSITIONS:
-        raise SizeError(
-            f"candidate poles of {partition.size} positions refused: "
-            f"more than {_MAX_POLE_POSITIONS}"
-        )
-    realized = _realized(partition)
-    lcm = math.lcm(*(denom for _size, denom in realized))
-    # PoleSet's order on plain ints, distinct on (rank, -denom): no size or
-    # mask is compared
-    order = sorted(
-        (size * (lcm // denom), -denom, size, mask)
-        for (size, denom), mask in realized.items()
-    )
-    _ranks, neg_denoms, sizes, masks = zip(*order)
-    denoms = [-neg for neg in neg_denoms]
+    ps = _pole_set(_realized(partition))
     # [S|P] <= |S| for pair partitions: each pair interval inside S has its
     # right end in S, so no offset 1 - |S|/(2[S|P]) exceeds 1/2
-    if 2 * sizes[0] < denoms[0]:
-        raise DomainError(
-            f"candidate offset {Fraction(denoms[0] - sizes[0], denoms[0])} exceeds 1/2"
-        )
-    # each progression and witness is wrapped once, in final order, with no
-    # re-check: the enumerator's masks lie below 2^n with n <= 128, and its
-    # pairs have size >= 1 and denom >= 2
-    witnesses = list(map(_new_position_set, repeat(PositionSet, len(masks))))
-    for _ in map(_set_mask, witnesses, masks):  # stores each witness's mask
-        pass
-    progressions = map(tuple.__new__, repeat(RationalProgression), zip(sizes, denoms))
-    ps = PoleSet.__new__(PoleSet)
-    ps._fill(tuple(zip(progressions, witnesses)), denoms)
+    top = ps.contributions[0][0]
+    if 2 * top.size < top.denom:
+        raise DomainError(f"candidate offset {top.offset} exceeds 1/2")
     return ps
 
 
 def candidate_poles_for_word(word: Word) -> PoleSet:
-    """Union of candidate_poles over all pair partitions refining the word."""
-    return PoleSet({}).union(*(candidate_poles(p) for p in enumerate_refining(word)))
+    """Union of candidate_poles over all pair partitions refining the word,
+    each progression witnessed as in the first partition that holds it.
+
+    Each refining partition is enumerated once and one PoleSet is built."""
+    return _pole_set(_earliest_wins(map(_realized, enumerate_refining(word))))
 
 
-def is_candidate(
-    partition: PairPartition, h0, pole_set: PoleSet | None = None
-) -> tuple[bool, dict | None]:
+def candidate_poles_by_matching(
+    word: Word,
+) -> tuple[PoleSet, list[int], list[tuple[PairPartition, PoleSet]]]:
+    """``candidate_poles_for_word``; the source of each of its contributions,
+    the index of the first refining partition that holds the progression;
+    and each refining partition with its ``candidate_poles``, from one
+    enumeration of each partition."""
+    refining = enumerate_refining(word)
+    keys = [_realized(p) for p in refining]
+    union = _pole_set(_earliest_wins(keys))
+    source = _earliest_wins(dict.fromkeys(k, i) for i, k in enumerate(keys))
+    sources = [source[pr] for pr, _w in union.contributions]
+    return union, sources, [(p, _pole_set(k)) for p, k in zip(refining, keys)]
+
+
+def is_candidate(partition: PairPartition, h0) -> tuple[bool, dict | None]:
     """Exact membership query, with a witness (S, l) when the answer is yes."""
     h0 = _rational(h0)
-    ps = pole_set if pole_set is not None else candidate_poles(partition)
+    ps = candidate_poles(partition)
     hit = ps.locate(h0)
     if hit is None:
         return False, None
@@ -456,9 +462,8 @@ class HyperplaneFamily:
         """
         # later sets overwrite, so each witness is the first set in sorted order
         entries = sorted(self.entries.items(), key=lambda kv: sorted(kv[0]))
-        return PoleSet({
-            RationalProgression(len(s), 2 * len(t)): PositionSet(s)
-            for s, t in reversed(entries)
+        return _pole_set({
+            (len(s), 2 * len(t)): PositionSet(s).mask for s, t in reversed(entries)
         })
 
 

@@ -95,6 +95,9 @@ DEFAULT_TOL = 1e-8
 # direct MC takes about 3 s at 2k = 2 and 12 s at 2k = 10 for 2^28 samples
 # on one core, and keeps 24 B per 2^10 samples, 6 MB at the cap
 MAX_SAMPLES = 1 << 28
+# most worker streams per call: each stream has a fixed setup cost whatever
+# its size, and every stream's SeedSequence is built before the first draw
+MAX_WORKERS = 1 << 10
 _MC_BATCH = 1 << 18
 # direct-MC rows per batch, so the (n, batch) working set stays in cache,
 # and pullback rows per evaluation chunk, so its temporaries stay bounded
@@ -280,8 +283,8 @@ def check_route_args(h: float, *, tol: float = DEFAULT_TOL,
     the CLI: real H and tol, integer samples, seed and workers (a bool is
     neither); a finite H > 1/2, where L(P; H) converges; 0 <= tol < inf;
     2 <= samples <= ``MAX_SAMPLES`` = 2^28 (one sample has no error
-    estimate) and 1 <= workers <= samples, both SizeError; a nonnegative
-    seed.  The rest raise DomainError, and the CLI exits 3 on either.  A
+    estimate) and 1 <= workers <= min(samples, ``MAX_WORKERS`` = 2^10), both
+    SizeError; a nonnegative seed.  The rest raise DomainError, and the CLI exits 3 on either.  A
     route passes the options it reads; for the others its defaults pass.
     """
     for name, value in (("H", h), ("tol", tol)):
@@ -299,8 +302,9 @@ def check_route_args(h: float, *, tol: float = DEFAULT_TOL,
             raise DomainError(f"{name} must be an integer, got {name}={value!r}")
     if not 2 <= samples <= MAX_SAMPLES:
         raise SizeError(f"{samples} samples refused: need 2 to {MAX_SAMPLES} per call")
-    if not 1 <= workers <= samples:
-        raise SizeError(f"{workers} workers refused for {samples} samples")
+    if not 1 <= workers <= min(samples, MAX_WORKERS):
+        raise SizeError(f"{workers} workers refused for {samples} samples: "
+                        f"need 1 to the samples, at most {MAX_WORKERS}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, SizeError
 from .pairings import (PairPartition, Word, check_refining_count, enumerate_refining,
                        first_occurrence_relabel, format_pairs, format_word)
-from .poles import candidate_poles, union_with_sources
+from .poles import candidate_poles_by_matching
 from .quadrature import ROUTES, EvalResult, FbmCovariance, check_matchings, check_route_args
 
 __all__ = [
@@ -243,7 +243,7 @@ def gamma_table(
             f"gamma table over {d}^{2 * k} words refused: "
             f"more than the {_MAX_TABLE_WORDS} tabulated"
         )
-    check_refining_count(Word((1,) * (2 * k)))
+    check_refining_count([2 * k])  # the matchings of 2k points, with no word built
     chain = ((max(1, 2 * j - 2), min(2 * j + 1, 2 * k)) for j in range(1, k + 1))
     check_matchings(evaluator, [PairPartition(chain)])
     canon = {letters: first_occurrence_relabel(letters)
@@ -258,26 +258,22 @@ def gamma_table(
 def candidate_pole_report(word: Word) -> dict:
     """Candidate pole locations for a word with per-partition breakdowns.
 
-    Each refining partition's pole set is computed once.  One earliest-wins
-    pass (``union_with_sources``) merges them: it yields the union, each
-    progression witnessed by the first partition that contributes it, and
-    that partition's ``pairs``, which ``contributions`` lists beside each of
-    the union's contribution records.
+    ``poles.candidate_poles_by_matching`` gives the union, the first
+    refining partition holding each of its progressions and each
+    partition's pole set, from one enumeration of each partition; this
+    formats them, listing that partition's ``pairs`` beside each of the
+    union's contribution records.
     """
-    refining = enumerate_refining(word)
-    pole_sets = [candidate_poles(p) for p in refining]
-    union, source = union_with_sources(pole_sets, [format_pairs(p) for p in refining])
+    union, sources, per_partition = candidate_poles_by_matching(word)
+    pairs = {i: format_pairs(per_partition[i][0]) for i in sources}
     contributions = [
-        {**rec, "pairs": source[pr]}
-        for (pr, _w), rec in zip(union.contributions, union.contribution_records())
+        {**rec, "pairs": pairs[i]} for rec, i in zip(union.contribution_records(), sources)
     ]
     return {
         "word": format_word(word),
-        "refining_count": len(refining),
+        "refining_count": len(per_partition),
         "union": union,
         "contributions": contributions,
-        "per_partition": [
-            {"partition": p, "pole_set": ps} for p, ps in zip(refining, pole_sets)
-        ],
-        "note": None if refining else "no refining pair partitions",
+        "per_partition": [{"partition": p, "pole_set": ps} for p, ps in per_partition],
+        "note": None if per_partition else "no refining pair partitions",
     }

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import pickle
+import random
 import warnings
 from fractions import Fraction
 
@@ -157,6 +159,24 @@ def test_jacobian_matches_finite_differences(n):
         exact = chart.det_jacobian(list(y))
         fd = finite_difference_det(chart, y)
         assert abs(exact - fd) <= 1e-8 * abs(exact) + 1e-10
+
+
+def test_jacobian_identity_exact():
+    # det dF = prod f_S^(|S|-1) * R as an exact Fraction equality, at every
+    # boundary witness for n <= 3 and at seeded rational interior points for
+    # n <= 4, so the Fraction branch of det_jacobian is checked exactly
+    rng = random.Random(46)
+    for n in (1, 2, 3, 4):
+        chart = BlowupChart(n)
+        points = [chart.witness_point(flags) for flags in all_monotone_lists(n)] if n <= 3 else []
+        seed = Fraction(chart.interior_seed())
+        points += [[seed + Fraction(rng.randrange(1, 400), rng.randrange(1, 60)) for _ in range(n)]
+                   for _ in range(5)]
+        for y in points:
+            det = chart.det_jacobian(list(y))
+            forms = zip(chart.f_all(y), chart.members)
+            product = math.prod((f ** (len(mem) - 1) for f, mem in forms), start=chart.r_exact(y))
+            assert type(det) is Fraction and det == product, (n, y)
 
 
 def test_det_jacobian_positive_on_omega():

@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import random
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None, timeout: float | None = None):
+def run_cli(*args: str, env_extra: dict | None = None, timeout: float | None = None,
+            preexec_fn=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH", "")]))
     env.pop("SIGPOLE_SEED", None)
@@ -42,6 +45,7 @@ def run_cli(*args: str, env_extra: dict | None = None, timeout: float | None = N
         text=True,
         env=env,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -273,6 +277,14 @@ def test_exact_zeros_stay_exact():
 def test_mc_counts_below_one_exit_3(method, count):
     out = invoke("eval", "--pairs", "1-2", "--H", "0.8", "--method", method, *count)
     assert out.returncode == 3, out.stdout
+
+
+@pytest.mark.parametrize("method", ["direct-mc", "pullback-mc"])
+def test_mc_workers_past_the_bound_exit_3(method):
+    out = invoke("eval", "--pairs", "1-2", "--H", "0.8", "--method", method,
+                 "--samples", "65536", "--workers", "1025")
+    assert out.returncode == 3, out.stdout
+    assert "at most 1024" in out.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -774,6 +786,44 @@ def test_refining_count_past_str_digit_limit_exit_3(args):
     out = run_cli(*args, timeout=10)
     assert out.returncode == 3, out.stderr
     assert "more than 135135 refining pair partitions" in out.stderr
+
+
+def test_table_of_a_billion_pairs_refused_without_a_word_exit_3():
+    # the matching count of 2k points is checked on the number 2k, so no
+    # word of 2e9 letters is built; the child runs in a 1.5 GB address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    out = run_cli("gamma-table", "--k", "1000000000", "--d", "1", "--H", "0.8",
+                  timeout=10, preexec_fn=limit_memory)
+    assert out.returncode == 3, out.stderr
+    assert "more than 135135 refining pair partitions" in out.stderr
+
+
+def large_matching_specs() -> dict[str, str]:
+    """The fully nested 332-pair matching and a seeded random 3,000-pair one."""
+    nested = ",".join(f"{i}-{665 - i}" for i in range(1, 333))
+    perm = list(range(1, 6001))
+    random.Random(3000).shuffle(perm)
+    crossing = ",".join(f"{a}-{b}" for a, b in zip(perm[::2], perm[1::2]))
+    return {"nested": nested, "random": crossing}
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "--pairs", "nested", "--method", "closed-form"),
+    ("eval", "--pairs", "nested", "--method", "adaptive"),
+    ("mean-sig", "--word", ",".join(map(str, [*range(1, 333), *range(332, 0, -1)]))),
+    ("eval", "--pairs", "random", "--method", "closed-form"),
+    ("eval", "--pairs", "random", "--method", "adaptive"),
+])
+def test_large_matchings_get_a_value_or_exit_3(args):
+    # factorize walks the nesting on an explicit stack and finds crossing
+    # components in one sweep: no RecursionError at any depth, and no
+    # quadratic merge of components
+    specs = large_matching_specs()
+    out = run_cli(*(specs.get(a, a) for a in args), "--H", "0.8", timeout=20)
+    assert out.returncode in (0, 3), out.stderr[-2000:]
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("set_spec", ["5000000000000", "1-4000000000"])

@@ -4,15 +4,18 @@ used (a name in an annotation counts as used).  An import whose first line
 says ``noqa: F401`` is a declared re-export.  No module imports an
 underscore name from a sibling: what crosses modules is public.  No memo
 outlives a call: no module has a ``global`` statement or a ``cache``,
-``lru_cache`` or ``cached_property`` decorator."""
+``lru_cache`` or ``cached_property`` decorator.  The names the benchmark's
+tracer wraps, read from ``perfbench/tracer.py`` with ``ast``, still resolve."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sigpole"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sigpole"
 
 
 def module_level(body: list[ast.stmt]):
@@ -150,3 +153,34 @@ def test_no_memo_outlives_a_call(path):
     # a cache kept across calls would make a result depend on earlier calls
     sites = memo_sites(ast.parse(path.read_text()))
     assert not sites, f"{path.name} keeps state across calls (line, what): {sites}"
+
+
+def tracer_literal(name: str):
+    """The literal value of a module-level assignment in perfbench/tracer.py;
+    nothing of perfbench is imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py assigns no {name}")
+
+
+def test_benchmark_call_surface_resolves():
+    # the benchmark's own tests are slow and outside this suite, so a rename
+    # of a name it calls or a field it reads must fail here
+    for mod_name, names in tracer_literal("TRACED").items():
+        module = importlib.import_module(f"sigpole.{mod_name}")
+        missing = [n for n in names if not callable(getattr(module, n, None))]
+        assert not missing, f"sigpole.{mod_name} lacks {missing}"
+    for dotted, names in tracer_literal("TRACED_METHODS").items():
+        mod_name, cls_name = dotted.rsplit(".", 1)
+        cls = getattr(importlib.import_module(f"sigpole.{mod_name}"), cls_name)
+        missing = [n for n in names if not callable(getattr(cls, n, None))]
+        assert not missing, f"sigpole.{dotted} lacks {missing}"
+    assert callable(importlib.import_module("sigpole._accel").backend_name)
+    signature = importlib.import_module("sigpole.signature")
+    pairings = importlib.import_module("sigpole.pairings")
+    rows = signature.candidate_pole_report(pairings.Word([1, 1, 2, 2]))["per_partition"]
+    assert rows and all({"partition", "pole_set"} <= row.keys() for row in rows)

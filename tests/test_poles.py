@@ -74,7 +74,6 @@ def test_membership_queries_refuse_non_rationals(x):
     ps = candidate_poles(p)
     for query in (
         lambda: is_candidate(p, x),
-        lambda: is_candidate(p, x, ps),
         lambda: x in ps,
         lambda: ps.locate(x),
         lambda: RationalProgression(1, 2).index_of(x),
@@ -162,7 +161,7 @@ def test_singleton_interval_attains_half():
     for k in (1, 2, 3):
         ps = candidate_poles(adjacent_partition(k))
         assert ps.max_offset == F(1, 2)
-        ok, witness = is_candidate(adjacent_partition(k), F(1, 2), ps)
+        ok, witness = is_candidate(adjacent_partition(k), F(1, 2))
         assert ok and witness["l"] == 0
 
 
@@ -285,25 +284,50 @@ def test_large_partition_witnesses():
         assert progression_of_set(DIAGRAM_PARTITION, witness) == pr
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch ``poles.<name>`` to record the first argument of each call."""
+    calls, real = [], getattr(poles, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(poles, name, counted)
+    return calls
+
+
 def test_report_computes_each_matching_once(monkeypatch):
-    calls = []
-    real = poles.candidate_poles
-
-    def counted(p):
-        calls.append(p)
-        return real(p)
-
-    for module in (poles, signature):
-        monkeypatch.setattr(module, "candidate_poles", counted)
     word = Word([1, 1, 1, 1, 2, 2])
-    report = candidate_pole_report(word)
     refining = enumerate_refining(word)
     assert len(refining) == 3
-    assert calls == list(refining)
-    assert [row["pole_set"] for row in report["per_partition"]] == [
-        real(p) for p in refining
-    ]
-    assert report["union"] == candidate_poles_for_word(word)
+    expected = [candidate_poles(p) for p in refining]
+    union = candidate_poles_for_word(word)
+    enumerated = count_calls(monkeypatch, "_realized")
+    report = candidate_pole_report(word)
+    assert enumerated == list(refining)
+    assert [row["pole_set"] for row in report["per_partition"]] == expected
+    assert report["union"] == union
+    assert report["union"].contributions == union.contributions
+    enumerated.clear()
+    candidate_poles_for_word(word)
+    assert enumerated == list(refining)
+
+
+def test_word_union_is_the_fold_of_its_matchings(monkeypatch):
+    # every word class of length <= 8: the union equals the earliest-wins
+    # fold of the refining matchings' pole sets, witnesses included, and
+    # is built as one PoleSet
+    built = count_calls(monkeypatch, "_pole_set")
+    for length in (2, 4, 6, 8):
+        for letters in restricted_growth_words(length):
+            word = Word(letters)
+            folded = PoleSet({})
+            for p in enumerate_refining(word):
+                folded = folded.union(candidate_poles(p))
+            built.clear()
+            union = candidate_poles_for_word(word)
+            assert len(built) == 1, letters
+            assert union == folded and union.contributions == folded.contributions, letters
 
 
 def test_candidate_poles_for_word():

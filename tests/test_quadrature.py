@@ -585,6 +585,22 @@ def test_more_workers_than_samples_refused(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", [l_direct_mc, l_pullback_mc])
+def test_worker_streams_past_the_bound_refused(route, monkeypatch):
+    # each stream has a fixed setup cost whatever its size, so the stream
+    # count is bounded like the sample count, before any stream is built
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("a seed sequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    monkeypatch.setattr(quadrature, "worker_seeds", no_seeds)
+    for workers in (quadrature.MAX_WORKERS + 1, 65536, quadrature.MAX_SAMPLES):
+        with pytest.raises(SizeError, match=f"{workers} workers refused for .* at most 1024"):
+            route(PAIR, 0.8, samples=quadrature.MAX_SAMPLES, workers=workers)
+    quadrature.check_route_args(0.8, samples=quadrature.MAX_SAMPLES,
+                                workers=quadrature.MAX_WORKERS)
+
+
+@pytest.mark.parametrize("route", [l_direct_mc, l_pullback_mc])
 def test_oversized_sample_count_refused(route, monkeypatch):
     def no_seeds(*args, **kwargs):
         raise AssertionError("a seed sequence was built")
