@@ -217,10 +217,12 @@ def cmd_verify(args) -> None:
         sys.exit(EXIT_VERIFY_FAILED)
 
 
-def add_route_options(parser: argparse.ArgumentParser, methods: list[str]) -> None:
-    """The options of eval, mean-sig and gamma-table, declared once."""
+def add_route_options(parser: argparse.ArgumentParser) -> None:
+    """The options of eval, mean-sig and gamma-table, declared once; each
+    offers every route of ``ROUTES``."""
     parser.add_argument("--H", dest="hurst", type=float, required=True)
-    parser.add_argument("--method", choices=methods, default="adaptive", help=_SHOW_DEFAULT)
+    parser.add_argument("--method", choices=list(ROUTES), default="adaptive",
+                        help=_SHOW_DEFAULT)
     parser.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES,
                         help=f"2 to {MAX_SAMPLES} (2^28), exit 3 otherwise; " + _SHOW_DEFAULT)
     parser.add_argument("--seed", type=integer,
@@ -260,16 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = command("eval", cmd_eval)
     evaluate.add_argument("--pairs", required=True)
-    add_route_options(evaluate, list(ROUTES))
+    add_route_options(evaluate)
 
     mean_sig = command("mean-sig", cmd_mean_sig)
     mean_sig.add_argument("--word", required=True)
-    add_route_options(mean_sig, list(ROUTES))
+    add_route_options(mean_sig)
 
     table = command("gamma-table", cmd_gamma_table, outputs=("json", "csv"))
     table.add_argument("--k", type=integer, required=True)
     table.add_argument("--d", type=integer, required=True)
-    add_route_options(table, [m for m in ROUTES if m != "pullback-mc"])
+    add_route_options(table)
 
     for sub in (mean_sig, table):
         sub.add_argument("--mode", choices=NORMALIZATION_MODES, default=DEFAULT_MODE,

@@ -36,7 +36,6 @@ __all__ = [
     "first_occurrence_relabel",
     "PairPartition",
     "PositionSet",
-    "interval_of_pair",
     "refines",
     "check_refining_count",
     "enumerate_refining",
@@ -239,7 +238,9 @@ class PairPartition:
 
     @property
     def interval_image(self) -> tuple[Interval, ...]:
-        """The image of the interval map over the pairs (multiset, sorted)."""
+        """The image of the interval map {a, b} -> [min + 1, max] over the
+        pairs (multiset, sorted): the one statement of the map.  The pairs
+        were checked and put in order when the partition was built."""
         cached = self._intervals
         if cached is None:
             cached = tuple(sorted(Interval(a + 1, b) for a, b in self.pairs))
@@ -322,22 +323,6 @@ class PositionSet:
 
     def __repr__(self) -> str:
         return f"PositionSet({format_position_set(self)!r})"
-
-
-def interval_of_pair(a: int, b: int, size: int | None = None) -> Interval:
-    """Map an unordered pair {a, b} of positions to the interval [min+1, max].
-
-    >>> interval_of_pair(10, 6)
-    Interval(lo=7, hi=10)
-    >>> interval_of_pair(1, 2)
-    Interval(lo=2, hi=2)
-    """
-    a, b = _positions(a, b)
-    if a == b:
-        raise InvalidPairError(f"pair {{{a},{b}}} has equal elements")
-    if a < 1 or b < 1 or (size is not None and max(a, b) > size):
-        raise InvalidPairError(f"pair {{{a},{b}}} out of range")
-    return Interval(min(a, b) + 1, max(a, b))
 
 
 def refines(partition: PairPartition, word: Word) -> bool:

@@ -31,8 +31,11 @@ and witness wrapped once, in final order.  A matching's pole set is that
 builder on the enumerator's dict; every union (of pole sets, or over the
 matchings refining a word) is that builder on one earliest-wins merge of
 the dicts, so a word's union enumerates each refining matching once and
-builds one set.  Records reduce offsets with math.gcd.  Fractions appear
-only where a caller reads ``offset`` or ``step`` or asks a membership query.
+builds one set.  The word report (``candidate_pole_report``) is built here,
+beside that merge: the union, the matching behind each of its witnesses and
+each matching's own set, from one enumeration of each.  Records reduce
+offsets with math.gcd.  Fractions appear only where a caller reads
+``offset`` or ``step`` or asks a membership query.
 """
 from __future__ import annotations
 
@@ -50,7 +53,9 @@ from .pairings import (
     Word,
     bracket_count,
     enumerate_refining,
+    format_pairs,
     format_position_set,
+    format_word,
 )
 
 __all__ = [
@@ -60,7 +65,7 @@ __all__ = [
     "progression_of_set",
     "candidate_poles",
     "candidate_poles_for_word",
-    "candidate_poles_by_matching",
+    "candidate_pole_report",
     "is_candidate",
     "hyperplane_candidates",
 ]
@@ -384,19 +389,31 @@ def candidate_poles_for_word(word: Word) -> PoleSet:
     return _pole_set(_earliest_wins(map(_realized, enumerate_refining(word))))
 
 
-def candidate_poles_by_matching(
-    word: Word,
-) -> tuple[PoleSet, list[int], list[tuple[PairPartition, PoleSet]]]:
-    """``candidate_poles_for_word``; the source of each of its contributions,
-    the index of the first refining partition that holds the progression;
-    and each refining partition with its ``candidate_poles``, from one
-    enumeration of each partition."""
+def candidate_pole_report(word: Word) -> dict:
+    """Candidate pole locations for a word with per-partition breakdowns.
+
+    From one enumeration of each refining partition: the union of
+    ``candidate_poles_for_word``; its contribution records, each with the
+    ``pairs`` of the first refining partition that holds its progression,
+    whose least set is the witness; and each partition with its
+    ``candidate_poles``.
+    """
     refining = enumerate_refining(word)
     keys = [_realized(p) for p in refining]
     union = _pole_set(_earliest_wins(keys))
     source = _earliest_wins(dict.fromkeys(k, i) for i, k in enumerate(keys))
     sources = [source[pr] for pr, _w in union.contributions]
-    return union, sources, [(p, _pole_set(k)) for p, k in zip(refining, keys)]
+    pairs = {i: format_pairs(refining[i]) for i in sources}
+    return {
+        "word": format_word(word),
+        "refining_count": len(refining),
+        "union": union,
+        "contributions": [{**rec, "pairs": pairs[i]}
+                          for rec, i in zip(union.contribution_records(), sources)],
+        "per_partition": [{"partition": p, "pole_set": _pole_set(k)}
+                          for p, k in zip(refining, keys)],
+        "note": None if refining else "no refining pair partitions",
+    }
 
 
 def is_candidate(partition: PairPartition, h0) -> tuple[bool, dict | None]:

@@ -8,7 +8,7 @@ Four routes are provided and cross-checked against each other:
   flag (H > 3/4);
 - ``l_pullback_mc``: rejection sampling of the blown-up domain, averaging the
   pulled-back integrand (a working check of the change of variables), with
-  the proposals evaluated in row chunks;
+  the proposals evaluated in row chunks; one pair only;
 - ``l_closed_form``: the exact gamma product of a non-crossing P, from the
   factorization over the nesting forest of P's crossing components;
 - ``l_adaptive``: that product times each crossing component of up to 5
@@ -21,8 +21,10 @@ gamma arguments, is ``gammaterms``; this module keeps the grids, the level
 loop and the rounding bounds.
 
 ``ROUTES`` maps the route names ``adaptive``, ``direct-mc``, ``pullback-mc``
-and ``closed-form`` to these functions; it is the only place a name is
-resolved.
+and ``closed-form`` to these functions; it is the only list of method names
+and the only place a name is resolved.  A result's kind, stochastic or
+deterministic, is read from its error field (``EvalResult``), never from
+its method label.
 
 ``wick_grid_oracle`` is the independent deterministic oracle for mean
 iterated integrals: a Riemann sum over strictly increasing grid indices of
@@ -86,8 +88,6 @@ __all__ = [
 # default RNG seed: the bytes "FBM0" read as a big-endian integer
 DEFAULT_SEED = int.from_bytes(b"FBM0", "big")
 
-STOCHASTIC_METHODS = frozenset({"direct-mc", "pullback-mc"})
-DETERMINISTIC_METHODS = frozenset({"adaptive", "closed-form", "wick-grid"})
 # default sample count of the Monte Carlo routes and tolerance of l_adaptive
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_TOL = 1e-8
@@ -111,12 +111,14 @@ _WICK_MAX_ENTRIES = 1 << 24
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A numeric value with method tag and its uncertainty bookkeeping.
+    """A numeric value with a method label and its uncertainty bookkeeping.
 
-    Stochastic methods carry ``stderr``, ``samples`` and ``seed``;
-    deterministic methods carry ``tol`` and ``cells``.  The result rule: a
-    value that is not finite, or whose error (``stderr`` or ``tol``) is not
-    below |value|, raises NumericError, unless ``extra["exact_zero"]`` marks 0 ± 0.
+    The error field sets the kind: exactly one of ``stderr`` and ``tol`` is
+    set, else DomainError.  A stochastic result carries ``stderr``, with
+    ``samples`` (DomainError without) and ``seed``; a deterministic one
+    carries ``tol`` and ``cells``.  ``method`` is a label only.  The result
+    rule: a value that is not finite, or whose error is not below |value|,
+    raises NumericError, unless ``extra["exact_zero"]`` marks 0 ± 0.
     """
 
     value: float
@@ -131,17 +133,13 @@ class EvalResult:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.method in STOCHASTIC_METHODS:
-            if self.stderr is None or self.samples is None:
-                raise DomainError(f"{self.method} results need stderr and samples")
-        elif self.method in DETERMINISTIC_METHODS:
-            if self.tol is None:
-                raise DomainError(f"{self.method} results need a tolerance")
-        else:
-            raise DomainError(f"unknown method {self.method!r}")
+        if (self.stderr is None) == (self.tol is None):
+            raise DomainError(f"{self.method} results need exactly one of stderr and tol")
+        if self.stderr is not None and self.samples is None:
+            raise DomainError(f"{self.method} results with a stderr need samples")
         # L(P; H) > 0 for H > 1/2, and a word's value is a positive prefactor
         # times a sum of them: an error of at least |value| leaves no digit
-        name = "stderr" if self.method in STOCHASTIC_METHODS else "tol"
+        name = "tol" if self.stderr is None else "stderr"
         error = getattr(self, name)
         if not (0 <= error < abs(self.value) < math.inf
                 or self.extra.get("exact_zero") and self.value == error == 0):
@@ -151,7 +149,7 @@ class EvalResult:
 
     def to_json_dict(self) -> dict:
         out: dict = {"value": _json_value(self.value), "method": self.method}
-        if self.method in STOCHASTIC_METHODS:
+        if self.stderr is not None:
             out["stderr"] = self.stderr
             out["samples"] = self.samples
             out["seed"] = self.seed
@@ -472,12 +470,21 @@ def l_pullback_mc(
     workers: int = 1,
     chart: BlowupChart | None = None,
 ) -> EvalResult:
-    """The same integral through the blowup chart, by rejection sampling.
+    """The integral of one pair through the blowup chart, by rejection
+    sampling.
 
     Agreement with the direct route is the working check of the change of
-    variables.  Proposals are drawn from a box in log flag coordinates (the
-    sorted coordinate prefix forms): an axis-aligned coordinate box would
-    have vanishing acceptance because the pulled-back region hugs the
+    variables.  A matching of more than one pair raises SizeError after
+    ``check_route_args`` and before any chart is built: from 2k = 4 the
+    sampling box is an empirical, padded range of flag forms that reach 0
+    where the integrand is singular, so a few samples carry the mass and
+    the stderr is not an error (over seeds 0-19 at H = 0.8 and 1e5 samples,
+    the z-scores of 1-3,2-4 against ``l_adaptive`` have sd 4.6 and reach
+    -14; those of 1-2 have sd 1.1).
+
+    Proposals are drawn from a box in log flag coordinates (the sorted
+    coordinate prefix forms): an axis-aligned coordinate box would have
+    vanishing acceptance because the pulled-back region hugs the
     top-form boundary exponentially tightly.  A proposal fixes the sorted
     point; a uniform random slot permutation then covers the whole region,
     and all affine forms are evaluated from the flag data so that forms far
@@ -493,14 +500,14 @@ def l_pullback_mc(
     computed from its own row alone, so the chunks change no value.
     """
     check_route_args(h, samples=samples, seed=seed, workers=workers)
+    if partition.k > 1:
+        raise SizeError(f"pullback route limited to one pair, got {partition.k} pairs "
+                        f"({format_pairs(partition)})")
     import numpy as np
 
-    from .blowup import EXACT_R_MAX_DIM, BlowupChart
+    from .blowup import BlowupChart
 
     n = partition.size
-    if n > EXACT_R_MAX_DIM:
-        # the limit of flag-range probing, checked before any probing
-        raise SizeError(f"pullback route limited to 2k <= {EXACT_R_MAX_DIM}")
     chart = chart if chart is not None else BlowupChart(n)
     if chart.n != n:
         raise DimensionError(f"chart has n={chart.n}, the matching has 2k={n}")
@@ -531,7 +538,7 @@ def l_pullback_mc(
             ff = np.exp(x)
             levels = chart.qranks + ff
             d = np.diff(levels, prepend=0.0, axis=1)
-            ok = (np.diff(d, axis=1) >= 0).all(axis=1) if n > 1 else np.ones(len(x), bool)
+            ok = (np.diff(d, axis=1) >= 0).all(axis=1)
             ok &= (x >= xi_lo).all(axis=1) & (x <= xi_hi).all(axis=1)
             if not ok.any():
                 continue

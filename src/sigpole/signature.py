@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, SizeError
 from .pairings import (PairPartition, Word, check_refining_count, enumerate_refining,
-                       first_occurrence_relabel, format_pairs, format_word)
-from .poles import candidate_poles_by_matching
+                       first_occurrence_relabel)
+from .poles import candidate_pole_report  # noqa: F401  (re-exported, built in poles)
 from .quadrature import ROUTES, EvalResult, FbmCovariance, check_matchings, check_route_args
 
 __all__ = [
@@ -253,27 +253,3 @@ def gamma_table(
     by_class = dict(zip(classes, results))
     entries = {letters: by_class[c] for letters, c in canon.items()}
     return GammaTable(k=k, d=d, h=h, mode=mode, entries=entries)
-
-
-def candidate_pole_report(word: Word) -> dict:
-    """Candidate pole locations for a word with per-partition breakdowns.
-
-    ``poles.candidate_poles_by_matching`` gives the union, the first
-    refining partition holding each of its progressions and each
-    partition's pole set, from one enumeration of each partition; this
-    formats them, listing that partition's ``pairs`` beside each of the
-    union's contribution records.
-    """
-    union, sources, per_partition = candidate_poles_by_matching(word)
-    pairs = {i: format_pairs(per_partition[i][0]) for i in sources}
-    contributions = [
-        {**rec, "pairs": pairs[i]} for rec, i in zip(union.contribution_records(), sources)
-    ]
-    return {
-        "word": format_word(word),
-        "refining_count": len(per_partition),
-        "union": union,
-        "contributions": contributions,
-        "per_partition": [{"partition": p, "pole_set": ps} for p, ps in per_partition],
-        "note": None if per_partition else "no refining pair partitions",
-    }

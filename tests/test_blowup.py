@@ -482,7 +482,6 @@ def test_flag_ranges_do_not_depend_on_the_schedule(n, monkeypatch):
 # float.hex of (value, stderr)
 PULLBACK_MC_BITS = [
     ("1-2", 0.8, 3, "0x1.0ad9dbb41870cp+0", "0x1.de1e964fa4b57p-8"),
-    ("1-2,3-4", 0.9, 13, "0x1.1529953fe5d01p-4", "0x1.3753dce08978ap-7"),
 ]
 
 

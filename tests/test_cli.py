@@ -307,6 +307,24 @@ def test_route_guards_before_exact_zero_exit_3(args):
 
 
 @pytest.mark.parametrize("args", [
+    ("eval", "--pairs", "1-3,2-4", "--H", "0.8", "--method", "pullback-mc"),
+    ("mean-sig", "--word", "1,1,2,2", "--H", "0.8", "--method", "pullback-mc"),
+    ("gamma-table", "--k", "2", "--d", "2", "--H", "0.8", "--method", "pullback-mc"),
+])
+def test_pullback_beyond_one_pair_exit_3(args, monkeypatch):
+    # refused before any blowup chart is built or probed
+    from sigpole import blowup
+
+    def no_chart(*a, **k):
+        raise AssertionError("a blowup chart was built")
+
+    monkeypatch.setattr(blowup, "BlowupChart", no_chart)
+    out = invoke(*args)
+    assert out.returncode == 3, out.stdout
+    assert out.stderr.startswith("error: pullback route limited to one pair"), out.stderr
+
+
+@pytest.mark.parametrize("args", [
     ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "direct-mc"),
     ("eval", "--pairs", "1-2", "--H", "0.8", "--method", "pullback-mc"),
     ("mean-sig", "--word", "1,1", "--H", "0.8", "--method", "direct-mc"),
@@ -589,9 +607,6 @@ SPEC_TEXTS = {
     "--word": (["1,1", "1,2", "1,1,2,2", "1,2,1,2", "1,1,1,1", "2,1"],
                ["1", "1,1,1", "", "1,,1", "0,0", "\u0661,\u0661"]),
 }
-# pullback-mc only on 2k = 2, or on a spec that is refused
-PULLBACK_SPEC_TEXTS = {"--pairs": (["1-2", "2-1"], ["1-1", ""]),
-                       "--word": (["1,1", "1,2"], ["1", ""])}
 SET_TEXTS = (["1", "1-2", "2-3", "1-2,4"], ["", "3-1", "1-4000000000", "x"])
 K_TEXTS, D_TEXTS = (["1", "2"], ["-1", "0", "\uff12"]), (["1", "2"], ["-1", "0"])
 
@@ -611,14 +626,12 @@ def cli_argv(draw) -> list[str]:
         if source == "--pairs" and draw(st.booleans()):
             argv += ["--set", pick(SET_TEXTS)]
         return argv + ["--output", draw(st.sampled_from(["json", "text"]))]
-    method = draw(st.sampled_from([m for m in ROUTES
-                                   if command != "gamma-table" or m != "pullback-mc"]))
+    method = draw(st.sampled_from(list(ROUTES)))
     if command == "gamma-table":
         argv = [command, "--k", pick(K_TEXTS), "--d", pick(D_TEXTS)]
     else:
         source = "--pairs" if command == "eval" else "--word"
-        specs = PULLBACK_SPEC_TEXTS if method == "pullback-mc" else SPEC_TEXTS
-        argv = [command, source, pick(specs[source])]
+        argv = [command, source, pick(SPEC_TEXTS[source])]
     argv += ["--H", pick(H_TEXTS), "--method", method, "--samples", pick(SAMPLE_TEXTS)]
     for option, texts in ROUTE_OPTION_TEXTS.items():
         if draw(st.booleans()):
@@ -875,7 +888,7 @@ def test_evaluation_commands_share_one_option_set():
         assert parsed(command, *given) == values
         assert type(parsed(command, *given)["samples"]) is int
         methods = {m for m in [*ROUTES, "nope"] if accepts(command, m)}
-        assert methods == set(ROUTES) - ({"pullback-mc"} if command == "gamma-table" else set())
+        assert methods == set(ROUTES)
 
 
 def test_route_defaults_stated_once():
@@ -924,8 +937,11 @@ PINNED_STDOUT = [
      "e31e48d82fd9d3fed641e4606fab1180a59b8849a0f43496c77e354d19739c24"),
     (("gamma-table", "--k", "1", "--d", "2", "--H", "0.75", "--output", "csv"), 0,
      "f8075a87a1c545853fc0f00eaf838ea056c70ccdcb88381e33df550a3cbf8308"),
+    # re-recorded when gamma-table began to offer pullback-mc: a usage error
+    # (exit 2) before
     (("gamma-table", "--k", "1", "--d", "2", "--H", "0.8", "--method",
-      "pullback-mc"), 2, hashlib.sha256(b"").hexdigest()),
+      "pullback-mc", "--samples", "20000"), 0,
+     "6af3a8ea4047602666eb1f25be197ef3651270d5b47479475b5e5859cba241f5"),
     (("gamma-table", "--k", "2", "--d", "33", "--H", "0.8"), 3,
      hashlib.sha256(b"").hexdigest()),
 ]

@@ -5,11 +5,14 @@ says ``noqa: F401`` is a declared re-export.  No module imports an
 underscore name from a sibling: what crosses modules is public.  No memo
 outlives a call: no module has a ``global`` statement or a ``cache``,
 ``lru_cache`` or ``cached_property`` decorator.  The names the benchmark's
-tracer wraps, read from ``perfbench/tracer.py`` with ``ast``, still resolve."""
+tracer wraps, read from ``perfbench/tracer.py`` with ``ast``, still resolve,
+and every call into sigpole in ``perfbench/workloads.py`` still binds."""
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -184,3 +187,69 @@ def test_benchmark_call_surface_resolves():
     pairings = importlib.import_module("sigpole.pairings")
     rows = signature.candidate_pole_report(pairings.Word([1, 1, 2, 2]))["per_partition"]
     assert rows and all({"partition", "pole_set"} <= row.keys() for row in rows)
+
+
+def workload_calls() -> list[tuple[str, object, int, list[str]]]:
+    """(line, target, positional count, keywords) of each call into sigpole
+    in perfbench/workloads.py, read with ``ast``: a call of a name imported
+    from sigpole or of a sigpole module's attribute, ``rec.call(label,
+    module.fn, ...)`` less the recorder's own ``check`` and ``span``, and a
+    method called on ``blowup.BlowupChart(...)``, whose instance counts as
+    one positional.  The count is None when a starred argument hides it."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sigpole"):
+            for alias in node.names:
+                if node.module == "sigpole":
+                    value = importlib.import_module(f"sigpole.{alias.name}")
+                else:
+                    value = getattr(importlib.import_module(node.module), alias.name)
+                names[alias.asname or alias.name] = value
+
+    def resolve(expr: ast.expr) -> tuple[object, int]:
+        if isinstance(expr, ast.Name):
+            return names.get(expr.id), 0
+        if isinstance(expr, ast.Attribute):
+            owner = expr.value
+            if isinstance(owner, ast.Name) and isinstance(names.get(owner.id), types.ModuleType):
+                return getattr(names[owner.id], expr.attr), 0
+            cls = resolve(owner.func)[0] if isinstance(owner, ast.Call) else None
+            if isinstance(cls, type):
+                return getattr(cls, expr.attr), 1
+        return None, 0
+
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target, args, keywords = node.func, node.args, node.keywords
+        if (isinstance(target, ast.Attribute) and target.attr == "call"
+                and isinstance(target.value, ast.Name) and target.value.id == "rec"):
+            target, args = args[1], args[2:]
+            keywords = [k for k in keywords if k.arg not in ("check", "span")]
+        fn, instance = resolve(target)
+        if fn is None:
+            continue
+        count = None if any(isinstance(a, ast.Starred) for a in args) else instance + len(args)
+        out.append((f"workloads.py:{node.lineno}", fn, count,
+                    [k.arg for k in keywords if k.arg is not None]))
+    return out
+
+
+def test_benchmark_call_keywords_bind():
+    # the benchmark's workloads pass keywords that no tier-1 test passes; a
+    # parameter renamed or dropped must fail here, not in the benchmark
+    bound = set()
+    for where, fn, count, keywords in workload_calls():
+        signature = inspect.signature(fn)
+        try:
+            signature.bind_partial(*[None] * (count or 0), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {fn.__qualname__}{signature} rejects "
+                                 f"{count} positionals and {keywords}: {exc}") from None
+        bound.update((fn.__qualname__, key) for key in keywords)
+    assert {("l_pullback_mc", "chart"), ("l_direct_mc", "workers"),
+            ("wick_grid_oracle", "m"), ("BlowupChart.F_inverse_exact_batch", "tol"),
+            ("mean_iterated_integral", "evaluator"),
+            ("mean_iterated_integral", "samples")} <= bound, sorted(bound)

@@ -26,7 +26,6 @@ from sigpole.pairings import (
     format_pairs,
     format_position_set,
     format_word,
-    interval_of_pair,
     parse_pairs,
     parse_position_set,
     parse_word,
@@ -35,26 +34,26 @@ from sigpole.pairings import (
 from sigpole.verify import DIAGRAM_PARTITION, TEN_LETTER_WORD
 
 
-def test_interval_of_pair_examples():
-    assert interval_of_pair(10, 6) == Interval(7, 10)
-    assert interval_of_pair(7, 3) == Interval(4, 7)
-    assert interval_of_pair(1, 2) == Interval(2, 2)
-    # adjacent pair is always the right-endpoint singleton
-    for j in range(1, 9):
-        assert interval_of_pair(j, j + 1) == Interval(j + 1, j + 1)
+def test_interval_image_examples():
+    # {a, b} -> [min + 1, max], whichever way round the pair is given
+    p = PairPartition([(10, 6), (7, 3), (1, 2), (5, 4), (8, 9)])
+    assert p.interval_image == (Interval(2, 2), Interval(4, 7), Interval(5, 5),
+                                Interval(7, 10), Interval(9, 9))
+    for p in all_pair_partitions(8):
+        image = p.interval_image
+        # the map is one-to-one: each interval gives back its pair
+        assert sorted((iv.lo - 1, iv.hi) for iv in image) == list(p.pairs)
+        # an adjacent pair is always the right-endpoint singleton
+        singletons = {iv.hi for iv in image if iv.lo == iv.hi}
+        assert singletons == {b for a, b in p.pairs if b == a + 1}
 
 
-def test_interval_of_pair_errors():
-    with pytest.raises(InvalidPairError):
-        interval_of_pair(3, 3)
-    with pytest.raises(InvalidPairError):
-        interval_of_pair(0, 2)
-    with pytest.raises(InvalidPairError):
-        interval_of_pair(1, 11, size=10)
-    # a position is an integer, never truncated: 1.5 is not 1
-    for a, b in ((1.5, 3), (1, 2.0), (True, 3)):
-        with pytest.raises(InvalidPairError, match="positions must be integers"):
-            interval_of_pair(a, b)
+def test_pair_partition_refuses_bad_pairs():
+    with pytest.raises(InvalidPairError, match="equal elements"):
+        PairPartition([(3, 3), (1, 2)])
+    for pairs in ([(0, 2), (1, 3)], [(1, 2), (3, 5)]):
+        with pytest.raises(InvalidPairError, match="must partition"):
+            PairPartition(pairs)
 
 
 def test_interval_set_worked_examples():
